@@ -98,6 +98,20 @@ class CurveFamily:
         return cls(n=obj["n"], C=RationalMatrix.from_json(obj["C"]))
 
 
+def _param_arrays(params: Sequence[CurveParams]) -> tuple[np.ndarray, np.ndarray]:
+    """Float (curves, n-1) arrays of the directions y and the centres omega."""
+    Y = np.array([[float(v) for v in p.y] for p in params])
+    W = np.array([[float(v) for v in p.omega] for p in params])
+    return Y, W
+
+
+def _centres(family: CurveFamily, Y: np.ndarray, W: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """omega - t*y - t^2*C*y for direction rows Y and centre rows W at heights
+    ts, shape (curves, heights, n-1).  The one float copy of the curve formula."""
+    CY = Y @ family._cf.T
+    return W[:, None, :] - ts[None, :, None] * Y[:, None, :] - (ts * ts)[None, :, None] * CY[:, None, :]
+
+
 def _check_height(t):
     if not -1 <= float(t) <= 1:
         raise HeightOutOfSupport(f"t = {t} outside [-1, 1]")
@@ -111,11 +125,8 @@ def curve_point(family: CurveFamily, params: CurveParams, t) -> tuple:
         cy = family.C.mat_vec([rat(v) for v in params.y])
         sp = tuple(rat(w) - t * rat(v) - t * t * c for w, v, c in zip(params.omega, params.y, cy))
         return sp + (t,)
-    y = _as_float_vec(params.y)
-    w = _as_float_vec(params.omega)
     tf = float(t)
-    sp = w - tf * y - tf * tf * (family._cf @ y)
-    return tuple(sp) + (tf,)
+    return tuple(_centres(family, *_param_arrays([params]), np.array([tf]))[0, 0]) + (tf,)
 
 
 def curve_tangent(family: CurveFamily, params: CurveParams, t) -> tuple:
@@ -218,13 +229,6 @@ def intersect_curves(family: CurveFamily, p1: CurveParams, p2: CurveParams) -> l
     return sorted(set(out))
 
 
-def _tube_centres(family: CurveFamily, params: CurveParams, ts: np.ndarray) -> np.ndarray:
-    y = _as_float_vec(params.y)
-    w = _as_float_vec(params.omega)
-    cy = family._cf @ y
-    return w[None, :] - ts[:, None] * y[None, :] - (ts * ts)[:, None] * cy[None, :]
-
-
 def intersection_diameter(
     family: CurveFamily,
     tube1: TubeSpec,
@@ -244,8 +248,7 @@ def intersection_diameter(
     if samples is None:
         samples = int(math.ceil(8.0 / delta)) + 1
     ts = np.linspace(-1.0, 1.0, samples)
-    c1 = _tube_centres(family, tube1.params, ts)
-    c2 = _tube_centres(family, tube2.params, ts)
+    c1, c2 = (_centres(family, *_param_arrays([t.params]), ts)[0] for t in (tube1, tube2))
     diff = c2 - c1
     dist = np.linalg.norm(diff, axis=1)
     overlap = dist < 2.0 * delta
@@ -449,8 +452,7 @@ def _nearest_approach(family, pa: CurveParams, pb: CurveParams, delta: float, wi
         ts = ts[(gap >= lo) & (gap <= hi)]
         if ts.size == 0:
             return None
-    ca = _tube_centres(family, pa, ts)
-    cb = _tube_centres(family, pb, ts)
+    ca, cb = (_centres(family, *_param_arrays([p]), ts)[0] for p in (pa, pb))
     dist = np.linalg.norm(ca - cb, axis=1)
     i = int(np.argmin(dist))
     return float(ts[i]), float(dist[i])

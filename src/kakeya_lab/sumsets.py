@@ -112,10 +112,10 @@ def x_sumset(A: LatticeSet, B: LatticeSet, G: Incidence, X: RationalMatrix) -> L
     arrays = _pair_arrays(G, A.dim)
     if arrays is not None:
         a, b = arrays
-        bound = (int(np.abs(a).max(initial=0)) + int(np.abs(b).max(initial=0)) + 1) * (
-            L + max(abs(v) for r in XL for v in r) + 1
-        )
-    if arrays is not None and bound < _INT64_GUARD:
+        x_max = max(abs(v) for r in XL for v in r)
+        # every entry and partial sum of L*a + b @ XL.T is <= L*|a| + dim*|XL|*|b|; +1s keep L, XL in int64
+        bound = L * (int(np.abs(a).max(initial=0)) + 1) + A.dim * x_max * (int(np.abs(b).max(initial=0)) + 1)
+    if arrays is not None and bound < 2**63:
         pts = L * a + b @ np.array(XL, dtype=np.int64).T
         out = frozenset(map(tuple, pts.tolist()))
     else:  # exact big-integer fallback

@@ -1,5 +1,7 @@
 """Shared helpers: independent re-implementations used as oracles."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -75,6 +77,39 @@ def crossing_tube_pair(rng, family, delta, min_sep):
     t1 = kl.TubeSpec(params=kl.CurveParams(y=tuple(y1), omega=tuple(om1)), delta=delta)
     t2 = kl.TubeSpec(params=kl.CurveParams(y=tuple(y2), omega=tuple(om2)), delta=delta)
     return t1, t2
+
+
+def stamp_oracle(spec, k: int) -> Counter:
+    """Cell (j_1, ..., j_d, band) -> number of tubes occupying it, by brute force.
+
+    Per height band and per tube: the curve point at the band centre, in cell
+    units u, occupies every cell of the padded box [-2^k-1, 2^k]^d whose centre
+    j + 1/2 is within one cell of u.  Such cells have j in floor(u)-1 ..
+    floor(u)+1 on each axis, so only those 3^d are tested; squared distances
+    are summed axis by axis.
+    """
+    delta = 2.0**-k
+    R = 2**k
+    Cf = spec.family.C.to_float()
+    d = Cf.shape[0]
+    lo, hi = spec.t_range
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d)))
+    counts = Counter()
+    for band in range(-R - 1, R + 1):
+        t = (band + 0.5) * delta
+        if not lo <= t <= hi:
+            continue
+        for tube in spec.tubes:
+            y = np.array([float(v) for v in tube.params.y])
+            w = np.array([float(v) for v in tube.params.omega])
+            u = (w - t * y - t * t * (Cf @ y)) / delta
+            j = np.floor(u).astype(np.int64) + offsets
+            dist2 = np.zeros(len(j))
+            for axis in range(d):
+                dist2 = dist2 + (j[:, axis] + 0.5 - u[axis]) ** 2
+            keep = (dist2 < 1.0) & ((j >= -R - 1) & (j <= R)).all(axis=1)
+            counts.update(tuple(c) + (band,) for c in j[keep].tolist())
+    return counts
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import pytest
 
 import kakeya_lab as kl
 
-from conftest import reduced_ball_net
+from conftest import reduced_ball_net, stamp_oracle
 
 ZERO2 = kl.RationalMatrix.zero(2)
 WORST = kl.companion([0, 0])
@@ -104,12 +104,37 @@ class TestRasterize:
         with pytest.raises(ValueError):
             kl.rasterize(kl.TubeFamilySpec(family=straight_family(), tubes=[tube]), 5)
 
-    def test_workers_give_same_cells(self):
-        k = 5
-        spec = kl.build_worstcase_kakeya(WORST, k)
-        a = kl.rasterize(spec, k, workers=1)
-        b = kl.rasterize(spec, k, workers=4)
-        assert a.occupied == b.occupied
+
+def three_tubes(n, k, seed=0):
+    """Three random tubes of the nilpotent shift family in dimension n."""
+    rng = np.random.default_rng(seed)
+    d = n - 1
+    tubes = [
+        kl.TubeSpec(params=kl.CurveParams(y=tuple(rng.uniform(-0.5, 0.5, d) / math.sqrt(d)),
+                                          omega=tuple(rng.uniform(-0.3, 0.3, d))),
+                    delta=2.0**-k)
+        for _ in range(3)
+    ]
+    return kl.TubeFamilySpec(family=kl.CurveFamily(n=n, C=kl.companion([0] * d)), tubes=tubes)
+
+
+class TestKeyRange:
+    """Packed cell keys at the edges of int64, against the brute-force oracle."""
+
+    @pytest.mark.parametrize("n,k", [(5, 11), (9, 6), (3, 12)])
+    def test_matches_oracle(self, n, k):
+        spec = three_tubes(n, k)
+        want = stamp_oracle(spec, k)
+        assert kl.rasterize(spec, k).occupied == frozenset(want)
+        assert kl.union_volume(spec, k)[0] == len(want)
+        norm = ((2.0**-k) ** n * sum(c**2 for c in want.values())) ** 0.5
+        assert math.isclose(kl.covering_norm(spec, 2.0, k), norm, rel_tol=1e-12)
+
+    def test_keys_past_int64_raise(self):
+        spec = three_tubes(9, 7)  # (2^8 + 2)^8 >= 2^63
+        for stamp in (kl.rasterize, kl.union_volume, lambda s, k: kl.covering_norm(s, 2.0, k)):
+            with pytest.raises(kl.ResolutionTooFine):
+                stamp(spec, 7)
 
 
 class TestBoxDimension:
@@ -237,6 +262,11 @@ class TestCoveringNorm:
         vol = kl.rasterize(kl.TubeFamilySpec(family=straight_family(), tubes=[tube]), k).volume()
         assert abs(kl.covering_norm(spec5, 2.0, k) - 5 * vol**0.5) < 1e-10
 
+    def test_delta_mismatch(self):
+        tube = kl.TubeSpec(params=kl.CurveParams(y=(0.0, 0.0), omega=(0.0, 0.0)), delta=0.25)
+        with pytest.raises(ValueError):
+            kl.covering_norm(kl.TubeFamilySpec(family=straight_family(), tubes=[tube]), 2.0, 5)
+
     def test_p1_is_total_mass(self):
         k = 5
         tubes = [
@@ -315,10 +345,3 @@ class TestSurfaceResidual:
 def test_cellset_json_roundtrip():
     cs = kl.CellSet(n=3, k=4, occupied=frozenset({(0, 1, 2), (-3, 0, 5)}))
     assert kl.CellSet.from_json(cs.to_json()) == cs
-
-
-def test_thread_env_var_respected(monkeypatch):
-    spec = kl.build_worstcase_kakeya(WORST, 5)
-    base = kl.rasterize(spec, 5)
-    monkeypatch.setenv("KAKEYA_LAB_THREADS", "3")
-    assert kl.rasterize(spec, 5).occupied == base.occupied

@@ -44,6 +44,14 @@ class TestXSumset:
         out = kl.x_sumset(A, B, full(A, B), I2)
         assert out.points == {(big, big)}
 
+    @pytest.mark.parametrize("x", [1, 2, 3])
+    def test_int64_guard_edges(self, x):
+        # dim * |X| * |b| near 2^62 (int64 path), 2^63 and 1.5 * 2^63 (exact fallback), in dimension 8
+        a, b = (2**59 - 1,) * 8, (-(2**59) + 1,) * 8
+        X = kl.RationalMatrix([[x] * 8 for _ in range(8)])
+        out = kl.x_sumset(kl.LatticeSet.of([a]), kl.LatticeSet.of([b]), kl.Incidence(pairs=frozenset({(a, b)})), X)
+        assert out.points == {tuple(ai + sum(x * bj for bj in b) for ai in a)}
+
     def test_empty_incidence(self):
         A = kl.LatticeSet.of([(0, 0)])
         B = kl.LatticeSet.of([(1, 1)])
