@@ -66,6 +66,16 @@ def _parse_ks(arg: str) -> list[int]:
     return [int(s) for s in arg.split(",") if s]
 
 
+def _positive_int(arg: str) -> int:
+    try:
+        v = int(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {arg!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
+    return v
+
+
 def _parse_vec(arg: str) -> tuple:
     return tuple(Fraction(s) for s in arg.split(","))
 
@@ -292,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hairbrush", help="greedy hairbrush decomposition")
     sp.add_argument("--family", required=True)
     sp.add_argument("--tubes", required=True)
-    sp.add_argument("--threshold", type=int, required=True)
+    sp.add_argument("--threshold", type=_positive_int, required=True)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_hairbrush)
 

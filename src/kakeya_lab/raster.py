@@ -16,13 +16,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .curves import CurveFamily, CurveParams, TubeSpec, _centres, _param_arrays
-from .errors import ResolutionTooFine
+from .errors import PreconditionViolation, ResolutionTooFine
 from .exact import RationalMatrix
 from .slices import vanishing_order, w_matrix
 
 CELL_BUDGET = 2**30
 MAX_K = 12
-_BLOCK_ROWS = 2**14  # (tube, band) rows per stamping pass; bounds the kernel's memory
+_BLOCK_ROWS = 2**14  # (tube, band or height) rows per pass of the stamping and meet loops; bounds their memory
 
 
 @dataclass(frozen=True)
@@ -302,18 +302,24 @@ def hairbrush_decompose(
     N: int,
     candidates: Optional[Sequence[TubeSpec]] = None,
 ) -> HairbrushDecomposition:
-    """Greedy extraction of hairbrushes of size at least N.
+    """Greedy extraction of hairbrushes of size at least N >= 1.
 
     Repeatedly pick the candidate central tube meeting the most remaining
     tubes (ties to the lowest index); if it meets at least N of them, remove
     them as one brush.  Tubes meet when their curves pass within twice the
-    larger thickness at some common height.  On return no candidate meets N
-    of the leftover ("bad") tubes.
+    larger thickness at one of H = max(257, ceil((hi - lo) / min delta) + 1)
+    evenly spaced heights of the t-range, squared axis terms summed in axis
+    order.  On return no candidate meets N of the leftover ("bad") tubes.
+    Costs O(#candidates * #tubes * H * (n - 1)).
     """
+    if N < 1:
+        raise PreconditionViolation(f"brush size threshold N = {N} must be at least 1")
     tubes = list(spec.tubes)
-    cands = list(candidates) if candidates is not None else tubes
+    cands = tubes if candidates is None else list(candidates)
     if not cands:
         raise ValueError("need at least one candidate central tube")
+    if not tubes:
+        return HairbrushDecomposition(brushes=(), bad=(), centrals=())
     fam = spec.family
     lo, hi = spec.t_range
     # sample at the finest tube scale so transversal crossings are not missed
@@ -321,18 +327,26 @@ def hairbrush_decompose(
     H = max(257, int(math.ceil((hi - lo) / step)) + 1)
     ts = np.linspace(lo, hi, H)
 
-    tube_tr = _centres(fam, *_param_arrays([t.params for t in tubes]), ts)
-    cand_tr = _centres(fam, *_param_arrays([c.params for c in cands]), ts)
-    tube_delta = np.array([float(t.delta) for t in tubes])
-    cand_delta = np.array([float(c.delta) for c in cands])
+    def trajectories(tube_list):  # axis-major (n-1, curves, H): one contiguous plane per axis
+        centres = _centres(fam, *_param_arrays([t.params for t in tube_list]), ts)
+        return np.ascontiguousarray(centres.transpose(2, 0, 1)), np.array([float(t.delta) for t in tube_list])
+
+    tube_tr, tube_delta = trajectories(tubes)
+    cand_tr, cand_delta = (tube_tr, tube_delta) if candidates is None else trajectories(cands)
     # meets[c, t]: min over heights of |cand_c - tube_t| <= 2 max(delta)
     meets = np.empty((len(cands), len(tubes)), dtype=bool)
-    # buffers reused across candidates: fresh m x H x d temporaries each time are mostly page faults
-    diff, sq = np.empty_like(tube_tr), np.empty(tube_tr.shape[:2])
-    for ci in range(len(cands)):
-        np.subtract(cand_tr[ci], tube_tr, out=diff)
-        np.add.reduce(np.square(diff, out=diff), axis=2, out=sq)
-        meets[ci] = np.sqrt(sq.min(axis=1)) <= 2.0 * np.maximum(cand_delta[ci], tube_delta)
+    # tubes go in blocks of about _BLOCK_ROWS (tube, height) rows, so the two buffers reused
+    # across candidates stay cache-sized; fresh temporaries each time are mostly page faults
+    per_block = max(1, _BLOCK_ROWS // H)
+    for s in range(0, len(tubes), per_block):
+        block, block_delta = tube_tr[:, s:s + per_block], tube_delta[s:s + per_block]
+        diff, sq = np.empty(block.shape[1:]), np.empty(block.shape[1:])
+        for ci in range(len(cands)):
+            np.square(np.subtract(cand_tr[0, ci], block[0], out=sq), out=sq)
+            for axis in range(1, len(block)):
+                sq += np.square(np.subtract(cand_tr[axis, ci], block[axis], out=diff), out=diff)
+            reach = 2.0 * np.maximum(cand_delta[ci], block_delta)
+            meets[ci, s:s + per_block] = np.sqrt(sq.min(axis=1)) <= reach
 
     remaining = np.ones(len(tubes), dtype=bool)
     brushes, centrals = [], []

@@ -253,12 +253,20 @@ def gen_secular_counterexample(
 
 @dataclass(frozen=True)
 class TrapeziumReport:
+    """Trapezium count, its bracket, and the reconstruction identity check.
+
+    ``identity_verified`` covers only the first ``identities_checked`` counted
+    tuples.  When that is less than ``count`` the check was capped, and a
+    failure among the remaining tuples would go unseen.
+    """
+
     count: int
     lower_bound: float
     upper_bound: int
     identity_verified: bool
     g_size: int           # after the discard pass
     max_side: int
+    identities_checked: int
 
     def bracketed(self) -> bool:
         return self.lower_bound <= self.count <= self.upper_bound
@@ -289,7 +297,8 @@ def count_trapezia(
     is first thinned until distinct pairs give distinct differences.  Also
     checks the reconstruction identity
     a1 - b1' = (I + X^-1)(a0 + X b0) - X^-1 (a0 + X b0') - Y b1
-    on every counted tuple (up to ``identity_check_cap`` of them).
+    on the counted tuples, stopping after ``identity_check_cap`` of them; the
+    report says how many were checked.
     """
     I = RationalMatrix.identity(X.dim)
     if Y - X != I:
@@ -351,6 +360,7 @@ def count_trapezia(
         identity_verified=identity_ok,
         g_size=g,
         max_side=M,
+        identities_checked=checked,
     )
 
 

@@ -1,6 +1,7 @@
 """Shared helpers: independent re-implementations used as oracles."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -110,6 +111,54 @@ def stamp_oracle(spec, k: int) -> Counter:
             keep = (dist2 < 1.0) & ((j >= -R - 1) & (j <= R)).all(axis=1)
             counts.update(tuple(c) + (band,) for c in j[keep].tolist())
     return counts
+
+
+def hairbrush_oracle(spec, N: int, candidates=None) -> tuple:
+    """(brushes, bad, centrals) of the greedy hairbrush decomposition, pair by pair.
+
+    Curves are sampled at H = max(257, ceil((hi - lo) / min delta) + 1) evenly
+    spaced heights of the t-range.  A candidate meets a tube when the square
+    root of the least squared distance over those heights, squared axis terms
+    summed in axis order, is at most twice the larger delta.  The candidate
+    meeting the most remaining tubes (lowest index on ties) takes them as a
+    brush while it meets at least N.
+    """
+    tubes = list(spec.tubes)
+    cands = tubes if candidates is None else list(candidates)
+    lo, hi = spec.t_range
+    step = min(float(t.delta) for t in tubes + cands)
+    ts = np.linspace(lo, hi, max(257, math.ceil((hi - lo) / step) + 1))
+    Cf = spec.family.C.to_float()
+
+    def path(tube):  # (heights, n-1) curve points
+        y = np.array([float(v) for v in tube.params.y])
+        w = np.array([float(v) for v in tube.params.omega])
+        return w - ts[:, None] * y - (ts * ts)[:, None] * (Cf @ y)
+
+    tube_paths = [path(t) for t in tubes]
+    meets = []
+    for c in cands:
+        pc = path(c)
+        row = []
+        for t, pt in zip(tubes, tube_paths):
+            sq = np.zeros(len(ts))
+            for axis in range(pc.shape[1]):
+                sq = sq + (pc[:, axis] - pt[:, axis]) ** 2
+            row.append(math.sqrt(sq.min()) <= 2.0 * max(float(c.delta), float(t.delta)))
+        meets.append(row)
+
+    remaining = set(range(len(tubes)))
+    brushes, centrals = [], []
+    while True:
+        counts = [sum(row[i] for i in remaining) for row in meets]
+        best = counts.index(max(counts))
+        if counts[best] < N:
+            break
+        members = tuple(sorted(i for i in remaining if meets[best][i]))
+        brushes.append(members)
+        centrals.append(best)
+        remaining -= set(members)
+    return tuple(brushes), tuple(sorted(remaining)), tuple(centrals)
 
 
 @pytest.fixture

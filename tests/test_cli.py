@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import kakeya_lab as kl
 from kakeya_lab.cli import main
 from kakeya_lab.sumsets import instance_to_json
@@ -147,6 +149,15 @@ def test_hairbrush_command(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)["result"]
     assert len(doc["brushes"]) == 1 and len(doc["brushes"][0]) == 12
+
+
+@pytest.mark.parametrize("threshold, message", [("0", "at least 1"), ("-3", "at least 1"),
+                                                ("abc", "not an integer")])
+def test_hairbrush_threshold_must_be_positive_int(tmp_path, capsys, threshold, message):
+    code, _, err = run(capsys, "hairbrush", "--family", str(tmp_path / "fam.json"),
+                       "--tubes", str(tmp_path / "tubes.json"), "--threshold", threshold)
+    assert code == 2
+    assert "--threshold" in err and message in err
 
 
 def test_claim_check_command(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import kakeya_lab as kl
 
-from conftest import reduced_ball_net, stamp_oracle
+from conftest import hairbrush_oracle, reduced_ball_net, stamp_oracle
 
 ZERO2 = kl.RationalMatrix.zero(2)
 WORST = kl.companion([0, 0])
@@ -316,6 +316,55 @@ class TestHairbrushDecompose:
         assert len(dec.brushes) == 1
         assert len(dec.brushes[0]) >= 32
         assert len(dec.bad) == 32
+
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_threshold_below_one_raises(self, N):
+        spec = kl.TubeFamilySpec(family=straight_family(), tubes=self._bush(2, 2.0**-6))
+        with pytest.raises(kl.PreconditionViolation):
+            kl.hairbrush_decompose(spec, N)
+
+    def test_no_tubes_with_candidates(self):
+        spec = kl.TubeFamilySpec(family=straight_family(), tubes=())
+        dec = kl.hairbrush_decompose(spec, 1, candidates=self._bush(3, 2.0**-6))
+        assert dec == kl.HairbrushDecomposition(brushes=(), bad=(), centrals=())
+
+    @staticmethod
+    def _clustered(rng, family, count, deltas, hubs):
+        """Tubes whose curves pass through one of the hub points (x, t), plus a
+        random offset of up to a few deltas, cycling through the given deltas."""
+        Cf = family.C.to_float()
+        d = family.n - 1
+        tubes = []
+        for i in range(count):
+            x, t = hubs[i % len(hubs)]
+            delta = deltas[i % len(deltas)]
+            y = rng.uniform(-0.6, 0.6, d)
+            p = np.asarray(x) + rng.uniform(-3 * delta, 3 * delta, d)
+            om = p + t * y + t * t * (Cf @ y)
+            tubes.append(kl.TubeSpec(params=kl.CurveParams(y=tuple(y), omega=tuple(om)), delta=delta))
+        return tubes
+
+    def _oracle_case(self, name):
+        rng = np.random.default_rng(7)
+        if name == "worst-k3":
+            return kl.build_worstcase_kakeya(WORST, 3), 8, None
+        if name == "nondyadic-mixed-candidates":
+            fam = kl.CurveFamily(n=3, C=kl.RationalMatrix([[F(1, 3), F(-2, 5)], [F(3, 7), F(1, 5)]]))
+            hubs = [((0.1, -0.2), 0.3), ((-0.3, 0.25), -0.4), ((0.4, 0.4), 0.6)]
+            tubes = self._clustered(rng, fam, 60, [2.0**-5, 2.0**-8, 2.0**-6], hubs)
+            cands = self._clustered(rng, fam, 12, [2.0**-7, 2.0**-5], hubs)
+            return kl.TubeFamilySpec(family=fam, tubes=tubes, t_range=(-0.5, 0.75)), 4, cands
+        fam = kl.CurveFamily(n=4, C=kl.companion([F(1, 3), F(-1, 5), F(2, 7)]))
+        hubs = [((0.1, -0.2, 0.05), 0.2), ((-0.3, 0.25, -0.1), -0.5)]
+        tubes = self._clustered(rng, fam, 50, [2.0**-5, 2.0**-6], hubs)
+        return kl.TubeFamilySpec(family=fam, tubes=tubes), 5, None
+
+    @pytest.mark.parametrize("name", ["worst-k3", "nondyadic-mixed-candidates", "n4"])
+    def test_matches_oracle(self, name):
+        spec, N, cands = self._oracle_case(name)
+        dec = kl.hairbrush_decompose(spec, N, cands)
+        assert dec.brushes, "the case should produce at least one brush"
+        assert (dec.brushes, dec.bad, dec.centrals) == hairbrush_oracle(spec, N, cands)
 
 
 class TestSurfaceResidual:

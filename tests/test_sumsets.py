@@ -270,6 +270,16 @@ class TestTrapezia:
         assert rep.count == self.literal_quadruple_loop(G, self.Y)
         assert rep.identity_verified and rep.bracketed()
 
+    def test_capped_identity_check_is_reported(self):
+        pts = [(i, j) for i in range(2) for j in range(2)]
+        A = kl.LatticeSet.of(pts)
+        B = kl.LatticeSet.of(pts)
+        full_rep = kl.count_trapezia(A, B, full(A, B), self.X, self.Y)
+        assert full_rep.identities_checked == full_rep.count
+        rep = kl.count_trapezia(A, B, full(A, B), self.X, self.Y, identity_check_cap=5)
+        assert rep.identities_checked == 5 < rep.count == full_rep.count
+        assert rep.identity_verified
+
     def test_precondition(self):
         with pytest.raises(kl.PreconditionViolation):
             kl.count_trapezia(kl.LatticeSet.of([(0, 0)]), kl.LatticeSet.of([(0, 0)]),
