@@ -4,6 +4,13 @@ Points live in Z^{n-1}.  A rational matrix X acts by first scaling the whole
 computation by L, the lcm of the denominators of its entries, so results stay
 on an integer lattice; the returned set records that scale (coordinates are
 point/scale).  All cardinalities are exact.
+
+Sets and incidences are stored as rows: an (n, dim) int64 array of the
+distinct points (or pairs) in lexicographic order, or an object array of
+Python ints when a coordinate is outside int64.  Each operation derives from
+the stored coordinate bounds whether its arithmetic stays inside int64, and
+otherwise runs the same array code on Python ints.  The frozensets of tuples
+(``points``, ``pairs``) are built on each access and not kept.
 """
 
 from __future__ import annotations
@@ -27,76 +34,175 @@ from .exact import RationalMatrix, rat
 Point = tuple
 
 
-@dataclass(frozen=True)
+def _rows(points: Iterable, dim: int) -> np.ndarray:
+    """(n, dim) int64 array of the points, or object array of Python ints past int64."""
+    pts = list(points)
+    if any(len(p) != dim for p in pts):
+        raise ValueError("point dimension mismatch")
+    try:
+        rows = np.array(pts, dtype=np.int64)
+    except OverflowError:
+        rows = np.array([[int(c) for c in p] for p in pts], dtype=object)
+    return rows.reshape(len(pts), dim)
+
+
+def _firsts(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows that differ from the row before them."""
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return first
+
+
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable lexicographic sort order of the rows, and the first-of-run mask of the sorted rows."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    return order, _firsts(rows[order])
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    order, first = _runs(rows)
+    return rows[order[first]]
+
+
+def _ranks(rows: np.ndarray) -> np.ndarray:
+    """Rank of each row among the distinct rows in lexicographic order."""
+    order, first = _runs(rows)
+    ranks = np.empty(len(rows), dtype=np.int64)
+    ranks[order] = np.cumsum(first) - 1
+    return ranks
+
+
+def _peak(rows: np.ndarray) -> int:
+    return max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+
+
+def _exact(bound: int, *arrays: np.ndarray) -> tuple:
+    """The arrays as they are when ``bound`` < 2^63, else as Python-int object arrays."""
+    return arrays if bound < 2**63 else tuple(x.astype(object) for x in arrays)
+
+
 class LatticeSet:
-    """Deduplicated finite set of integer vectors; coordinates are point/scale."""
+    """Deduplicated finite set of integer vectors; coordinates are point/scale.
 
-    dim: int
-    points: frozenset
-    scale: int = 1
+    ``rows`` holds the distinct points in lexicographic order (see the module
+    docstring); ``points`` builds the same set as a frozenset of tuples.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", frozenset(tuple(int(c) for c in p) for p in self.points))
-        if any(len(p) != self.dim for p in self.points):
-            raise ValueError("point dimension mismatch")
+    __slots__ = ("dim", "scale", "rows")
+
+    def __init__(self, dim: int, points: Iterable, scale: int = 1):
+        self._init(dim, _distinct(_rows(points, dim)), scale)
+
+    def _init(self, dim: int, rows: np.ndarray, scale: int):
+        self.dim, self.rows, self.scale = dim, rows, scale
+
+    @classmethod
+    def _of_rows(cls, dim: int, rows: np.ndarray, scale: int = 1) -> "LatticeSet":
+        """A set from rows that are already distinct and lexicographically sorted."""
+        out = cls.__new__(cls)
+        out._init(dim, rows, scale)
+        return out
+
+    @property
+    def points(self) -> frozenset:
+        return frozenset(map(tuple, self.rows.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.rows)
+
+    def __eq__(self, other):
+        return isinstance(other, LatticeSet) and (self.dim, self.scale, self.points) == (
+            other.dim, other.scale, other.points)
+
+    def __hash__(self):
+        return hash((self.dim, self.scale, self.points))
+
+    def __repr__(self):
+        return f"LatticeSet(dim={self.dim}, size={self.size}, scale={self.scale})"
 
     @classmethod
     def of(cls, points: Iterable, dim: Optional[int] = None, scale: int = 1) -> "LatticeSet":
-        pts = [tuple(int(c) for c in p) for p in points]
+        pts = list(points)
         if dim is None:
             if not pts:
                 raise ValueError("cannot infer dimension of an empty set")
             dim = len(pts[0])
-        return cls(dim=dim, points=frozenset(pts), scale=scale)
+        return cls(dim=dim, points=pts, scale=scale)
 
 
-@dataclass(frozen=True)
 class Incidence:
-    """A relation G between two lattice sets, stored as (a, b) point pairs."""
+    """A relation G between two lattice sets, stored as (a, b) point pairs.
 
-    pairs: frozenset
+    ``a`` and ``b`` are row arrays of equal shape holding the distinct pairs in
+    lexicographic (a, b) order (see the module docstring); ``peak_a`` and
+    ``peak_b`` bound their coordinates' absolute values.  ``pairs`` builds the
+    same relation as a frozenset of tuple pairs.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "pairs",
-            frozenset((tuple(int(c) for c in a), tuple(int(c) for c in b)) for a, b in self.pairs),
-        )
+    __slots__ = ("a", "b", "peak_a", "peak_b")
+
+    def __init__(self, pairs: Iterable):
+        pairs = list(pairs)
+        dim = len(pairs[0][0]) if pairs else 0
+        ab = _distinct(np.hstack([_rows([p[0] for p in pairs], dim), _rows([p[1] for p in pairs], dim)]))
+        self._init(ab[:, :dim], ab[:, dim:])
+
+    def _init(self, a: np.ndarray, b: np.ndarray):
+        if a.dtype != b.dtype:
+            a, b = a.astype(object), b.astype(object)
+        self.a, self.b = a, b
+        self.peak_a, self.peak_b = _peak(a), _peak(b)
+
+    @classmethod
+    def _of_rows(cls, a: np.ndarray, b: np.ndarray) -> "Incidence":
+        """A relation from pair rows that are already distinct and sorted by (a, b)."""
+        out = cls.__new__(cls)
+        out._init(a, b)
+        return out
+
+    @property
+    def pairs(self) -> frozenset:
+        return frozenset(zip(map(tuple, self.a.tolist()), map(tuple, self.b.tolist())))
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return len(self.a)
+
+    def __eq__(self, other):
+        return isinstance(other, Incidence) and self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash(self.pairs)
+
+    def __repr__(self):
+        return f"Incidence(size={self.size})"
 
     @classmethod
     def full(cls, A: LatticeSet, B: LatticeSet) -> "Incidence":
-        return cls(pairs=frozenset((a, b) for a in A.points for b in B.points))
+        return cls._of_rows(np.repeat(A.rows, B.size, axis=0), np.tile(B.rows, (A.size, 1)))
 
     def validate(self, A: LatticeSet, B: LatticeSet):
-        for a, b in self.pairs:
-            if a not in A.points or b not in B.points:
-                raise PreconditionViolation("incidence references a point outside A or B")
+        _indices(A, self.a)
+        _indices(B, self.b)
 
 
-def _pair_arrays(G: Incidence, dim: int):
-    """(a, b) int64 arrays for the incidence pairs, or None when values overflow."""
-    pairs = list(G.pairs)
-    peak = max((abs(c) for pa, pb in pairs for p in (pa, pb) for c in p), default=0)
-    if peak >= _INT64_GUARD:
-        return None
-    a = np.array([pa for pa, _ in pairs], dtype=np.int64)
-    b = np.array([pb for _, pb in pairs], dtype=np.int64)
-    return a, b
+def _indices(S: LatticeSet, rows: np.ndarray) -> np.ndarray:
+    """Index in S.rows of each of ``rows``, which must all be points of S."""
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64)
+    ranks = _ranks(np.vstack([S.rows, rows]))
+    if ranks.max(initial=-1) >= S.size:  # a row outside S adds a distinct row
+        raise PreconditionViolation("incidence references a point outside A or B")
+    return ranks[S.size:]
 
 
 def _x_scale(X: RationalMatrix) -> int:
     return math.lcm(*[e.denominator for r in X.rows for e in r]) if X.dim else 1
 
 
-_INT64_GUARD = 2**60
+def _scaled_rows(M: RationalMatrix, L: int) -> list:
+    return [[int(e * L) for e in r] for r in M.rows]
 
 
 def x_sumset(A: LatticeSet, B: LatticeSet, G: Incidence, X: RationalMatrix) -> LatticeSet:
@@ -106,24 +212,14 @@ def x_sumset(A: LatticeSet, B: LatticeSet, G: Incidence, X: RationalMatrix) -> L
     if A.scale != B.scale:
         raise PreconditionViolation("A and B must share a scale")
     L = _x_scale(X)
-    XL = [[int(e * L) for e in r] for r in X.rows]
-    if not G.pairs:
-        return LatticeSet(dim=A.dim, points=frozenset(), scale=L * A.scale)
-    arrays = _pair_arrays(G, A.dim)
-    if arrays is not None:
-        a, b = arrays
-        x_max = max(abs(v) for r in XL for v in r)
-        # every entry and partial sum of L*a + b @ XL.T is <= L*|a| + dim*|XL|*|b|; +1s keep L, XL in int64
-        bound = L * (int(np.abs(a).max(initial=0)) + 1) + A.dim * x_max * (int(np.abs(b).max(initial=0)) + 1)
-    if arrays is not None and bound < 2**63:
-        pts = L * a + b @ np.array(XL, dtype=np.int64).T
-        out = frozenset(map(tuple, pts.tolist()))
-    else:  # exact big-integer fallback
-        out = frozenset(
-            tuple(L * ai + sum(XL[i][j] * bj for j, bj in enumerate(pb)) for i, ai in enumerate(pa))
-            for pa, pb in G.pairs
-        )
-    return LatticeSet(dim=A.dim, points=out, scale=L * A.scale)
+    if not G.size:
+        return LatticeSet._of_rows(A.dim, np.empty((0, A.dim), dtype=np.int64), L * A.scale)
+    XL = _scaled_rows(X, L)
+    x_max = max(abs(v) for r in XL for v in r)
+    # every entry and partial sum of L*a + b @ XL.T is <= L*|a| + dim*|XL|*|b|; +1s keep L, XL in int64
+    a, b = _exact(L * (G.peak_a + 1) + A.dim * x_max * (G.peak_b + 1), G.a, G.b)
+    pts = L * a + b @ np.array(XL, dtype=a.dtype).T
+    return LatticeSet._of_rows(A.dim, _distinct(pts), L * A.scale)
 
 
 def difference_set(A: LatticeSet, B: LatticeSet, G: Incidence) -> LatticeSet:
@@ -132,14 +228,10 @@ def difference_set(A: LatticeSet, B: LatticeSet, G: Incidence) -> LatticeSet:
         raise PreconditionViolation("dimension mismatch")
     if A.scale != B.scale:
         raise PreconditionViolation("A and B must share a scale")
-    if not G.pairs:
-        return LatticeSet(dim=A.dim, points=frozenset(), scale=A.scale)
-    arrays = _pair_arrays(G, A.dim)
-    if arrays is not None and max(int(np.abs(arrays[0]).max()), int(np.abs(arrays[1]).max())) < _INT64_GUARD // 2:
-        pts = frozenset(map(tuple, (arrays[0] - arrays[1]).tolist()))
-    else:
-        pts = frozenset(tuple(x - y for x, y in zip(pa, pb)) for pa, pb in G.pairs)
-    return LatticeSet(dim=A.dim, points=pts, scale=A.scale)
+    if not G.size:
+        return LatticeSet._of_rows(A.dim, np.empty((0, A.dim), dtype=np.int64), A.scale)
+    a, b = _exact(G.peak_a + G.peak_b, G.a, G.b)
+    return LatticeSet._of_rows(A.dim, _distinct(a - b), A.scale)
 
 
 @dataclass(frozen=True)
@@ -255,9 +347,9 @@ def gen_secular_counterexample(
 class TrapeziumReport:
     """Trapezium count, its bracket, and the reconstruction identity check.
 
-    ``identity_verified`` covers only the first ``identities_checked`` counted
-    tuples.  When that is less than ``count`` the check was capped, and a
-    failure among the remaining tuples would go unseen.
+    ``identity_verified`` says whether the reconstruction identity held, in
+    exact integer arithmetic, on every counted tuple; ``identities_checked``
+    is the number of tuples checked, which equals ``count``.
     """
 
     count: int
@@ -273,13 +365,59 @@ class TrapeziumReport:
 
 
 def _discard_to_distinct_differences(G: Incidence) -> Incidence:
-    # keep the lexicographically least pair for each difference value
-    best = {}
-    for a, b in sorted(G.pairs):
-        dkey = tuple(x - y for x, y in zip(a, b))
-        if dkey not in best:
-            best[dkey] = (a, b)
-    return Incidence(pairs=frozenset(best.values()))
+    # keep the lexicographically least pair for each difference value: G's rows
+    # are in that order and the sort in _runs is stable
+    if not G.size:
+        return G
+    a, b = _exact(G.peak_a + G.peak_b, G.a, G.b)
+    order, first = _runs(a - b)
+    keep = np.sort(order[first])
+    return Incidence._of_rows(G.a[keep], G.b[keep])
+
+
+def _trapezia(G: Incidence, X: RationalMatrix, Y: RationalMatrix) -> tuple[int, bool]:
+    """Ordered trapezium count of a non-empty incidence, and whether every counted tuple passes the identity.
+
+    The tuples are the triples (a, b0, b0') of pairs (a, b0), (a, b0') in G,
+    taken in ordered pairs p, q within a side group of equal (a + Y b0, b0').
+    For p = (a0, b0, b0') and q = (a1, b1, b1') the identity reads F_p == H_q
+    with F = (I + X^-1)(a0 + X b0) - X^-1 (a0 + X b0') and H = a1 - b1' + Y b1,
+    so it holds on a whole group iff all its F and H are one value.  Both are
+    computed scaled by D^2, D the lcm of the denominators of X, Y and X^-1.
+    """
+    mats = (X, Y, X.inverse())
+    D = math.lcm(*(_x_scale(m) for m in mats))
+    XD, YD, ZD = (_scaled_rows(m, D) for m in mats)
+    top = max(abs(v) for m in (XD, YD, ZD) for r in m for v in r)
+    dim = X.dim
+    U = D * (G.peak_a + 1) + dim * top * (G.peak_b + 1)  # bounds D (a + X b) and D (a + Y b)
+    # |F| <= (D + 2 dim top) U and |H| <= D U + D^2 |b|, partial sums included
+    a, b = _exact((D + 2 * dim * top) * U + D * D * (G.peak_b + 1), G.a, G.b)
+    XD, YD, ZD = (np.array(m, dtype=a.dtype) for m in (XD, YD, ZD))
+    u = D * a + b @ XD.T            # D (a + X b)
+    P = D * u + u @ ZD.T            # D^2 (I + X^-1)(a + X b)
+    Q = u @ ZD.T                    # D^2 X^-1 (a + X b)
+    R = D * D * a + D * (b @ YD.T)  # D^2 (a + Y b)
+    S = D * D * b
+
+    # triples (i, j): rows i, j of G with a_i == a_j; each a is one run of G's sorted rows
+    n = len(a)
+    first = _firsts(a)
+    run = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    m = np.diff(np.append(starts, n))[run]
+    i = np.repeat(np.arange(n), m)
+    j = np.repeat(starts[run] - (np.cumsum(m) - m), m) + np.arange(len(i))
+
+    side = _ranks(R)[i] * n + _ranks(b)[j]
+    order, first = _runs(side[:, None])
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, len(side)))
+    i, j = i[order], j[order]
+    F = P[i] - Q[j]
+    H = R[i] - S[j]
+    ref = F[np.repeat(starts, sizes)]
+    return int((sizes * sizes).sum()), bool((F == ref).all() and (H == ref).all())
 
 
 def count_trapezia(
@@ -288,7 +426,6 @@ def count_trapezia(
     G: Incidence,
     X: RationalMatrix,
     Y: RationalMatrix,
-    identity_check_cap: int = 200_000,
 ) -> TrapeziumReport:
     """Count ordered trapezia in G under the sum maps X and Y = X + I.
 
@@ -297,8 +434,7 @@ def count_trapezia(
     is first thinned until distinct pairs give distinct differences.  Also
     checks the reconstruction identity
     a1 - b1' = (I + X^-1)(a0 + X b0) - X^-1 (a0 + X b0') - Y b1
-    on the counted tuples, stopping after ``identity_check_cap`` of them; the
-    report says how many were checked.
+    exactly on every counted tuple.
     """
     I = RationalMatrix.identity(X.dim)
     if Y - X != I:
@@ -309,48 +445,7 @@ def count_trapezia(
     sX = x_sumset(A, B, Gd, X).size
     sY = x_sumset(A, B, Gd, Y).size
     M = max(A.size, B.size, sX, sY)
-
-    L = _x_scale(Y)
-    YL = [[int(e * L) for e in r] for r in Y.rows]
-
-    def ykey(a, b):
-        return tuple(L * ai + sum(YL[i][j] * bj for j, bj in enumerate(b)) for i, ai in enumerate(a))
-
-    by_a: dict = {}
-    for a, b in Gd.pairs:
-        by_a.setdefault(a, []).append(b)
-    sides: dict = {}
-    for a, bs in by_a.items():
-        keys = [ykey(a, b) for b in bs]
-        for i, b0 in enumerate(bs):
-            for b0p in bs:
-                sides.setdefault((keys[i], b0p), []).append((a, b0, b0p))
-    count = sum(len(v) ** 2 for v in sides.values())
-
-    Xinv = X.inverse()
-    IX = I + Xinv
-    identity_ok = True
-    checked = 0
-    for group in sides.values():
-        for (a0, b0, b0p) in group:
-            for (a1, b1, b1p) in group:
-                if checked >= identity_check_cap:
-                    break
-                checked += 1
-                lhs = tuple(rat(x) - rat(y) for x, y in zip(a1, b1p))
-                axb0 = [rat(x) + v for x, v in zip(a0, X.mat_vec(b0))]
-                axb0p = [rat(x) + v for x, v in zip(a0, X.mat_vec(b0p))]
-                rhs = tuple(
-                    p - q - r
-                    for p, q, r in zip(IX.mat_vec(axb0), Xinv.mat_vec(axb0p), Y.mat_vec(b1))
-                )
-                if lhs != rhs:
-                    identity_ok = False
-            if checked >= identity_check_cap:
-                break
-        if checked >= identity_check_cap:
-            break
-
+    count, identity_ok = _trapezia(Gd, X, Y) if Gd.size else (0, True)
     g = Gd.size
     lower = g**4 / M**4 if M else 0.0
     return TrapeziumReport(
@@ -360,7 +455,7 @@ def count_trapezia(
         identity_verified=identity_ok,
         g_size=g,
         max_side=M,
-        identities_checked=checked,
+        identities_checked=count,
     )
 
 
@@ -424,32 +519,31 @@ def random_instance(
     max_size: int = 64,
     density: float | None = None,
 ) -> tuple[LatticeSet, LatticeSet, Incidence]:
-    """Reproducible random instance: uniform points in a box, G by coin flips."""
+    """Reproducible random instance: uniform points in a box, G by coin flips.
+
+    One coin per (a, b) in lexicographic order of the distinct points.
+    """
     rng = np.random.default_rng(seed)
     nA = int(rng.integers(1, max_size + 1))
     nB = int(rng.integers(1, max_size + 1))
-    A = LatticeSet.of(map(tuple, rng.integers(-box, box + 1, size=(nA, dim)).tolist()), dim=dim)
-    B = LatticeSet.of(map(tuple, rng.integers(-box, box + 1, size=(nB, dim)).tolist()), dim=dim)
+    A = LatticeSet._of_rows(dim, _distinct(rng.integers(-box, box + 1, size=(nA, dim))))
+    B = LatticeSet._of_rows(dim, _distinct(rng.integers(-box, box + 1, size=(nB, dim))))
     rho = float(rng.uniform(0.05, 1.0)) if density is None else density
-    pairs = [(a, b) for a in sorted(A.points) for b in sorted(B.points) if rng.random() < rho]
-    if not pairs:
-        a0, b0 = sorted(A.points)[0], sorted(B.points)[0]
-        pairs = [(a0, b0)]
-    return A, B, Incidence(pairs=frozenset(pairs))
+    ia, ib = np.divmod(np.flatnonzero(rng.random(A.size * B.size) < rho), B.size)
+    if not len(ia):
+        ia = ib = np.zeros(1, dtype=np.intp)
+    return A, B, Incidence._of_rows(A.rows[ia], B.rows[ib])
 
 
 # ----------------------------------------------------------------------- io
 
 def instance_to_json(A: LatticeSet, B: LatticeSet, G: Incidence) -> dict:
-    As = sorted(A.points)
-    Bs = sorted(B.points)
-    ai = {p: i for i, p in enumerate(As)}
-    bi = {p: i for i, p in enumerate(Bs)}
+    # G's rows are sorted by (a, b) and A, B's rows are sorted, so the index pairs come out sorted
     return {
         "dim": A.dim,
-        "A": [list(p) for p in As],
-        "B": [list(p) for p in Bs],
-        "G": sorted([ai[a], bi[b]] for a, b in G.pairs),
+        "A": A.rows.tolist(),
+        "B": B.rows.tolist(),
+        "G": np.stack([_indices(A, G.a), _indices(B, G.b)], axis=1).tolist(),
     }
 
 
@@ -457,11 +551,15 @@ def instance_from_json(obj: dict) -> tuple[LatticeSet, LatticeSet, Incidence]:
     dim = obj["dim"]
     As = [tuple(p) for p in obj["A"]]
     Bs = [tuple(p) for p in obj["B"]]
+    for p in As + Bs:
+        if len(p) != dim:
+            raise PreconditionViolation(f"point {list(p)} has {len(p)} coordinates, not dim = {dim}")
+    for i, j in obj["G"]:
+        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < len(As) and 0 <= j < len(Bs)):
+            raise PreconditionViolation(f"G index pair [{i}, {j}] outside A ({len(As)}) or B ({len(Bs)})")
     A = LatticeSet.of(As, dim=dim)
     B = LatticeSet.of(Bs, dim=dim)
-    G = Incidence(pairs=frozenset((As[i], Bs[j]) for i, j in obj["G"]))
-    G.validate(A, B)
-    return A, B, G
+    return A, B, Incidence(pairs=[(As[i], Bs[j]) for i, j in obj["G"]])
 
 
 def load_instance(path: str) -> tuple[LatticeSet, LatticeSet, Incidence]:

@@ -161,6 +161,35 @@ def hairbrush_oracle(spec, N: int, candidates=None) -> tuple:
     return tuple(brushes), tuple(sorted(remaining)), tuple(centrals)
 
 
+def sumset_oracle(pairs, X=None) -> set:
+    """{a + X b : (a, b) in pairs}, or {a - b} when X is None, as tuples of Fractions in plain Python sets."""
+    if X is None:
+        return {tuple(F(x) - y for x, y in zip(a, b)) for a, b in pairs}
+    return {tuple(F(x) + sum(e * y for e, y in zip(row, b)) for x, row in zip(a, X.rows)) for a, b in pairs}
+
+
+def trapezium_oracle(pairs, Y) -> int:
+    """Ordered trapezia ((a0,b0), (a0,b0'), (a1,b1), (a1,b1')) with a0 + Y b0 = a1 + Y b1, b0' = b1',
+    by the literal quadruple loop over the (already thinned) pairs."""
+    pairs = sorted(pairs)
+
+    def ykey(a, b):
+        return tuple(F(x) + v for x, v in zip(a, Y.mat_vec(b)))
+
+    count = 0
+    for (a0, b0) in pairs:
+        for (a0p, b0p) in pairs:
+            if a0p != a0:
+                continue
+            for (a1, b1) in pairs:
+                if ykey(a0, b0) != ykey(a1, b1):
+                    continue
+                for (a1p, b1p) in pairs:
+                    if a1p == a1 and b1p == b0p:
+                        count += 1
+    return count
+
+
 @pytest.fixture
 def worst_case_matrix():
     return kl.companion([0, 0])

@@ -186,3 +186,11 @@ def test_claim_check_command(tmp_path, capsys):
                        "--k", "3", "--l", "3", "--m", "0")
     assert code == 0
     assert json.loads(out)["result"]["pass"] is True
+
+
+@pytest.mark.parametrize("G", [[[0, 3]], [[-1, 0]]])
+def test_sumset_bad_instance_exit_code(tmp_path, capsys, G):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"dim": 2, "A": [[0, 0]], "B": [[1, 1], [2, 2]], "G": G}))
+    code, _, err = run(capsys, "sumset", "--instance", str(inst), "--eps", "1/6")
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err

@@ -1,12 +1,17 @@
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kakeya_lab as kl
 from kakeya_lab.sumsets import _discard_to_distinct_differences, instance_from_json, instance_to_json
+
+from conftest import sumset_oracle, trapezium_oracle
 
 I2 = kl.RationalMatrix.identity(2)
 SHEAR = kl.RationalMatrix([[1, 1], [0, 1]])
@@ -51,6 +56,11 @@ class TestXSumset:
         X = kl.RationalMatrix([[x] * 8 for _ in range(8)])
         out = kl.x_sumset(kl.LatticeSet.of([a]), kl.LatticeSet.of([b]), kl.Incidence(pairs=frozenset({(a, b)})), X)
         assert out.points == {tuple(ai + sum(x * bj for bj in b) for ai in a)}
+
+    @pytest.mark.parametrize("points, message", [([(0, 1), (2,)], "dimension mismatch"), ([(0, "x")], "x")])
+    def test_bad_points_rejected(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            kl.LatticeSet.of(points, dim=2)
 
     def test_empty_incidence(self):
         A = kl.LatticeSet.of([(0, 0)])
@@ -114,6 +124,12 @@ class TestCheckRatio:
         G = kl.Incidence(pairs=frozenset({((0, 0), (0, 0)), ((5, 5), (1, 1))}))
         with pytest.raises(kl.DegenerateInstance):
             kl.check_ratio(A, B, G, [], F(1, 6))
+
+    def test_empty_incidence(self):
+        A, B = kl.LatticeSet.of([(0, 0), (1, 0)]), kl.LatticeSet.of([(1, 1)])
+        rep = kl.check_ratio(A, B, kl.Incidence(pairs=frozenset()), [I2, SHEAR], F(1, 6))
+        assert rep.sumset_sizes == (0, 0) and rep.size_diff == 0 and rep.max_side == 2
+        assert rep.holds and rep.achieved_exponent is None
 
     def test_exact_boundary_comparison(self):
         # 2^(11/6) = 3.56...: a difference set of size 3 must pass, 4 must fail
@@ -228,25 +244,8 @@ class TestTrapezia:
     Y = kl.RationalMatrix([[2, 1], [0, 2]])
     X = kl.RationalMatrix([[1, 1], [0, 1]])
 
-    @staticmethod
-    def literal_quadruple_loop(G, Y):
-        pairs = sorted(_discard_to_distinct_differences(G).pairs)
-
-        def ykey(a, b):
-            return tuple(F(x) + v for x, v in zip(a, Y.mat_vec(b)))
-
-        count = 0
-        for (a0, b0) in pairs:
-            for (a0p, b0p) in pairs:
-                if a0p != a0:
-                    continue
-                for (a1, b1) in pairs:
-                    if ykey(a0, b0) != ykey(a1, b1):
-                        continue
-                    for (a1p, b1p) in pairs:
-                        if a1p == a1 and b1p == b0p:
-                            count += 1
-        return count
+    def literal_quadruple_loop(self, G):
+        return trapezium_oracle(_discard_to_distinct_differences(G).pairs, self.Y)
 
     def test_single_pair(self):
         A = kl.LatticeSet.of([(0, 0)])
@@ -260,25 +259,45 @@ class TestTrapezia:
         B = kl.LatticeSet.of(pts)
         G = full(A, B)
         rep = kl.count_trapezia(A, B, G, self.X, self.Y)
-        assert rep.count == self.literal_quadruple_loop(G, self.Y)
+        assert rep.count == self.literal_quadruple_loop(G)
         assert rep.identity_verified and rep.bracketed()
 
     @pytest.mark.parametrize("seed", range(15))
     def test_random_instances_match_literal_loop(self, seed):
         A, B, G = kl.random_instance(seed, box=3, max_size=6)
         rep = kl.count_trapezia(A, B, G, self.X, self.Y)
-        assert rep.count == self.literal_quadruple_loop(G, self.Y)
+        assert rep.count == self.literal_quadruple_loop(G)
         assert rep.identity_verified and rep.bracketed()
 
-    def test_capped_identity_check_is_reported(self):
-        pts = [(i, j) for i in range(2) for j in range(2)]
-        A = kl.LatticeSet.of(pts)
-        B = kl.LatticeSet.of(pts)
-        full_rep = kl.count_trapezia(A, B, full(A, B), self.X, self.Y)
-        assert full_rep.identities_checked == full_rep.count
-        rep = kl.count_trapezia(A, B, full(A, B), self.X, self.Y, identity_check_cap=5)
-        assert rep.identities_checked == 5 < rep.count == full_rep.count
-        assert rep.identity_verified
+    def test_every_tuple_checked(self):
+        A, B, G = kl.random_instance(7, box=2, max_size=12)
+        rep = kl.count_trapezia(A, B, G, self.X, self.Y)
+        assert rep.identities_checked == rep.count > 0 and rep.identity_verified
+
+    def test_wrong_inverse_fails_identity(self, monkeypatch):
+        inverse = kl.RationalMatrix.inverse
+        off = kl.RationalMatrix([[0, 1], [0, 0]])
+        monkeypatch.setattr(kl.RationalMatrix, "inverse", lambda M: inverse(M) + off)
+        A, B, G = kl.random_instance(7, box=2, max_size=12)
+        assert not kl.count_trapezia(A, B, G, self.X, self.Y).identity_verified
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bigint_scaled_instance(self, seed):
+        # coordinates up to 6 * 2^58 push the identity arithmetic onto Python ints
+        A, B, G = kl.random_instance(seed, box=6, max_size=15)
+        up = lambda p: tuple(2**58 * c for c in p)
+        A2 = kl.LatticeSet.of([up(p) for p in A.points], dim=2)
+        B2 = kl.LatticeSet.of([up(p) for p in B.points], dim=2)
+        G2 = kl.Incidence(pairs=frozenset((up(a), up(b)) for a, b in G.pairs))
+        rep, big = (kl.count_trapezia(*inst, self.X, self.Y) for inst in ((A, B, G), (A2, B2, G2)))
+        fields = lambda r: (r.count, r.g_size, r.max_side, r.identity_verified, r.identities_checked)
+        assert fields(big) == fields(rep) and rep.identity_verified
+
+    def test_empty_incidence(self):
+        A, B = kl.LatticeSet.of([(0, 0), (1, 0)]), kl.LatticeSet.of([(1, 1)])
+        rep = kl.count_trapezia(A, B, kl.Incidence(pairs=frozenset()), self.X, self.Y)
+        assert (rep.count, rep.identities_checked, rep.g_size, rep.max_side) == (0, 0, 0, 2)
+        assert rep.identity_verified and rep.bracketed()
 
     def test_precondition(self):
         with pytest.raises(kl.PreconditionViolation):
@@ -335,3 +354,86 @@ class TestInstanceIO:
         doc = {"dim": 2, "A": [[0, 0]], "B": [[1, 1]], "G": [[0, 0]]}
         A, B, G = instance_from_json(doc)
         assert G.size == 1
+
+    @pytest.mark.parametrize("G", [[[0, 1]], [[-1, 0]], [[1, 0]], [[0, -1]]])
+    def test_index_outside_range(self, G):
+        with pytest.raises(kl.PreconditionViolation):
+            instance_from_json({"dim": 2, "A": [[0, 0]], "B": [[1, 1]], "G": G})
+
+    def test_incidence_outside_sets(self):
+        A, B = kl.LatticeSet.of([(0, 0), (1, 1)]), kl.LatticeSet.of([(2, 2)])
+        G = kl.Incidence(pairs=[((0, 0), (2, 2)), ((5, 5), (2, 2))])
+        with pytest.raises(kl.PreconditionViolation):
+            G.validate(A, B)
+        with pytest.raises(kl.PreconditionViolation):
+            instance_to_json(A, B, G)
+
+    @pytest.mark.parametrize("A, B", [([[0, 0, 0]], [[1, 1]]), ([[0, 0]], [[1]])])
+    def test_point_length_not_dim(self, A, B):
+        with pytest.raises(kl.PreconditionViolation):
+            instance_from_json({"dim": 2, "A": A, "B": B, "G": [[0, 0]]})
+
+
+# sha256 over the canonical JSON of random_instance(s) for s in 0..9999, then
+# of random_instance(s, 2, box, max_size) for s in 0..999 with box, max_size
+# drawn as the benchmark's trapezium mix draws them; recorded when
+# random_instance drew one coin per pair in a Python loop.
+DRAWS_DIGEST = "27e53676fb4c7e8c6ab6ce4ec8fef035f4bef4800ffb7eb3356b60d09117ed45"
+
+
+def test_random_instance_draws_pinned():
+    h = hashlib.sha256()
+
+    def feed(instance):
+        h.update(json.dumps(instance_to_json(*instance), sort_keys=True, separators=(",", ":")).encode())
+        h.update(b"\n")
+
+    for s in range(10_000):
+        feed(kl.random_instance(s))
+    rng = np.random.default_rng(0)
+    for s in range(1000):
+        box, max_size = int(rng.integers(2, 7)), int(rng.integers(2, 16))
+        feed(kl.random_instance(s, 2, box, max_size))
+    assert h.hexdigest() == DRAWS_DIGEST
+
+
+small_ints = st.integers(-6, 6)
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def sumset_instances(draw):
+    """(dim, pairs, X): small points, all scaled by 1 or by 2^60 (the Python-int path), and a rational X."""
+    dim = draw(st.integers(1, 4))
+    point = st.tuples(*[small_ints] * dim)
+    pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=12))
+    X = kl.RationalMatrix(draw(st.lists(st.lists(rationals, min_size=dim, max_size=dim), min_size=dim, max_size=dim)))
+    scale = draw(st.sampled_from([1, 2**60]))
+    return dim, [(tuple(scale * c for c in a), tuple(scale * c for c in b)) for a, b in pairs], X
+
+
+class TestAgainstPlainSets:
+    @given(sumset_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_sumset_and_difference_set(self, inst):
+        dim, pairs, X = inst
+        A = kl.LatticeSet.of([a for a, _ in pairs], dim=dim)
+        B = kl.LatticeSet.of([b for _, b in pairs], dim=dim)
+        G = kl.Incidence(pairs=frozenset(pairs))
+        S, Dset = kl.x_sumset(A, B, G, X), kl.difference_set(A, B, G)
+        assert {tuple(F(c, S.scale) for c in p) for p in S.points} == sumset_oracle(pairs, X)
+        assert S.size == len(sumset_oracle(pairs, X))
+        assert Dset.size == len(sumset_oracle(pairs)) == len(Dset.points)
+
+    @given(sumset_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_trapezia(self, inst):
+        dim, pairs, X = inst
+        assume(X.det() != 0)
+        Y = X + kl.RationalMatrix.identity(dim)
+        A = kl.LatticeSet.of([a for a, _ in pairs], dim=dim)
+        B = kl.LatticeSet.of([b for _, b in pairs], dim=dim)
+        G = kl.Incidence(pairs=frozenset(pairs))
+        rep = kl.count_trapezia(A, B, G, X, Y)
+        assert rep.count == rep.identities_checked == trapezium_oracle(_discard_to_distinct_differences(G).pairs, Y)
+        assert rep.identity_verified
