@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import raster, slices, sumsets
-from .curves import CurveFamily, TubeSpec, hairbrush_claim_check, locus_dichotomy_test, tubes_from_json
+from .curves import CurveFamily, hairbrush_claim_check, locus_dichotomy_test, tubes_from_json
 from .errors import KakeyaLabError, NoSolution
 from .exact import RationalMatrix
 
@@ -63,7 +63,22 @@ def _load_matrix(arg: str) -> RationalMatrix:
 
 
 def _parse_ks(arg: str) -> list[int]:
-    return [int(s) for s in arg.split(",") if s]
+    """At least 3 strictly increasing resolutions in [1, MAX_K]."""
+    try:
+        ks = [int(s) for s in arg.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {arg!r}") from None
+    if len(ks) < 3 or any(b <= a for a, b in zip(ks, ks[1:])) or not 1 <= ks[0] <= ks[-1] <= raster.MAX_K:
+        raise argparse.ArgumentTypeError(
+            f"need at least 3 strictly increasing resolutions in [1, {raster.MAX_K}], got {arg!r}")
+    return ks
+
+
+def _ks_text(arg: str) -> str:
+    """The --ks text once it parses, so a bad value is a usage error before any
+    rasterization; the config line keeps the text as given."""
+    _parse_ks(arg)
+    return arg
 
 
 def _positive_int(arg: str) -> int:
@@ -108,12 +123,10 @@ def cmd_worstcase(args) -> int:
 
 def cmd_dimension(args) -> int:
     family = CurveFamily.from_json(json.loads(Path(args.family).read_text()))
-    raw = tubes_from_json(json.loads(Path(args.tubes).read_text()))
+    raw = raster.TubeFamilySpec(family, tubes_from_json(json.loads(Path(args.tubes).read_text())))
     ks = _parse_ks(args.ks)
-    cells = {}
-    for k in ks:
-        tubes = [TubeSpec(params=t.params, delta=2.0**-k) for t in raw]
-        cells[k] = raster.rasterize(raster.TubeFamilySpec(family=family, tubes=tubes), k)
+    cells = {k: raster.rasterize(raster.TubeFamilySpec(family, Y=raw.Y, W=raw.W, delta=2.0**-k), k)
+             for k in ks}
     return _sweep_output(args, ks, cells, family.n)
 
 
@@ -257,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("worstcase", help="small-volume construction and its box dimension")
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--matrix", help="companion-block matrix JSON (path or inline)")
-    sp.add_argument("--ks", required=True, help="comma-separated resolutions, e.g. 5,6,7,8")
+    sp.add_argument("--ks", type=_ks_text, required=True, help="comma-separated resolutions, e.g. 5,6,7,8")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_worstcase)
 
     sp = sub.add_parser("dimension", help="box dimension of an explicit tube family")
     sp.add_argument("--family", required=True)
     sp.add_argument("--tubes", required=True)
-    sp.add_argument("--ks", required=True)
+    sp.add_argument("--ks", type=_ks_text, required=True)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_dimension)
 

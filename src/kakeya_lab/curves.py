@@ -22,6 +22,7 @@ from .errors import (
     HeightOutOfSupport,
     IdenticalCurves,
     SingularConfiguration,
+    reading_json,
 )
 from .exact import RationalMatrix, rat
 
@@ -95,7 +96,8 @@ class CurveFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CurveFamily":
-        return cls(n=obj["n"], C=RationalMatrix.from_json(obj["C"]))
+        with reading_json("curve family"):
+            return cls(n=obj["n"], C=RationalMatrix.from_json(obj["C"]))
 
 
 def _param_arrays(params: Sequence[CurveParams]) -> tuple[np.ndarray, np.ndarray]:
@@ -538,7 +540,8 @@ def tubes_to_json(tubes: Sequence[TubeSpec]) -> list:
 
 
 def tubes_from_json(obj: list) -> list[TubeSpec]:
-    return [
-        TubeSpec(params=CurveParams(y=tuple(d["y"]), omega=tuple(d["omega"])), delta=d["delta"])
-        for d in obj
-    ]
+    with reading_json("tube list"):
+        return [
+            TubeSpec(params=CurveParams(y=tuple(d["y"]), omega=tuple(d["omega"])), delta=d["delta"])
+            for d in obj
+        ]

@@ -1,5 +1,7 @@
 """Exception types shared across the lab."""
 
+from contextlib import contextmanager
+
 
 class KakeyaLabError(Exception):
     """Base class for all errors raised by this package."""
@@ -56,3 +58,15 @@ class NoSuchVector(KakeyaLabError):
 
 class ResolutionTooFine(KakeyaLabError):
     """A grid request exceeded the cell budget."""
+
+
+@contextmanager
+def reading_json(what: str):
+    """Raise :class:`PreconditionViolation` for a missing key or a wrongly typed
+    value met while reading ``what`` from parsed JSON."""
+    try:
+        yield
+    except KeyError as e:
+        raise PreconditionViolation(f"{what} JSON has no key {e}") from e
+    except TypeError as e:
+        raise PreconditionViolation(f"{what} JSON holds a value of the wrong type: {e}") from e

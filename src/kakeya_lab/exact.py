@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SingularMatrix
+from .errors import SingularMatrix, reading_json
 
 Rational = Fraction
 
@@ -182,8 +182,10 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RationalMatrix":
-        m = cls(obj["entries"])
-        if m.dim != obj.get("dim", m.dim):
+        with reading_json("matrix"):
+            m = cls(obj["entries"])
+            dim = obj.get("dim", m.dim)
+        if m.dim != dim:
             raise ValueError("declared dimension does not match entries")
         return m
 

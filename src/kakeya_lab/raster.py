@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -19,22 +19,52 @@ from .curves import CurveFamily, CurveParams, TubeSpec, _centres, _param_arrays
 from .errors import PreconditionViolation, ResolutionTooFine
 from .exact import RationalMatrix
 from .slices import vanishing_order, w_matrix
+from .sumsets import _distinct as _distinct_rows
 
 CELL_BUDGET = 2**30
 MAX_K = 12
 _BLOCK_ROWS = 2**14  # (tube, band or height) rows per pass of the stamping and meet loops; bounds their memory
 
 
-@dataclass(frozen=True)
+def _float_rows(rows, d: int) -> np.ndarray:
+    """A (len(rows), d) float64 array of the rows; ValueError when a row's length is not d."""
+    a = np.array(rows, dtype=float)
+    if a.shape == (0,):
+        a = a.reshape(0, d)
+    if a.ndim != 2 or a.shape[1] != d:
+        raise ValueError(f"expected rows of length {d}, got an array of shape {a.shape}")
+    return a
+
+
 class CellSet:
-    """Occupied cells of the delta-dyadic grid at resolution exponent k."""
+    """Occupied cells of the delta-dyadic grid at resolution exponent k.
 
-    n: int
-    k: int
-    occupied: frozenset
+    ``cells`` holds the distinct cells as (cells, n) int64 rows in
+    lexicographic order, as ``LatticeSet.rows`` does; ``occupied`` builds the
+    same set as a frozenset of tuples on each access and does not keep it.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "occupied", frozenset(tuple(int(c) for c in p) for p in self.occupied))
+    __slots__ = ("n", "k", "cells")
+
+    def __init__(self, n: int, k: int, occupied: Iterable):
+        pts = list(occupied)
+        rows = np.array(pts, dtype=np.int64).reshape(len(pts), -1 if pts else n)
+        if rows.shape[1] != n:
+            raise ValueError(f"cells must have n = {n} coordinates")
+        self.n, self.k, self.cells = n, k, _distinct_rows(rows)
+        self.cells.flags.writeable = False
+
+    @classmethod
+    def _of_rows(cls, n: int, k: int, cells: np.ndarray) -> "CellSet":
+        """A cell set from rows that are already distinct and lexicographically sorted."""
+        out = cls.__new__(cls)
+        out.n, out.k, out.cells = n, k, cells
+        cells.flags.writeable = False
+        return out
+
+    @property
+    def occupied(self) -> frozenset:
+        return frozenset(map(tuple, self.cells.tolist()))
 
     @property
     def delta(self) -> float:
@@ -42,32 +72,71 @@ class CellSet:
 
     @property
     def cell_count(self) -> int:
-        return len(self.occupied)
+        return len(self.cells)
 
     def volume(self) -> float:
-        return self.delta**self.n * len(self.occupied)
+        return self.delta**self.n * len(self.cells)
+
+    def __eq__(self, other):
+        return isinstance(other, CellSet) and (self.n, self.k) == (other.n, other.k) and np.array_equal(
+            self.cells, other.cells)
+
+    def __hash__(self):
+        return hash((self.n, self.k, self.cells.tobytes()))
+
+    def __repr__(self):
+        return f"CellSet(n={self.n}, k={self.k}, cell_count={self.cell_count})"
 
     def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k, "cells": sorted(map(list, self.occupied))}
+        return {"n": self.n, "k": self.k, "cells": self.cells.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CellSet":
-        return cls(n=obj["n"], k=obj["k"], occupied=frozenset(map(tuple, obj["cells"])))
+        return cls(n=obj["n"], k=obj["k"], occupied=obj["cells"])
 
 
-@dataclass(frozen=True)
 class TubeFamilySpec:
-    """A curve family, its tube list and the height interval in play."""
+    """A curve family, its tubes and the height interval in play.
 
-    family: CurveFamily
-    tubes: tuple
-    t_range: tuple[float, float] = (-1.0, 1.0)
+    The tubes are held as columns: ``Y`` (directions) and ``W`` (centres
+    omega) are (tubes, n-1) float64 arrays and ``delta`` the (tubes,)
+    thicknesses.  Build it from ``tubes`` (a sequence of :class:`TubeSpec`)
+    or from ``Y``, ``W`` and ``delta`` (a scalar applies to every tube);
+    ``tubes`` builds float :class:`TubeSpec` objects on each access and does
+    not keep them.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "tubes", tuple(self.tubes))
-        lo, hi = self.t_range
+    __slots__ = ("family", "Y", "W", "delta", "t_range")
+
+    def __init__(self, family: CurveFamily, tubes: Optional[Sequence[TubeSpec]] = None,
+                 t_range: tuple[float, float] = (-1.0, 1.0), *, Y=None, W=None, delta=None):
+        if (tubes is None) == (Y is None):
+            raise ValueError("pass either tubes or the arrays Y, W and delta")
+        if tubes is not None:
+            tubes = list(tubes)
+            Y, W = _param_arrays([t.params for t in tubes])
+            delta = [float(t.delta) for t in tubes]
+        d = family.n - 1
+        Y, W = _float_rows(Y, d), _float_rows(W, d)
+        if W.shape != Y.shape:
+            raise ValueError("Y and W must hold one row per tube")
+        delta = np.array(np.broadcast_to(np.asarray(delta, dtype=float), len(Y)))
+        if not ((delta > 0) & (delta < 1)).all():
+            raise ValueError("delta must lie in (0, 1)")
+        lo, hi = t_range
         if not (-1.0 <= lo < hi <= 1.0):
             raise ValueError("t_range must be a sub-interval of [-1, 1]")
+        for a in (Y, W, delta):
+            a.flags.writeable = False
+        self.family, self.Y, self.W, self.delta, self.t_range = family, Y, W, delta, t_range
+
+    @property
+    def tubes(self) -> tuple:
+        return tuple(TubeSpec(params=CurveParams(y=tuple(y), omega=tuple(w)), delta=dt)
+                     for y, w, dt in zip(self.Y.tolist(), self.W.tolist(), self.delta.tolist()))
+
+    def __repr__(self):
+        return f"TubeFamilySpec(n={self.family.n}, tubes={len(self.Y)}, t_range={self.t_range})"
 
 
 def _band_indices(k: int, t_range) -> np.ndarray:
@@ -90,9 +159,11 @@ def _stamp(spec: TubeFamilySpec, k: int):
     out-of-box candidates get a squared axis term of 2 so the radius test
     drops them.
     """
-    if not spec.tubes:
+    Y, W = spec.Y, spec.W
+    m = len(Y)
+    if not m:
         return
-    if any(abs(float(t.delta) - 2.0**-k) > 1e-15 for t in spec.tubes):
+    if (np.abs(spec.delta - 2.0**-k) > 1e-15).any():
         raise ValueError("tube delta must equal 2^-k")
     d = spec.family.n - 1
     R = 2**k
@@ -101,8 +172,6 @@ def _stamp(spec: TubeFamilySpec, k: int):
         raise ResolutionTooFine(
             f"cell keys exceed int64: (2^{k + 1} + 2)^{d} >= 2^63 at n = {d + 1}, k = {k}")
     bands = _band_indices(k, spec.t_range)
-    Y, W = _param_arrays([t.params for t in spec.tubes])
-    m = len(Y)
     per_block = min(max(1, _BLOCK_ROWS // m), 2**63 // K**d)  # band offset * K^d stays in int64
     step = K ** np.arange(d - 1, -1, -1, dtype=np.int64)
     bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1  # candidate -> which axes take j0+1
@@ -123,20 +192,22 @@ def _stamp(spec: TubeFamilySpec, k: int):
             q = np.stack([a0[:, 0], a1[:, 0]])
             for axis in range(1, d):  # q[c] sums axes in order, candidate bit `axis` picks a1
                 q = np.concatenate([q + a0[:, axis], q + a1[:, axis]])
-            c, row = np.nonzero(q < 1.0)
             # clipping only touches axes with no in-box candidate, whose rows never pass
             base = band_key[s:s + _BLOCK_ROWS] + (np.clip(j0f, -R - 2, R) + (R + 1)).astype(np.int64) @ step
-            keys.append(base[row] + cand_off[c])
+            keys.append((cand_off[:, None] + base)[q < 1.0])
         yield int(block[0]), np.concatenate(keys)
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys (all >= 0) and their multiplicities.
+    """Sorted distinct keys and their multiplicities.
 
     Sorting is about 10x faster here than np.unique's hash path (numpy 2.4).
     """
     keys = np.sort(keys)
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = np.flatnonzero(first)
     return keys[first], np.diff(first, append=keys.size)
 
 
@@ -144,7 +215,8 @@ def rasterize(spec: TubeFamilySpec, k: int) -> CellSet:
     """Voxelize the union of the tubes at delta = 2^-k.
 
     Each block of height bands from the stamping kernel is deduplicated and
-    unpacked on its own, so memory is bounded per block, not per grid.
+    unpacked on its own, so stamping memory is bounded per block, not per
+    grid; the cells of all blocks are then sorted once.
     Raises :class:`ResolutionTooFine` when the stamping budget (2^30 candidate
     cells) would be exceeded, or when packed cell keys would not fit in int64;
     use :func:`union_volume` for larger counting-only experiments.
@@ -153,21 +225,22 @@ def rasterize(spec: TubeFamilySpec, k: int) -> CellSet:
     d = n - 1
     if k > MAX_K:
         raise ResolutionTooFine(f"k = {k} exceeds the supported maximum {MAX_K}")
-    m = len(spec.tubes)
+    m = len(spec.Y)
     nb = _band_indices(k, spec.t_range).size
     if m * nb * (2**d) > CELL_BUDGET:
         raise ResolutionTooFine(f"stamp budget exceeded: {m} tubes x {nb} bands x {2**d} candidates")
     R = 2**k
     K = 2 * R + 2
-    cells = [np.empty((0, n), dtype=np.int64)]
+    blocks = [np.empty((0, n), dtype=np.int64)]
     for b0, keys in _stamp(spec, k):
         rem = _distinct(keys)[0]
         cols = []
         for _ in range(d):  # least significant digit is the last axis
             rem, j = np.divmod(rem, K)
             cols.append(j - (R + 1))
-        cells.append(np.column_stack(cols[::-1] + [rem + b0]))
-    return CellSet(n=n, k=k, occupied=frozenset(map(tuple, np.concatenate(cells).tolist())))
+        blocks.append(np.column_stack(cols[::-1] + [rem + b0]))
+    cells = np.concatenate(blocks)  # distinct: blocks hold disjoint bands
+    return CellSet._of_rows(n, k, cells[np.lexsort(cells.T[::-1])])
 
 
 def union_volume(spec: TubeFamilySpec, k: int) -> tuple[int, float]:
@@ -178,9 +251,9 @@ def union_volume(spec: TubeFamilySpec, k: int) -> tuple[int, float]:
     large for a :class:`CellSet`.
     """
     n = spec.family.n
-    if len(spec.tubes) * 2 ** (n - 1) > CELL_BUDGET:
+    if len(spec.Y) * 2 ** (n - 1) > CELL_BUDGET:
         raise ResolutionTooFine(
-            f"per-band stamp budget exceeded: {len(spec.tubes)} tubes x {2 ** (n - 1)} candidates")
+            f"per-band stamp budget exceeded: {len(spec.Y)} tubes x {2 ** (n - 1)} candidates")
     total = sum(_distinct(keys)[0].size for _, keys in _stamp(spec, k))
     return total, (2.0**-k) ** n * total
 
@@ -231,15 +304,19 @@ def box_dimension(builder: Callable, ks: Sequence[int], n: Optional[int] = None)
     )
 
 
-def ball_lattice_directions(dim: int, k: int, radius: float = 1.0) -> list:
-    """The direction net (2^-k Z)^dim intersected with the closed ball."""
+def _ball_lattice(dim: int, k: int, radius: float = 1.0) -> np.ndarray:
+    """(points, dim) rows of the direction net (2^-k Z)^dim in the closed ball."""
     delta = 2.0**-k
     r = int(math.floor(radius / delta))
     axes = [np.arange(-r, r + 1, dtype=np.int64)] * dim
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     pts = grid * delta
-    keep = (pts * pts).sum(axis=1) <= radius * radius + 1e-12
-    return [tuple(p) for p in pts[keep]]
+    return pts[(pts * pts).sum(axis=1) <= radius * radius + 1e-12]
+
+
+def ball_lattice_directions(dim: int, k: int, radius: float = 1.0) -> list:
+    """The direction net (2^-k Z)^dim intersected with the closed ball."""
+    return [tuple(p) for p in _ball_lattice(dim, k, radius)]
 
 
 def build_worstcase_kakeya(
@@ -253,7 +330,9 @@ def build_worstcase_kakeya(
     [-delta^(1/m), delta^(1/m)] where m is the vanishing order of the
     direction-map determinant (the full range when it vanishes identically).
     Directions default to the 2^-k lattice net of the unit ball; callers must
-    supply a thinner net in higher dimensions.
+    supply a thinner net in higher dimensions.  All centres come from one
+    matmul, which matches the per-tube products bit for bit because every row
+    of W has at most one nonzero entry.
     """
     W = w_matrix(C)
     m = vanishing_order(C, W)
@@ -263,16 +342,12 @@ def build_worstcase_kakeya(
         if C.dim > 2 and (2 ** (k + 1) + 1) ** C.dim > 2**22:
             raise ResolutionTooFine(
                 "full lattice net too large in this dimension; pass explicit directions")
-        directions = ball_lattice_directions(C.dim, k)
-    Wf = W.to_float()
-    tubes = []
-    for y in directions:
-        yf = tuple(float(v) for v in y)
-        om = tuple(Wf @ np.array(yf))
-        tubes.append(TubeSpec(params=CurveParams(y=yf, omega=om), delta=delta))
+        Y = _ball_lattice(C.dim, k)
+    else:
+        Y = _float_rows(directions, C.dim)
     cap = 1.0 if math.isinf(m) else min(1.0, delta ** (1.0 / m))
     family = CurveFamily(n=n, C=C)
-    return TubeFamilySpec(family=family, tubes=tuple(tubes), t_range=(-cap, cap))
+    return TubeFamilySpec(family, t_range=(-cap, cap), Y=Y, W=Y @ W.to_float().T, delta=delta)
 
 
 def covering_norm(spec: TubeFamilySpec, p_prime: float, k: int) -> float:
@@ -314,41 +389,39 @@ def hairbrush_decompose(
     """
     if N < 1:
         raise PreconditionViolation(f"brush size threshold N = {N} must be at least 1")
-    tubes = list(spec.tubes)
-    cands = tubes if candidates is None else list(candidates)
-    if not cands:
+    cands = spec if candidates is None else TubeFamilySpec(spec.family, candidates, spec.t_range)
+    if not len(cands.Y):
         raise ValueError("need at least one candidate central tube")
-    if not tubes:
+    m = len(spec.Y)
+    if not m:
         return HairbrushDecomposition(brushes=(), bad=(), centrals=())
-    fam = spec.family
     lo, hi = spec.t_range
     # sample at the finest tube scale so transversal crossings are not missed
-    step = min(float(t.delta) for t in tubes + cands)
+    step = min(spec.delta.min(), cands.delta.min())
     H = max(257, int(math.ceil((hi - lo) / step)) + 1)
     ts = np.linspace(lo, hi, H)
 
-    def trajectories(tube_list):  # axis-major (n-1, curves, H): one contiguous plane per axis
-        centres = _centres(fam, *_param_arrays([t.params for t in tube_list]), ts)
-        return np.ascontiguousarray(centres.transpose(2, 0, 1)), np.array([float(t.delta) for t in tube_list])
+    def trajectories(s):  # axis-major (n-1, curves, H): one contiguous plane per axis
+        return np.ascontiguousarray(_centres(spec.family, s.Y, s.W, ts).transpose(2, 0, 1))
 
-    tube_tr, tube_delta = trajectories(tubes)
-    cand_tr, cand_delta = (tube_tr, tube_delta) if candidates is None else trajectories(cands)
+    tube_tr = trajectories(spec)
+    cand_tr = tube_tr if cands is spec else trajectories(cands)
     # meets[c, t]: min over heights of |cand_c - tube_t| <= 2 max(delta)
-    meets = np.empty((len(cands), len(tubes)), dtype=bool)
+    meets = np.empty((len(cands.Y), m), dtype=bool)
     # tubes go in blocks of about _BLOCK_ROWS (tube, height) rows, so the two buffers reused
     # across candidates stay cache-sized; fresh temporaries each time are mostly page faults
     per_block = max(1, _BLOCK_ROWS // H)
-    for s in range(0, len(tubes), per_block):
-        block, block_delta = tube_tr[:, s:s + per_block], tube_delta[s:s + per_block]
+    for s in range(0, m, per_block):
+        block, block_delta = tube_tr[:, s:s + per_block], spec.delta[s:s + per_block]
         diff, sq = np.empty(block.shape[1:]), np.empty(block.shape[1:])
-        for ci in range(len(cands)):
+        for ci in range(len(cands.Y)):
             np.square(np.subtract(cand_tr[0, ci], block[0], out=sq), out=sq)
             for axis in range(1, len(block)):
                 sq += np.square(np.subtract(cand_tr[axis, ci], block[axis], out=diff), out=diff)
-            reach = 2.0 * np.maximum(cand_delta[ci], block_delta)
+            reach = 2.0 * np.maximum(cands.delta[ci], block_delta)
             meets[ci, s:s + per_block] = np.sqrt(sq.min(axis=1)) <= reach
 
-    remaining = np.ones(len(tubes), dtype=bool)
+    remaining = np.ones(m, dtype=bool)
     brushes, centrals = [], []
     while True:
         counts = (meets & remaining[None, :]).sum(axis=1)

@@ -28,6 +28,7 @@ from .errors import (
     DegenerateInstance,
     NoSuchVector,
     PreconditionViolation,
+    reading_json,
 )
 from .exact import RationalMatrix, rat
 
@@ -548,18 +549,21 @@ def instance_to_json(A: LatticeSet, B: LatticeSet, G: Incidence) -> dict:
 
 
 def instance_from_json(obj: dict) -> tuple[LatticeSet, LatticeSet, Incidence]:
-    dim = obj["dim"]
-    As = [tuple(p) for p in obj["A"]]
-    Bs = [tuple(p) for p in obj["B"]]
-    for p in As + Bs:
-        if len(p) != dim:
-            raise PreconditionViolation(f"point {list(p)} has {len(p)} coordinates, not dim = {dim}")
-    for i, j in obj["G"]:
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < len(As) and 0 <= j < len(Bs)):
-            raise PreconditionViolation(f"G index pair [{i}, {j}] outside A ({len(As)}) or B ({len(Bs)})")
+    with reading_json("instance"):
+        dim, G = obj["dim"], obj["G"]
+        if not isinstance(dim, int):
+            raise PreconditionViolation(f"dim = {dim!r} is not an integer")
+        As = [tuple(p) for p in obj["A"]]
+        Bs = [tuple(p) for p in obj["B"]]
+        for p in As + Bs:
+            if len(p) != dim:
+                raise PreconditionViolation(f"point {list(p)} has {len(p)} coordinates, not dim = {dim}")
+        for i, j in G:
+            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < len(As) and 0 <= j < len(Bs)):
+                raise PreconditionViolation(f"G index pair [{i}, {j}] outside A ({len(As)}) or B ({len(Bs)})")
     A = LatticeSet.of(As, dim=dim)
     B = LatticeSet.of(Bs, dim=dim)
-    return A, B, Incidence(pairs=[(As[i], Bs[j]) for i, j in obj["G"]])
+    return A, B, Incidence(pairs=[(As[i], Bs[j]) for i, j in G])
 
 
 def load_instance(path: str) -> tuple[LatticeSet, LatticeSet, Incidence]:

@@ -194,3 +194,53 @@ def test_sumset_bad_instance_exit_code(tmp_path, capsys, G):
     inst.write_text(json.dumps({"dim": 2, "A": [[0, 0]], "B": [[1, 1], [2, 2]], "G": G}))
     code, _, err = run(capsys, "sumset", "--instance", str(inst), "--eps", "1/6")
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [{"A": [[0, 0]], "B": [[1, 1]], "G": [[0, 0]]},
+                                 {"dim": 2, "A": [[0, 0]], "B": [[1, 1]], "G": 5},
+                                 {"dim": "2", "A": [[0, 0]], "B": [[1, 1]], "G": [[0, 0]]},
+                                 [[0, 0]]])
+def test_sumset_malformed_instance_exit_code(tmp_path, capsys, doc):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "sumset", "--instance", str(inst), "--eps", "1/6")
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+GOOD_FAMILY = {"n": 3, "C": kl.RationalMatrix.zero(2).to_json()}
+GOOD_TUBES = [{"y": [0.2, 0.1], "omega": [0.0, 0.0], "delta": 0.25}]
+
+
+@pytest.mark.parametrize("command", [["dimension", "--ks", "3,4,5"], ["hairbrush", "--threshold", "1"]])
+@pytest.mark.parametrize("family, tubes", [
+    ({"n": 3}, GOOD_TUBES),
+    ({"n": 3, "C": [[0, 0], [0, 0]]}, GOOD_TUBES),
+    (GOOD_FAMILY, [{"y": [0.2, 0.1], "delta": 0.25}]),
+    (GOOD_FAMILY, {"y": [0.2, 0.1]}),
+])
+def test_malformed_family_or_tubes_exit_code(tmp_path, capsys, command, family, tubes):
+    (tmp_path / "fam.json").write_text(json.dumps(family))
+    (tmp_path / "tubes.json").write_text(json.dumps(tubes))
+    code, _, err = run(capsys, command[0], "--family", str(tmp_path / "fam.json"),
+                       "--tubes", str(tmp_path / "tubes.json"), *command[1:])
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("ks", ["8", "5,6", "5,5,6", "6,5,7", "0,1,2", "11,12,13", "3,x,5"])
+def test_ks_rejected_before_rasterizing(tmp_path, capsys, monkeypatch, ks):
+    calls = []
+    monkeypatch.setattr(kl.raster, "rasterize", lambda *a: calls.append(a))
+    (tmp_path / "fam.json").write_text(json.dumps(GOOD_FAMILY))
+    (tmp_path / "tubes.json").write_text(json.dumps(GOOD_TUBES))
+    for argv in (["worstcase", "--ks", ks],
+                 ["dimension", "--family", str(tmp_path / "fam.json"), "--tubes", str(tmp_path / "tubes.json"),
+                  "--ks", ks]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "--ks" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("matrix", ['{"dim": 2}', "[[1, 0], [0, 1]]", '{"entries": 5}'])
+def test_malformed_matrix_exit_code(capsys, matrix):
+    code, _, err = run(capsys, "solve-heights", "--matrix", matrix)
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err

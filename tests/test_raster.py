@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 
@@ -394,3 +396,63 @@ class TestSurfaceResidual:
 def test_cellset_json_roundtrip():
     cs = kl.CellSet(n=3, k=4, occupied=frozenset({(0, 1, 2), (-3, 0, 5)}))
     assert kl.CellSet.from_json(cs.to_json()) == cs
+
+
+class TestCellSet:
+    def test_rows_sorted_and_distinct(self):
+        cs = kl.CellSet(n=3, k=4, occupied=[(0, 1, 2), (-3, 0, 5), (0, 1, 2), (0, -1, 7)])
+        assert cs.cells.tolist() == [[-3, 0, 5], [0, -1, 7], [0, 1, 2]]
+        assert cs.cell_count == 3 and cs.volume() == 3 * 2.0**-12
+
+    @pytest.mark.parametrize("cells", [{(1, 2), (1, 2, 3, 4)}, {(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)}])
+    def test_wrong_cell_length_raises(self, cells):
+        with pytest.raises(ValueError):
+            kl.CellSet(n=3, k=4, occupied=cells)
+
+    def test_occupied_roundtrip_equal_and_hash(self):
+        cs = kl.rasterize(kl.build_worstcase_kakeya(WORST, 4), 4)
+        again = kl.CellSet(n=cs.n, k=cs.k, occupied=cs.occupied)
+        assert again == cs and hash(again) == hash(cs)
+        assert kl.CellSet(n=cs.n, k=cs.k + 1, occupied=cs.occupied) != cs
+
+    def test_to_json_digest_pinned(self):
+        # sha256 over the compact to_json() of the n = 3 worst case at k = 3..6,
+        # recorded from the frozenset-backed CellSet before the switch to rows
+        h = hashlib.sha256()
+        for k in range(3, 7):
+            cs = kl.rasterize(kl.build_worstcase_kakeya(WORST, k), k)
+            h.update(json.dumps(cs.to_json(), separators=(",", ":")).encode())
+        assert h.hexdigest() == "84fdecacfe0adbb1c6880a6cfe8c069680acdbaf95de1fc5ef2350aaa7971bcb"
+
+
+class TestColumnarSpec:
+    def test_directions_of_wrong_length_raise(self):
+        with pytest.raises(ValueError):
+            kl.build_worstcase_kakeya(WORST, 3, directions=[(0.0, 0.25, 0.5), (0.5, 0.0, 0.25)])
+
+    def test_arrays_and_tubes_agree(self):
+        k = 4
+        fam = kl.CurveFamily(n=3, C=kl.RationalMatrix([[F(1, 3), F(-2, 5)], [F(3, 7), F(1, 5)]]))
+        rng = np.random.default_rng(3)
+        Y, W = rng.uniform(-0.5, 0.5, (40, 2)), rng.uniform(-0.3, 0.3, (40, 2))
+        by_arrays = kl.TubeFamilySpec(fam, t_range=(-0.75, 0.5), Y=Y, W=W, delta=2.0**-k)
+        tubes = [kl.TubeSpec(params=kl.CurveParams(y=tuple(y), omega=tuple(w)), delta=2.0**-k)
+                 for y, w in zip(Y, W)]
+        by_tubes = kl.TubeFamilySpec(fam, tubes, (-0.75, 0.5))
+        assert by_arrays.tubes == tuple(tubes)
+        assert kl.rasterize(by_arrays, k) == kl.rasterize(by_tubes, k)
+        assert kl.union_volume(by_arrays, k) == kl.union_volume(by_tubes, k)
+        assert kl.covering_norm(by_arrays, 2.0, k) == kl.covering_norm(by_tubes, 2.0, k)
+        assert kl.hairbrush_decompose(by_arrays, 3) == kl.hairbrush_decompose(by_tubes, 3)
+        assert kl.hairbrush_decompose(by_arrays, 2, tubes[::5]) == kl.hairbrush_decompose(by_tubes, 2, tubes[::5])
+
+    def test_array_shapes_checked(self):
+        fam = straight_family()
+        with pytest.raises(ValueError):
+            kl.TubeFamilySpec(fam, Y=np.zeros((4, 3)), W=np.zeros((4, 3)), delta=0.25)
+        with pytest.raises(ValueError):
+            kl.TubeFamilySpec(fam, Y=np.zeros((4, 2)), W=np.zeros((3, 2)), delta=0.25)
+        with pytest.raises(ValueError):
+            kl.TubeFamilySpec(fam, Y=np.zeros((4, 2)), W=np.zeros((4, 2)), delta=[0.25, 0.5])
+        with pytest.raises(ValueError):
+            kl.TubeFamilySpec(fam, Y=np.zeros((4, 2)), W=np.zeros((4, 2)), delta=1.0)
