@@ -21,6 +21,7 @@ from .errors import (
     ConfigurationViolation,
     HeightOutOfSupport,
     IdenticalCurves,
+    PreconditionViolation,
     SingularConfiguration,
     reading_json,
 )
@@ -239,8 +240,9 @@ def intersection_diameter(
 ) -> tuple[float, float]:
     """Measured diameter of the intersection of two tubes, plus |y1 - y2|.
 
-    Height sampling at step delta/4 (or ``samples`` points); each slice is the
-    lens cut from two radius-delta discs, represented by its extreme points.
+    Height sampling at step delta/4 (or ``samples`` points, at least 2, else
+    :class:`PreconditionViolation`); each slice is the lens cut from two
+    radius-delta discs, represented by its extreme points, all slices at once.
     Returns (0.0, separation) when the tubes are disjoint.
     """
     if float(tube1.delta) != float(tube2.delta):
@@ -249,42 +251,30 @@ def intersection_diameter(
     sep = float(np.linalg.norm(_as_float_vec(tube1.params.y) - _as_float_vec(tube2.params.y)))
     if samples is None:
         samples = int(math.ceil(8.0 / delta)) + 1
+    if samples < 2:
+        raise PreconditionViolation(f"need at least 2 height samples, got {samples}")
     ts = np.linspace(-1.0, 1.0, samples)
-    c1, c2 = (_centres(family, *_param_arrays([t.params]), ts)[0] for t in (tube1, tube2))
+    c1, c2 = _centres(family, *_param_arrays([tube1.params, tube2.params]), ts)
     diff = c2 - c1
     dist = np.linalg.norm(diff, axis=1)
-    overlap = dist < 2.0 * delta
-    if not overlap.any():
+    on = dist < 2.0 * delta
+    if not on.any():
         return 0.0, sep
-
-    pts = []
+    mid, diff, g, t = 0.5 * (c1[on] + c2[on]), diff[on], dist[on], ts[on]
+    lens = g > 1e-12
+    u = diff[lens] / g[lens, None]
+    half = np.sqrt(np.maximum(delta * delta - 0.25 * g[lens] ** 2, 0.0))[:, None]
+    # one perpendicular direction suffices for the extreme points: the unit axis of the
+    # smallest |u| component, minus its projection on u (its norm is at least sqrt(1 - 1/d))
+    rows, axis = np.arange(len(u)), np.argmin(np.abs(u), axis=1)
+    perp = -u[rows, axis][:, None] * u
+    perp[rows, axis] += 1.0
+    perp /= np.linalg.norm(perp, axis=1)[:, None]
     d = c1.shape[1]
-    for idx in np.nonzero(overlap)[0]:
-        mid = 0.5 * (c1[idx] + c2[idx])
-        t = ts[idx]
-        g = dist[idx]
-        if g > 1e-12:
-            u = diff[idx] / g
-            half = math.sqrt(max(delta * delta - 0.25 * g * g, 0.0))
-            # one perpendicular direction suffices for the extreme points
-            perp = np.zeros(d)
-            axis = int(np.argmin(np.abs(u)))
-            perp[axis] = 1.0
-            perp -= np.dot(perp, u) * u
-            nrm = np.linalg.norm(perp)
-            if nrm > 1e-12:
-                perp /= nrm
-                pts.append(np.append(mid + half * perp, t))
-                pts.append(np.append(mid - half * perp, t))
-            else:
-                pts.append(np.append(mid, t))
-        else:
-            for axis in range(d):
-                e = np.zeros(d)
-                e[axis] = delta
-                pts.append(np.append(mid + e, t))
-                pts.append(np.append(mid - e, t))
-    P = np.array(pts)
+    disc = delta * np.concatenate([np.eye(d), -np.eye(d)])  # coincident centres: the disc's axis points
+    pts = [mid[lens] + half * perp, mid[lens] - half * perp] + [mid[~lens] + e for e in disc]
+    heights = [t[lens]] * 2 + [t[~lens]] * len(disc)
+    P = np.column_stack([np.concatenate(pts), np.concatenate(heights)])
     # max pairwise distance, chunked to bound memory
     best = 0.0
     for i in range(0, len(P), 512):

@@ -120,8 +120,10 @@ class TubeFamilySpec:
         Y, W = _float_rows(Y, d), _float_rows(W, d)
         if W.shape != Y.shape:
             raise ValueError("Y and W must hold one row per tube")
+        if not (np.isfinite(Y).all() and np.isfinite(W).all()):
+            raise ValueError("Y and W must be finite")
         delta = np.array(np.broadcast_to(np.asarray(delta, dtype=float), len(Y)))
-        if not ((delta > 0) & (delta < 1)).all():
+        if not ((delta > 0) & (delta < 1)).all():  # NaN fails both comparisons
             raise ValueError("delta must lie in (0, 1)")
         lo, hi = t_range
         if not (-1.0 <= lo < hi <= 1.0):
@@ -385,7 +387,9 @@ def hairbrush_decompose(
     larger thickness at one of H = max(257, ceil((hi - lo) / min delta) + 1)
     evenly spaced heights of the t-range, squared axis terms summed in axis
     order.  On return no candidate meets N of the leftover ("bad") tubes.
-    Costs O(#candidates * #tubes * H * (n - 1)).
+    Costs O(#candidates * #tubes * H * (n - 1)), about half of that without
+    candidates (the meets are then symmetric), and holds the meets as packed
+    bits, #candidates * #tubes / 8 bytes.
     """
     if N < 1:
         raise PreconditionViolation(f"brush size threshold N = {N} must be at least 1")
@@ -406,29 +410,41 @@ def hairbrush_decompose(
 
     tube_tr = trajectories(spec)
     cand_tr = tube_tr if cands is spec else trajectories(cands)
-    # meets[c, t]: min over heights of |cand_c - tube_t| <= 2 max(delta)
-    meets = np.empty((len(cands.Y), m), dtype=bool)
+    # bit t of packed row c: min over heights of |cand_c - tube_t| <= 2 max(delta)
+    meets = np.zeros((len(cands.Y), (m + 7) // 8), dtype=np.uint8)
     # tubes go in blocks of about _BLOCK_ROWS (tube, height) rows, so the two buffers reused
-    # across candidates stay cache-sized; fresh temporaries each time are mostly page faults
-    per_block = max(1, _BLOCK_ROWS // H)
+    # across candidates stay cache-sized; fresh temporaries each time are mostly page faults.
+    # Blocks hold a multiple of 8 tubes, so each owns whole bytes of the packed rows.
+    per_block = max(8, _BLOCK_ROWS // H // 8 * 8)
+    hit = np.empty((len(cands.Y), per_block), dtype=bool)
     for s in range(0, m, per_block):
         block, block_delta = tube_tr[:, s:s + per_block], spec.delta[s:s + per_block]
+        w = len(block_delta)
         diff, sq = np.empty(block.shape[1:]), np.empty(block.shape[1:])
-        for ci in range(len(cands.Y)):
+        # Without candidates the meets are symmetric bit for bit: (a-b)^2 == (b-a)^2, the axis
+        # order is fixed and the reach is symmetric.  So only rows before the block's end are
+        # computed, and the block's rows before its start are mirrored from their columns.
+        rows = s + w if cands is spec else len(cands.Y)
+        for ci in range(rows):
             np.square(np.subtract(cand_tr[0, ci], block[0], out=sq), out=sq)
             for axis in range(1, len(block)):
                 sq += np.square(np.subtract(cand_tr[axis, ci], block[axis], out=diff), out=diff)
             reach = 2.0 * np.maximum(cands.delta[ci], block_delta)
-            meets[ci, s:s + per_block] = np.sqrt(sq.min(axis=1)) <= reach
+            np.less_equal(np.sqrt(sq.min(axis=1)), reach, out=hit[ci, :w])
+        meets[:rows, s // 8:(s + w + 7) // 8] = np.packbits(hit[:rows, :w], axis=1)
+        if cands is spec:
+            meets[s:s + w, :s // 8] = np.packbits(hit[:s, :w].T, axis=1)
 
     remaining = np.ones(m, dtype=bool)
     brushes, centrals = [], []
+    counts = np.empty_like(meets)
     while True:
-        counts = (meets & remaining[None, :]).sum(axis=1)
-        best = int(np.argmax(counts))
-        if counts[best] < N:
+        np.bitwise_count(np.bitwise_and(meets, np.packbits(remaining), out=counts), out=counts)
+        totals = counts.sum(axis=1)
+        best = int(np.argmax(totals))
+        if totals[best] < N:
             break
-        members = np.nonzero(meets[best] & remaining)[0]
+        members = np.flatnonzero(np.unpackbits(meets[best], count=m).astype(bool) & remaining)
         brushes.append(tuple(int(i) for i in members))
         centrals.append(best)
         remaining[members] = False

@@ -135,22 +135,21 @@ def hairbrush_oracle(spec, N: int, candidates=None) -> tuple:
         w = np.array([float(v) for v in tube.params.omega])
         return w - ts[:, None] * y - (ts * ts)[:, None] * (Cf @ y)
 
-    tube_paths = [path(t) for t in tubes]
+    tube_paths = np.array([path(t) for t in tubes]).reshape(len(tubes), len(ts), Cf.shape[0])
+    tube_deltas = np.array([float(t.delta) for t in tubes])
     meets = []
-    for c in cands:
+    for c in cands:  # one candidate against every tube at once, pair by pair
         pc = path(c)
-        row = []
-        for t, pt in zip(tubes, tube_paths):
-            sq = np.zeros(len(ts))
-            for axis in range(pc.shape[1]):
-                sq = sq + (pc[:, axis] - pt[:, axis]) ** 2
-            row.append(math.sqrt(sq.min()) <= 2.0 * max(float(c.delta), float(t.delta)))
-        meets.append(row)
+        sq = np.zeros(tube_paths.shape[:2])
+        for axis in range(pc.shape[1]):
+            sq = sq + (pc[None, :, axis] - tube_paths[:, :, axis]) ** 2
+        meets.append(np.sqrt(sq.min(axis=1)) <= 2.0 * np.maximum(float(c.delta), tube_deltas))
+    meets = np.array(meets)
 
     remaining = set(range(len(tubes)))
     brushes, centrals = [], []
     while True:
-        counts = [sum(row[i] for i in remaining) for row in meets]
+        counts = meets[:, sorted(remaining)].sum(axis=1).tolist()
         best = counts.index(max(counts))
         if counts[best] < N:
             break
@@ -159,6 +158,57 @@ def hairbrush_oracle(spec, N: int, candidates=None) -> tuple:
         centrals.append(best)
         remaining -= set(members)
     return tuple(brushes), tuple(sorted(remaining)), tuple(centrals)
+
+
+def diameter_oracle(family, tube1, tube2, samples=None) -> tuple:
+    """(diameter, |y1 - y2|) of two equal-delta tubes, height by height.
+
+    Centres omega - t*y - t^2*C*y are sampled at ceil(8/delta)+1 (or
+    ``samples``) heights of [-1, 1].  At each height whose centres are closer
+    than 2*delta, the lens cut from the two discs adds its two extreme points,
+    found along the unit axis of the smallest |u| component of the centre
+    direction u, minus its projection on u; coincident centres (closer than
+    1e-12) add the disc's 2*d axis points instead.  The diameter is the
+    largest distance between all points, height included.
+    """
+    delta = float(tube1.delta)
+    Cf = family.C.to_float()
+    y1, y2 = (np.array([float(v) for v in t.params.y]) for t in (tube1, tube2))
+    sep = float(np.linalg.norm(y1 - y2))
+    if samples is None:
+        samples = math.ceil(8.0 / delta) + 1
+    ts = np.linspace(-1.0, 1.0, samples)
+
+    def path(tube, y):  # (heights, n-1) curve points
+        w = np.array([float(v) for v in tube.params.omega])
+        return w - ts[:, None] * y - (ts * ts)[:, None] * (Cf @ y)
+
+    c1, c2 = path(tube1, y1), path(tube2, y2)
+    d = c1.shape[1]
+    pts = []
+    for idx in range(samples):
+        diff = c2[idx] - c1[idx]
+        g = math.sqrt(sum(x * x for x in diff))
+        if g >= 2.0 * delta:
+            continue
+        mid, t = 0.5 * (c1[idx] + c2[idx]), ts[idx]
+        if g > 1e-12:
+            u = diff / g
+            half = math.sqrt(max(delta * delta - 0.25 * g * g, 0.0))
+            axis = int(np.argmin(np.abs(u)))
+            perp = -u[axis] * u
+            perp[axis] += 1.0
+            perp /= math.sqrt(sum(x * x for x in perp))
+            pts += [np.append(mid + half * perp, t), np.append(mid - half * perp, t)]
+        else:
+            for axis in range(d):
+                e = np.zeros(d)
+                e[axis] = delta
+                pts += [np.append(mid + e, t), np.append(mid - e, t)]
+    if not pts:
+        return 0.0, sep
+    P = np.array(pts)
+    return float(np.sqrt(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2).max())), sep
 
 
 def sumset_oracle(pairs, X=None) -> set:

@@ -37,9 +37,11 @@ def test_criterion_01_worstcase_dimension():
         spec = kl.build_worstcase_kakeya(WORST, k)
         vols[k] = kl.rasterize(spec, k).volume()
         pts = []
-        for tube in spec.tubes[:: max(1, len(spec.tubes) // 64)]:
+        step = max(1, len(spec.Y) // 64)  # only the sampled tubes are built
+        for y, w in zip(spec.Y[::step].tolist(), spec.W[::step].tolist()):
+            params = kl.CurveParams(y=tuple(y), omega=tuple(w))
             for t in np.linspace(-1, 1, 7):
-                pts.append(kl.curve_point(spec.family, tube.params, float(t)))
+                pts.append(kl.curve_point(spec.family, params, float(t)))
         residual = max(residual, kl.surface_residual(pts))
     fit = kl.box_dimension(lambda k: vols[k], [5, 6, 7, 8], n=3)
     elapsed = time.monotonic() - start

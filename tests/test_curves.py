@@ -6,7 +6,7 @@ import pytest
 
 import kakeya_lab as kl
 
-from conftest import crossing_tube_pair
+from conftest import crossing_tube_pair, diameter_oracle
 
 
 def fam(C):
@@ -171,6 +171,54 @@ class TestIntersectionDiameter:
             fitted[k] = worst
         ratio = fitted[6] / fitted[8]
         assert 0.25 <= ratio <= 4.0
+
+    @staticmethod
+    def _assert_oracle(f, t1, t2, samples=None):
+        diam, sep = kl.intersection_diameter(f, t1, t2, samples)
+        want, want_sep = diameter_oracle(f, t1, t2, samples)
+        assert abs(diam - want) <= 1e-12 * want and sep == pytest.approx(want_sep, rel=1e-12, abs=0.0)
+        return diam
+
+    def test_matches_oracle_on_crossing_pairs(self):
+        f = fam(WORST)
+        delta = 2.0**-6
+        rng = np.random.default_rng(99)
+        for _ in range(100):
+            assert self._assert_oracle(f, *crossing_tube_pair(rng, f, delta, min_sep=8 * delta)) > 0.0
+
+    def test_matches_oracle_in_four_dimensions(self):
+        # d = 3 axes, so the lens perpendicular really depends on the argmin axis
+        f = fam(kl.companion([F(1, 3), F(-1, 5), F(2, 7)]))
+        Cf = f.C.to_float()
+        delta = 2.0**-5
+        rng = np.random.default_rng(4)
+        axes_used = set()
+        for i in range(30):
+            y1, y2 = rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3)
+            if i % 3 == 0:
+                y2 = y1 + rng.uniform(-2 * delta, 2 * delta, 3)  # nearly parallel: a long lens
+            tstar, p = rng.uniform(-0.8, 0.8), rng.uniform(-0.3, 0.3, 3)
+            t1, t2 = (kl.TubeSpec(params=kl.CurveParams(y=tuple(y), omega=tuple(p + tstar * y + tstar**2 * (Cf @ y))),
+                                  delta=delta) for y in (y1, y2))
+            assert self._assert_oracle(f, t1, t2) > 0.0
+            # near the crossing the centres differ along (I + 2 t* C)(y2 - y1)
+            axes_used.add(int(np.argmin(np.abs((y2 - y1) + 2 * tstar * (Cf @ (y2 - y1))))))
+        assert len(axes_used) == 3
+
+    @pytest.mark.parametrize("C", [WORST, kl.companion([F(1, 3), F(-1, 5), F(2, 7)])])
+    def test_identical_tubes_match_oracle(self, C):
+        f = fam(C)
+        y = (0.25, -0.125, 0.5)[:C.dim]
+        t = kl.TubeSpec(params=kl.CurveParams(y=y, omega=(0.1,) * C.dim), delta=2.0**-4)
+        assert self._assert_oracle(f, t, t) > 1.8
+        assert self._assert_oracle(f, t, t, samples=40) > 1.8
+
+    @pytest.mark.parametrize("samples", [1, 0, -3])
+    def test_fewer_than_two_samples_raise(self, samples):
+        f = fam(ZERO2)
+        t = kl.TubeSpec(params=kl.CurveParams(y=(0.25, 0.0), omega=(0.1, 0.0)), delta=2.0**-5)
+        with pytest.raises(kl.PreconditionViolation):
+            kl.intersection_diameter(f, t, t, samples=samples)
 
 
 class TestLocus:

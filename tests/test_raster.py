@@ -9,6 +9,7 @@ import pytest
 import kakeya_lab as kl
 
 from conftest import hairbrush_oracle, reduced_ball_net, stamp_oracle
+from kakeya_lab.raster import _BLOCK_ROWS
 
 ZERO2 = kl.RationalMatrix.zero(2)
 WORST = kl.companion([0, 0])
@@ -368,6 +369,24 @@ class TestHairbrushDecompose:
         assert dec.brushes, "the case should produce at least one brush"
         assert (dec.brushes, dec.bad, dec.centrals) == hairbrush_oracle(spec, N, cands)
 
+    @pytest.mark.parametrize("name", ["worst-k4", "mixed-delta"])
+    def test_symmetric_packed_path_matches_candidates_and_oracle(self, name):
+        # without candidates only half the meets are computed and the rest mirrored; several
+        # blocks and a tube count that is not a multiple of 8 exercise the mirror and the packed tail
+        if name == "worst-k4":
+            spec, N = kl.build_worstcase_kakeya(WORST, 4), 8
+        else:
+            fam = kl.CurveFamily(n=3, C=kl.RationalMatrix([[F(1, 3), F(-2, 5)], [F(3, 7), F(1, 5)]]))
+            hubs = [((0.1, -0.2), 0.3), ((-0.3, 0.25), -0.4), ((0.4, 0.4), 0.6)]
+            tubes = self._clustered(np.random.default_rng(5), fam, 61, [2.0**-5, 2.0**-8, 2.0**-6], hubs)
+            spec, N = kl.TubeFamilySpec(family=fam, tubes=tubes), 4
+        m = len(spec.Y)
+        H = max(257, math.ceil((spec.t_range[1] - spec.t_range[0]) / spec.delta.min()) + 1)
+        assert m % 8 and m > _BLOCK_ROWS // H  # more than one block
+        dec = kl.hairbrush_decompose(spec, N)
+        assert dec.brushes and dec == kl.hairbrush_decompose(spec, N, candidates=spec.tubes)
+        assert (dec.brushes, dec.bad, dec.centrals) == hairbrush_oracle(spec, N)
+
 
 class TestSurfaceResidual:
     def test_exact_construction(self):
@@ -456,3 +475,29 @@ class TestColumnarSpec:
             kl.TubeFamilySpec(fam, Y=np.zeros((4, 2)), W=np.zeros((4, 2)), delta=[0.25, 0.5])
         with pytest.raises(ValueError):
             kl.TubeFamilySpec(fam, Y=np.zeros((4, 2)), W=np.zeros((4, 2)), delta=1.0)
+
+    @pytest.mark.parametrize("bad", ["nan direction", "inf centre", "nan delta", "inf delta"])
+    @pytest.mark.parametrize("op", ["rasterize", "union_volume", "hairbrush_decompose"])
+    def test_non_finite_tubes_raise(self, op, bad):
+        # such a tube would otherwise stamp no cells and meet no tube, silently
+        k = 4
+        Y, W, delta = np.full((3, 2), 0.25), np.zeros((3, 2)), np.full(3, 2.0**-k)
+        arr = {"direction": Y, "centre": W, "delta": delta}[bad.split()[1]]
+        arr.flat[1] = np.nan if bad.startswith("nan") else np.inf
+        run = {"rasterize": lambda spec: kl.rasterize(spec, k),
+               "union_volume": lambda spec: kl.union_volume(spec, k),
+               "hairbrush_decompose": lambda spec: kl.hairbrush_decompose(spec, 1)}[op]
+        with pytest.raises(ValueError):
+            run(kl.TubeFamilySpec(straight_family(), Y=Y, W=W, delta=delta))
+        if "delta" not in bad:
+            tubes = [kl.TubeSpec(params=kl.CurveParams(y=tuple(y), omega=tuple(w)), delta=2.0**-k)
+                     for y, w in zip(Y.tolist(), W.tolist())]
+            with pytest.raises(ValueError):
+                run(kl.TubeFamilySpec(straight_family(), tubes))
+
+    def test_non_finite_candidate_raises(self):
+        tube = kl.TubeSpec(params=kl.CurveParams(y=(0.25, 0.0), omega=(0.0, 0.0)), delta=2.0**-4)
+        spec = kl.TubeFamilySpec(straight_family(), [tube])
+        bad = kl.TubeSpec(params=kl.CurveParams(y=(0.25, 0.0), omega=(math.nan, 0.0)), delta=2.0**-4)
+        with pytest.raises(ValueError):
+            kl.hairbrush_decompose(spec, 1, candidates=[tube, bad])
