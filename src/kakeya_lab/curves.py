@@ -110,9 +110,16 @@ def _param_arrays(params: Sequence[CurveParams]) -> tuple[np.ndarray, np.ndarray
 
 def _centres(family: CurveFamily, Y: np.ndarray, W: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """omega - t*y - t^2*C*y for direction rows Y and centre rows W at heights
-    ts, shape (curves, heights, n-1).  The one float copy of the curve formula."""
-    CY = Y @ family._cf.T
-    return W[:, None, :] - ts[None, :, None] * Y[:, None, :] - (ts * ts)[None, :, None] * CY[:, None, :]
+    ts, axis-major: shape (n-1, curves, heights), one contiguous plane per axis.
+    The one float copy of the curve formula; built an axis at a time through
+    one plane of scratch, which is released on return."""
+    CY = family._cf @ Y.T  # (n-1, curves)
+    out = np.empty((Y.shape[1], len(Y), len(ts)))
+    tmp = np.empty(out.shape[1:])
+    for plane, w, y, cy in zip(out, W.T, Y.T, CY):
+        np.subtract(w[:, None], np.multiply(ts, y[:, None], out=tmp), out=plane)
+        plane -= np.multiply(ts * ts, cy[:, None], out=tmp)
+    return out
 
 
 def _check_height(t):
@@ -129,7 +136,7 @@ def curve_point(family: CurveFamily, params: CurveParams, t) -> tuple:
         sp = tuple(rat(w) - t * rat(v) - t * t * c for w, v, c in zip(params.omega, params.y, cy))
         return sp + (t,)
     tf = float(t)
-    return tuple(_centres(family, *_param_arrays([params]), np.array([tf]))[0, 0]) + (tf,)
+    return tuple(_centres(family, *_param_arrays([params]), np.array([tf]))[:, 0, 0]) + (tf,)
 
 
 def curve_tangent(family: CurveFamily, params: CurveParams, t) -> tuple:
@@ -254,7 +261,7 @@ def intersection_diameter(
     if samples < 2:
         raise PreconditionViolation(f"need at least 2 height samples, got {samples}")
     ts = np.linspace(-1.0, 1.0, samples)
-    c1, c2 = _centres(family, *_param_arrays([tube1.params, tube2.params]), ts)
+    c1, c2 = _centres(family, *_param_arrays([tube1.params, tube2.params]), ts).transpose(1, 2, 0)
     diff = c2 - c1
     dist = np.linalg.norm(diff, axis=1)
     on = dist < 2.0 * delta
@@ -275,10 +282,10 @@ def intersection_diameter(
     pts = [mid[lens] + half * perp, mid[lens] - half * perp] + [mid[~lens] + e for e in disc]
     heights = [t[lens]] * 2 + [t[~lens]] * len(disc)
     P = np.column_stack([np.concatenate(pts), np.concatenate(heights)])
-    # max pairwise distance, chunked to bound memory
-    best = 0.0
-    for i in range(0, len(P), 512):
-        block = P[i:i + 512]
+    # max pairwise distance, in chunks of about 2^20 floats per temporary to bound memory
+    best, rows = 0.0, max(1, 2**20 // P.size)
+    for i in range(0, len(P), rows):
+        block = P[i:i + rows]
         d2 = np.sum((block[:, None, :] - P[None, :, :]) ** 2, axis=2)
         best = max(best, float(np.sqrt(d2.max())))
     return best, sep
@@ -444,8 +451,8 @@ def _nearest_approach(family, pa: CurveParams, pb: CurveParams, delta: float, wi
         ts = ts[(gap >= lo) & (gap <= hi)]
         if ts.size == 0:
             return None
-    ca, cb = (_centres(family, *_param_arrays([p]), ts)[0] for p in (pa, pb))
-    dist = np.linalg.norm(ca - cb, axis=1)
+    ca, cb = (_centres(family, *_param_arrays([p]), ts)[:, 0] for p in (pa, pb))
+    dist = np.linalg.norm(ca - cb, axis=0)
     i = int(np.argmin(dist))
     return float(ts[i]), float(dist[i])
 

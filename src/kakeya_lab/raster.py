@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -151,15 +152,17 @@ def _band_indices(k: int, t_range) -> np.ndarray:
 
 
 def _stamp(spec: TubeFamilySpec, k: int):
-    """Yield (first band, keys) for consecutive blocks of whole height bands.
+    """Yield (first band, occupied cell keys in increasing order, tubes occupying
+    each) for consecutive blocks of whole height bands.
 
-    Each block holds about _BLOCK_ROWS (tube, band) rows: several bands when
-    tubes are few, one band when they are many.  A key packs (band - first
-    band, j_1 + R + 1, ..., j_d + R + 1) in base K = 2^(k+1) + 2, and appears
-    once for every tube occupying that cell.  A point at u (in cell units) can
-    only occupy, per axis, the cells floor(u-1/2) and floor(u-1/2)+1;
-    out-of-box candidates get a squared axis term of 2 so the radius test
-    drops them.
+    A block holds about _BLOCK_ROWS (tube, band) rows: several bands when
+    tubes are few, one band when they are many.  A point at u (in cell units)
+    can only occupy, per axis, the cells floor(u-1/2) and floor(u-1/2)+1.  A
+    key packs (band - first band, j_1 + R + 3, ..., j_d + R + 3) in base
+    K = 2^(k+1) + 6.  Floors are clipped to [-R-3, R+1], so every digit lies in
+    [0, K) and both candidates of a clipped floor lie outside the box [-R-1, R].
+    No row is range-tested: when some floor leaves [-R-1, R-1], out-of-box
+    cells are dropped from the block's distinct keys.
     """
     Y, W = spec.Y, spec.W
     m = len(Y)
@@ -169,42 +172,63 @@ def _stamp(spec: TubeFamilySpec, k: int):
         raise ValueError("tube delta must equal 2^-k")
     d = spec.family.n - 1
     R = 2**k
-    K = 2 * R + 2  # coordinate range [-R-1, R] shifted to [0, K-1]
+    K = 2 * R + 6
     if K**d >= 2**63:
         raise ResolutionTooFine(
-            f"cell keys exceed int64: (2^{k + 1} + 2)^{d} >= 2^63 at n = {d + 1}, k = {k}")
+            f"cell keys exceed int64: (2^{k + 1} + 6)^{d} >= 2^63 at n = {d + 1}, k = {k}")
     bands = _band_indices(k, spec.t_range)
     per_block = min(max(1, _BLOCK_ROWS // m), 2**63 // K**d)  # band offset * K^d stays in int64
     step = K ** np.arange(d - 1, -1, -1, dtype=np.int64)
     bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1  # candidate -> which axes take j0+1
     cand_off = bits @ step
+    # exact (R = 2^k) centres in cell units; column-major, so _centres reads each axis contiguously
+    YR, WR = (np.multiply(a, float(R), order="F") for a in (Y, W))
     for first in range(0, bands.size, per_block):
         block = bands[first:first + per_block]
-        u = _centres(spec.family, Y, W, (block + 0.5) * 2.0**-k).reshape(-1, d)
-        u *= float(R)
-        band_key = np.tile(np.arange(block.size, dtype=np.int64) * K**d, m)  # rows run tube-major
-        keys = []
-        for s in range(0, len(u), _BLOCK_ROWS):
-            us = u[s:s + _BLOCK_ROWS]
+        u = _centres(spec.family, YR, WR, (block + 0.5) * 2.0**-k).reshape(d, -1)  # rows run tube-major
+        band_key = np.tile(np.arange(block.size, dtype=np.int64) * K**d + (R + 3) * int(step.sum()), m)
+        keys, used = np.empty(2**d * u.shape[1], dtype=np.int64), 0
+        for s in range(0, u.shape[1], _BLOCK_ROWS):
+            us = u[:, s:s + _BLOCK_ROWS]
             j0f = np.floor(us - 0.5)
             w0 = j0f + 0.5 - us  # in (-1, 0]
-            w1 = w0 + 1.0
-            a0 = np.where((j0f >= -R - 1) & (j0f <= R), w0 * w0, 2.0)
-            a1 = np.where((j0f >= -R - 2) & (j0f <= R - 1), w1 * w1, 2.0)
-            q = np.stack([a0[:, 0], a1[:, 0]])
-            for axis in range(1, d):  # q[c] sums axes in order, candidate bit `axis` picks a1
-                q = np.concatenate([q + a0[:, axis], q + a1[:, axis]])
-            # clipping only touches axes with no in-box candidate, whose rows never pass
-            base = band_key[s:s + _BLOCK_ROWS] + (np.clip(j0f, -R - 2, R) + (R + 1)).astype(np.int64) @ step
-            keys.append((cand_off[:, None] + base)[q < 1.0])
-        yield int(block[0]), np.concatenate(keys)
+            sq = (w0 * w0, np.square(w0 + 1.0))  # squared axis terms of the candidates j0 and j0+1
+            base = band_key[s:s + _BLOCK_ROWS] + step @ np.clip(j0f, -R - 3, R + 1, out=j0f).astype(np.int64)
+            for c, off in zip(bits, cand_off):
+                hit = reduce(np.add, (sq[b][axis] for axis, b in enumerate(c))) < 1.0  # axes summed in order
+                out = keys[used:used + np.count_nonzero(hit)]
+                np.add(np.compress(hit, base, out=out), off, out=out)
+                used += out.size
+        del j0f, w0, sq, base  # free the last rows' temporaries before deduplicating
+        keys, counts = _distinct(keys[:used], block.size * K**d)
+        if not (np.floor(u.min() - 0.5) >= -R - 1 and np.floor(u.max() - 0.5) <= R - 1):  # NaN lands here too
+            axes = _digits(keys, K, d)[1:]
+            inside = ((axes >= 2) & (axes < K - 2)).all(axis=0)
+            keys, counts = keys[inside], counts[inside]
+        yield int(block[0]), keys, counts
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys and their multiplicities.
+def _digits(keys: np.ndarray, K: int, d: int) -> np.ndarray:
+    """(d + 1, keys) int64 base-K digits of keys: band offset, then one row per axis."""
+    out = np.empty((d + 1, keys.size), dtype=np.int64)
+    for axis in range(d, 0, -1):
+        keys, out[axis] = np.divmod(keys, K)
+    out[0] = keys
+    return out
 
-    Sorting is about 10x faster here than np.unique's hash path (numpy 2.4).
+
+def _distinct(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys in [0, space) and their multiplicities.
+
+    A sort costs about 9-14 ns per key and a dense count (np.bincount) about
+    1 ns per slot of the key space, so keys are counted when the space is at
+    most 8x their number and sorted otherwise.  The sort is about 10x faster
+    here than np.unique's hash path (numpy 2.4).
     """
+    if space <= 8 * keys.size:
+        counts = np.bincount(keys, minlength=space)
+        keys = np.flatnonzero(counts)
+        return keys, counts[keys]
     keys = np.sort(keys)
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
@@ -216,31 +240,27 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def rasterize(spec: TubeFamilySpec, k: int) -> CellSet:
     """Voxelize the union of the tubes at delta = 2^-k.
 
-    Each block of height bands from the stamping kernel is deduplicated and
-    unpacked on its own, so stamping memory is bounded per block, not per
-    grid; the cells of all blocks are then sorted once.
+    Each block of height bands from the stamping kernel is deduplicated on its
+    own, so stamping memory is bounded per block, not per grid; the cells of
+    all blocks are then sorted once.  Keys pack in base 2^(k+1) + 6 and are
+    deduplicated by a dense count when a block's key space is at most 8x its
+    keys (the n = 3 worst case), by a sort otherwise: a count costs about
+    1 ns per slot of the key space, a sort 9-14 ns per key.
     Raises :class:`ResolutionTooFine` when the stamping budget (2^30 candidate
     cells) would be exceeded, or when packed cell keys would not fit in int64;
     use :func:`union_volume` for larger counting-only experiments.
     """
     n = spec.family.n
-    d = n - 1
     if k > MAX_K:
         raise ResolutionTooFine(f"k = {k} exceeds the supported maximum {MAX_K}")
     m = len(spec.Y)
     nb = _band_indices(k, spec.t_range).size
-    if m * nb * (2**d) > CELL_BUDGET:
-        raise ResolutionTooFine(f"stamp budget exceeded: {m} tubes x {nb} bands x {2**d} candidates")
-    R = 2**k
-    K = 2 * R + 2
+    if m * nb * (2 ** (n - 1)) > CELL_BUDGET:
+        raise ResolutionTooFine(f"stamp budget exceeded: {m} tubes x {nb} bands x {2 ** (n - 1)} candidates")
     blocks = [np.empty((0, n), dtype=np.int64)]
-    for b0, keys in _stamp(spec, k):
-        rem = _distinct(keys)[0]
-        cols = []
-        for _ in range(d):  # least significant digit is the last axis
-            rem, j = np.divmod(rem, K)
-            cols.append(j - (R + 1))
-        blocks.append(np.column_stack(cols[::-1] + [rem + b0]))
+    for b0, keys, _ in _stamp(spec, k):
+        digits = _digits(keys, 2 ** (k + 1) + 6, n - 1)
+        blocks.append(np.column_stack([*(digits[1:] - (2**k + 3)), digits[0] + b0]))
     cells = np.concatenate(blocks)  # distinct: blocks hold disjoint bands
     return CellSet._of_rows(n, k, cells[np.lexsort(cells.T[::-1])])
 
@@ -250,13 +270,13 @@ def union_volume(spec: TubeFamilySpec, k: int) -> tuple[int, float]:
     band blocks.
 
     Nothing larger than one block's keys is held, so this handles unions too
-    large for a :class:`CellSet`.
+    large for a :class:`CellSet`.  Blocks are deduplicated as in :func:`rasterize`.
     """
     n = spec.family.n
     if len(spec.Y) * 2 ** (n - 1) > CELL_BUDGET:
         raise ResolutionTooFine(
             f"per-band stamp budget exceeded: {len(spec.Y)} tubes x {2 ** (n - 1)} candidates")
-    total = sum(_distinct(keys)[0].size for _, keys in _stamp(spec, k))
+    total = sum(keys.size for _, keys, _ in _stamp(spec, k))
     return total, (2.0**-k) ** n * total
 
 
@@ -361,8 +381,7 @@ def covering_norm(spec: TubeFamilySpec, p_prime: float, k: int) -> float:
     if p_prime < 1:
         raise ValueError("p_prime must be at least 1")
     total = 0.0
-    for _, keys in _stamp(spec, k):
-        counts = _distinct(keys)[1]
+    for *_, counts in _stamp(spec, k):
         total += float(np.sum(counts.astype(float) ** p_prime))
     return float(((2.0**-k) ** spec.family.n * total) ** (1.0 / p_prime))
 
@@ -405,11 +424,8 @@ def hairbrush_decompose(
     H = max(257, int(math.ceil((hi - lo) / step)) + 1)
     ts = np.linspace(lo, hi, H)
 
-    def trajectories(s):  # axis-major (n-1, curves, H): one contiguous plane per axis
-        return np.ascontiguousarray(_centres(spec.family, s.Y, s.W, ts).transpose(2, 0, 1))
-
-    tube_tr = trajectories(spec)
-    cand_tr = tube_tr if cands is spec else trajectories(cands)
+    tube_tr = _centres(spec.family, spec.Y, spec.W, ts)  # (n-1, curves, H): a contiguous plane per axis
+    cand_tr = tube_tr if cands is spec else _centres(spec.family, cands.Y, cands.W, ts)
     # bit t of packed row c: min over heights of |cand_c - tube_t| <= 2 max(delta)
     meets = np.zeros((len(cands.Y), (m + 7) // 8), dtype=np.uint8)
     # tubes go in blocks of about _BLOCK_ROWS (tube, height) rows, so the two buffers reused

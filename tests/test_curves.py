@@ -212,6 +212,8 @@ class TestIntersectionDiameter:
         t = kl.TubeSpec(params=kl.CurveParams(y=y, omega=(0.1,) * C.dim), delta=2.0**-4)
         assert self._assert_oracle(f, t, t) > 1.8
         assert self._assert_oracle(f, t, t, samples=40) > 1.8
+        # 4 or 6 lens points per height: P spans several all-pairs chunks of 2^20 floats
+        assert self._assert_oracle(f, t, t, samples=257) > 1.8
 
     @pytest.mark.parametrize("samples", [1, 0, -3])
     def test_fewer_than_two_samples_raise(self, samples):

@@ -2,11 +2,15 @@ import hashlib
 import json
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kakeya_lab as kl
+from kakeya_lab import raster
 
 from conftest import hairbrush_oracle, reduced_ball_net, stamp_oracle
 from kakeya_lab.raster import _BLOCK_ROWS
@@ -124,20 +128,71 @@ def three_tubes(n, k, seed=0):
 class TestKeyRange:
     """Packed cell keys at the edges of int64, against the brute-force oracle."""
 
-    @pytest.mark.parametrize("n,k", [(5, 11), (9, 6), (3, 12)])
-    def test_matches_oracle(self, n, k):
-        spec = three_tubes(n, k)
+    @staticmethod
+    def _assert_matches_oracle(spec, k, monkeypatch):
+        """Cells, union count and covering norms at p' = 2 and 1.5 agree with
+        stamp_oracle; returns which dedupe branches ran (True: counted)."""
+        counted, distinct = set(), raster._distinct
+
+        def spy(keys, space):
+            counted.add(space <= 8 * keys.size)
+            return distinct(keys, space)
+
+        monkeypatch.setattr(raster, "_distinct", spy)
+        n = spec.family.n
         want = stamp_oracle(spec, k)
         assert kl.rasterize(spec, k).occupied == frozenset(want)
         assert kl.union_volume(spec, k)[0] == len(want)
-        norm = ((2.0**-k) ** n * sum(c**2 for c in want.values())) ** 0.5
-        assert math.isclose(kl.covering_norm(spec, 2.0, k), norm, rel_tol=1e-12)
+        for p in (2.0, 1.5):
+            norm = ((2.0**-k) ** n * sum(c**p for c in want.values())) ** (1 / p)
+            assert math.isclose(kl.covering_norm(spec, p, k), norm, rel_tol=1e-12)
+        return counted
 
-    def test_keys_past_int64_raise(self):
-        spec = three_tubes(9, 7)  # (2^8 + 2)^8 >= 2^63
+    @pytest.mark.parametrize("n,k", [(5, 11), (9, 6), (3, 12)])
+    def test_matches_oracle(self, n, k, monkeypatch):
+        assert self._assert_matches_oracle(three_tubes(n, k), k, monkeypatch) == {False}
+
+    def test_counted_worst_case_matches_oracle(self, monkeypatch):
+        # 797 tubes: a block of 20 bands has about 50k keys in a key space of 20 * 38^2
+        spec = kl.build_worstcase_kakeya(WORST, 4)
+        assert self._assert_matches_oracle(spec, 4, monkeypatch) == {True}
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("u", [8.9, -9.1])
+    def test_tube_one_cell_past_a_face(self, axis, u):
+        # k = 3, box [-9, 8]: floor(u - 1/2) is 8 or -10, so one candidate per row lies outside
+        omega = [0.1, -0.2]
+        omega[axis] = u / 8
+        tube = kl.TubeSpec(params=kl.CurveParams(y=(0.0, 0.0), omega=tuple(omega)), delta=2.0**-3)
+        spec = kl.TubeFamilySpec(family=straight_family(), tubes=[tube])
+        want = stamp_oracle(spec, 3)
+        assert kl.rasterize(spec, 3).occupied == frozenset(want)
+        assert kl.union_volume(spec, 3)[0] == len(want) > 0
+
+    @pytest.mark.parametrize("n,k", [(6, 11), (7, 9), (8, 7), (9, 6)])
+    def test_keys_past_int64_raise(self, n, k):
+        # keys pack in base 2^(k+1) + 6: (2^(k+1) + 6)^(n-1) < 2^63 at k, not at k + 1
+        assert kl.union_volume(three_tubes(n, k), k)[0] > 0
+        spec = three_tubes(n, k + 1)
         for stamp in (kl.rasterize, kl.union_volume, lambda s, k: kl.covering_norm(s, 2.0, k)):
             with pytest.raises(kl.ResolutionTooFine):
-                stamp(spec, 7)
+                stamp(spec, k + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@example([])
+@given(st.integers(0, 40).flatmap(
+    lambda n: st.lists(st.integers(0, max(8 * n - 1, 0)), min_size=n, max_size=n)))
+def test_distinct_branches_match_unique(values):
+    keys = np.array(values, dtype=np.int64)
+    want = np.unique(keys, return_counts=True)
+    # the gate's edge: a key space of 8x the keys is counted, one slot more is sorted
+    for space, counted in ((8 * keys.size, True), (8 * keys.size + 1, False)):
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+            got = raster._distinct(keys.copy(), space)
+        assert bincount.called == counted
+        for a, b in zip(got, want):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
 
 
 class TestBoxDimension:
