@@ -163,80 +163,61 @@ def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
+def _sqrt_le(s: int, disc: Fraction, x: Fraction) -> bool:
+    """Whether s * sqrt(disc) <= x, exactly, for s = +-1 and disc >= 0 not a rational square."""
+    if s > 0:
+        return x >= 0 and disc <= x * x
+    return x >= 0 or disc >= x * x
+
+
 def intersect_curves(family: CurveFamily, p1: CurveParams, p2: CurveParams) -> list:
     """Heights t in [-1, 1] at which the two curves meet.
 
-    Solves (t*I + t^2*C)(y1 - y2) = omega1 - omega2 on the first component with
-    a non-trivial coefficient, then verifies every component.  Exact inputs
-    give exact heights when the discriminant is a rational square, floats
-    otherwise (verified to 1e-10).
+    Solves (t*I + t^2*C)(y1 - y2) = omega1 - omega2 in exact arithmetic, a float
+    input taken as the dyadic rational it is: on the first component with a
+    non-trivial coefficient, then every component is checked exactly.  Exact
+    inputs give exact heights when the discriminant is a rational square and
+    floats otherwise; float inputs give float heights.  Only the square root of
+    a non-square discriminant is taken in floats, after the root has been
+    verified and placed in [-1, 1] exactly.
     """
     if p1 == p2:
         raise IdenticalCurves("curve parameters coincide")
     exact = _is_exact(p1.y, p1.omega, p2.y, p2.omega)
 
-    if exact:
-        dy = [rat(a) - rat(b) for a, b in zip(p1.y, p2.y)]
-        dw = [rat(a) - rat(b) for a, b in zip(p1.omega, p2.omega)]
-        cdy = family.C.mat_vec(dy)
+    def q(x):
+        return x if isinstance(x, Fraction) else Fraction(x if isinstance(x, int) else float(x))
 
-        def residual_zero(t):
-            return all(t * a + t * t * b == c for a, b, c in zip(dy, cdy, dw))
-
-        comp = next((i for i in range(len(dy)) if dy[i] != 0 or cdy[i] != 0), None)
-        if comp is None:
-            # identical direction: parallel curves meet nowhere (or everywhere,
-            # which the parameter check above already excluded)
-            return []
-        a, b, c = cdy[comp], dy[comp], dw[comp]  # a t^2 + b t = c
-        roots = []
-        if a == 0:
-            roots = [c / b]
-        else:
-            disc = b * b + 4 * a * c
-            sq = _exact_sqrt(disc)
-            if sq is None:
-                if disc < 0:
-                    return []
-                sqf = math.sqrt(float(disc))
-                roots = [(-float(b) + s * sqf) / (2 * float(a)) for s in (1, -1)]
-            else:
-                roots = [(-b + s * sq) / (2 * a) for s in (1, -1)]
-        out = []
-        for t in roots:
-            if not -1 <= t <= 1:
-                continue
-            if isinstance(t, Fraction):
-                if residual_zero(t):
-                    out.append(t)
-            else:
-                res = max(abs(t * float(ai) + t * t * float(bi) - float(ci))
-                          for ai, bi, ci in zip(dy, cdy, dw))
-                if res <= 1e-10:
-                    out.append(t)
-        return sorted(set(out))
-
-    dy = _as_float_vec(p1.y) - _as_float_vec(p2.y)
-    dw = _as_float_vec(p1.omega) - _as_float_vec(p2.omega)
-    cdy = family._cf @ dy
-    comp = next((i for i in range(dy.size) if abs(dy[i]) > 1e-14 or abs(cdy[i]) > 1e-14), None)
+    dy = [q(a) - q(b) for a, b in zip(p1.y, p2.y)]
+    dw = [q(a) - q(b) for a, b in zip(p1.omega, p2.omega)]
+    cdy = family.C.mat_vec(dy)
+    comp = next((i for i in range(len(dy)) if dy[i] != 0 or cdy[i] != 0), None)
     if comp is None:
+        # identical direction: parallel curves meet nowhere (or everywhere,
+        # which the parameter check above already excluded)
         return []
-    a, b, c = cdy[comp], dy[comp], dw[comp]
-    if abs(a) < 1e-14:
-        roots = [c / b]
+    a, b, c = cdy[comp], dy[comp], dw[comp]  # a t^2 + b t = c
+    if a < 0:
+        a, b, c = -a, -b, -c
+    disc = b * b + 4 * a * c
+    sq = None if a == 0 else _exact_sqrt(disc)
+    if a == 0 or sq is not None:
+        roots = [c / b] if a == 0 else [(-b + s * sq) / (2 * a) for s in (1, -1)]
+        out = [t for t in roots
+               if -1 <= t <= 1 and all(t * u + t * t * v == w for u, v, w in zip(dy, cdy, dw))]
+    elif disc < 0:
+        return []
     else:
-        disc = b * b + 4 * a * c
-        if disc < 0:
+        # An irrational root has minimal polynomial a t^2 + b t - c, so it solves another
+        # component exactly when that component's coefficients are proportional to (a, b, c).
+        # It lies in [-1, 1] when b - 2a <= s sqrt(disc) <= b + 2a.  Its float value is taken
+        # from whichever of the two root formulas does not cancel.
+        if any(v * b != u * a or v * c != w * a for u, v, w in zip(dy, cdy, dw)):
             return []
-        roots = [(-b + s * math.sqrt(disc)) / (2 * a) for s in (1, -1)]
-    out = []
-    for t in roots:
-        if -1 <= t <= 1:
-            res = float(np.max(np.abs(t * dy + t * t * cdy - dw)))
-            if res <= 1e-10:
-                out.append(t)
-    return sorted(set(out))
+        r = math.sqrt(float(disc))
+        out = [(-float(b) + s * r) / (2 * float(a)) if s * b <= 0 else 2 * float(c) / (float(b) + s * r)
+               for s in (1, -1) if _sqrt_le(s, disc, b + 2 * a) and _sqrt_le(-s, disc, 2 * a - b)]
+    return sorted({t if exact else float(t) for t in out})
 
 
 def intersection_diameter(

@@ -393,6 +393,129 @@ class HairbrushDecomposition:
     centrals: tuple       # candidate index chosen for each brush
 
 
+def _pair_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(r, w) Euclidean norms of a[:, i] - b[:, j] for axis-major a (d, r) and b (d, w)."""
+    sq = np.zeros((a.shape[1], b.shape[1]))
+    for x, y in zip(a, b):
+        sq += np.square(x[:, None] - y)
+    return np.sqrt(sq, out=sq)
+
+
+def _meet_heights(spec: TubeFamilySpec, cands: TubeFamilySpec) -> tuple[np.ndarray, np.ndarray]:
+    """The H heights of the meet test and the indices of its coarse samples: every
+    stride-th height and the last one."""
+    lo, hi = spec.t_range
+    # sample at the finest tube scale so transversal crossings are not missed
+    step = min(spec.delta.min(), cands.delta.min())
+    H = max(257, int(math.ceil((hi - lo) / step)) + 1)
+    # The coarse pass costs about h / gap of the fine one per pair, for the height step h and
+    # the sample gap = stride * h.  It leaves undecided the pairs that come within reach only
+    # between samples, few while gap <= 1.5 reach (least reach 2 * step) and many beyond, and
+    # the pairs whose sampled minimum lies within L gap / 2 of the reach, a share that grows
+    # with gap.  So the gap is the smaller of 1.5 reach and sqrt(h / 2): strides 8, 8, 6 and 3
+    # at k = 4, 5, 6 and >= 7 on [-1, 1], which a sweep of strides 4..16 on the n=3 worst case
+    # at k = 4..6 found fastest or within noise of it.
+    h = (hi - lo) / (H - 1)
+    stride = max(1, round(min(3.0 * step, math.sqrt(h / 2)) / h))
+    return np.linspace(lo, hi, H), np.append(np.arange(0, H - 1, stride), H - 1)
+
+
+def _meets(spec: TubeFamilySpec, cands: TubeFamilySpec) -> np.ndarray:
+    """Packed meet rows of hairbrush_decompose: bit j of row c is set when candidate c
+    meets tube j.  cands is spec itself when there are no explicit candidates."""
+    m, nc = len(spec.Y), len(cands.Y)
+    ts, idx = _meet_heights(spec, cands)
+    tube_tr = _centres(spec.family, spec.Y, spec.W, ts)  # (n-1, curves, H): a contiguous plane per axis
+    cand_tr = tube_tr if cands is spec else _centres(spec.family, cands.Y, cands.W, ts)
+    d, H, samples = len(tube_tr), len(ts), len(idx)
+
+    # Coarse pass: the same squared distances at the samples only.  A sample within reach is a
+    # meet, as the fine minimum is no larger.  No meet is certain when the least sampled
+    # distance, less what the distance can drop between samples, still clears the reach.  For
+    # D(t) = dw - t dy - t^2 dcy (the difference of two curves, dcy from the product C y that
+    # _centres takes), |D'(t)| <= L = |dy| + 2T|dcy| with T = max |t|, and every height lies
+    # within gap/2 of a sample, so the least |D| over all heights is at least the least over
+    # the samples minus L gap/2.
+    # Margin, with u = 2^-53 and S >= |w| + T|y| + T^2|cy| for every curve and axis: a centre
+    # coordinate takes five roundings, so it is within 3u(1+2u)S < 4uS of its exact value; an
+    # axis difference adds one more (within 11uS, and |D| per axis <= 2S); the sum of n-1 squares
+    # has relative error at most (n-1)u(1+u).  So each computed distance is within
+    # eta = (12 + 3(n-1)) sqrt(n-1) u S of |D| at its height: once at the coarse minimum and once
+    # at the fine one, hence margin = 2 eta.  The threshold (L from two norms, products and sums
+    # of non-negative terms), the coarse square root and the fine one carry at most
+    # (n-1)/2 + 11 roundings of relative error u, which the factor `grow` covers twice over.
+    T = np.abs(ts).max()
+    cand_y, tube_y = cands.Y.T, spec.Y.T
+    cand_cy, tube_cy = spec.family._cf @ cand_y, spec.family._cf @ tube_y
+    S = max(float((np.abs(W.T) + T * np.abs(Y) + T * T * np.abs(CY)).max())
+            for W, Y, CY in ((spec.W, tube_y, tube_cy), (cands.W, cand_y, cand_cy)))
+    u = 2.0**-53
+    margin = 2 * (12 + 3 * d) * math.sqrt(d) * u * S
+    grow = 1 + 2 * (d + 22) * u
+    half_gap = float(np.diff(ts[idx]).max()) / 2
+
+    # Fine pass: all H heights for the undecided pairs only, gathered, with the same arithmetic.
+    # Both passes take tubes in blocks of about _BLOCK_ROWS (tube, sample) rows and candidates a
+    # chunk at a time, so every buffer stays cache-sized; fresh temporaries each time are mostly
+    # page faults.  Each (chunk, block) view of a flat buffer is contiguous, which numpy runs
+    # as one loop.  Blocks and chunks start at multiples of 8 tubes, so each owns whole bytes
+    # of the packed rows.
+    per_block = max(8, _BLOCK_ROWS // samples // 8 * 8)
+    per_chunk = max(8, _BLOCK_ROWS // per_block // 8 * 8)
+    per_fine = max(1, _BLOCK_ROWS // H)
+    diff, sq, cmin = np.empty((3, per_chunk * per_block))
+    hit = np.empty(per_chunk * per_block, dtype=bool)
+    fcand, ftube, fsq = np.empty((3, per_fine, H))
+    # The coarse differences come from a matmul, [c, -1] @ [1; t] = c - t: both products are
+    # exact, so the sum rounds once, as np.subtract does, and BLAS keeps short rows fast.
+    cand_aug = np.empty((d, samples, per_chunk, 2))
+    cand_aug[..., 1] = -1.0
+    tube_aug = np.empty((d, samples, 2, per_block))
+    tube_aug[:, :, 0] = 1.0
+    meets = np.zeros((nc, (m + 7) // 8), dtype=np.uint8)
+    for s in range(0, m, per_block):
+        e = min(s + per_block, m)
+        tube_aug[:, :, 1, :e - s] = tube_tr[:, s:e][:, :, idx].transpose(0, 2, 1)
+        # Without candidates the meets are symmetric bit for bit: (a-b)^2 == (b-a)^2, the axis
+        # order is fixed and the reach is symmetric.  So a chunk is computed only against the
+        # tubes from its own start on, and those columns are mirrored into its rows' columns.
+        for r0 in range(0, e if cands is spec else nc, per_chunk):
+            r1 = min(r0 + per_chunk, e if cands is spec else nc)
+            c0 = max(s, r0) if cands is spec else s
+            r, w = r1 - r0, e - c0
+            cm, sq_, diff_, ht = (a[:r * w].reshape(r, w) for a in (cmin, sq, diff, hit))
+            ca, ta = cand_aug[:, :, :r], tube_aug[..., c0 - s:e - s]
+            ca[..., 0] = cand_tr[:, r0:r1][:, :, idx].transpose(0, 2, 1)
+            for h in range(samples):
+                acc = sq_ if h else cm
+                np.square(np.matmul(ca[0, h], ta[0, h], out=acc), out=acc)
+                for axis in range(1, d):
+                    acc += np.square(np.matmul(ca[axis, h], ta[axis, h], out=diff_), out=diff_)
+                if h:
+                    np.minimum(cm, sq_, out=cm)
+            dist = np.sqrt(cm)
+            reach = 2.0 * np.maximum(cands.delta[r0:r1, None], spec.delta[c0:e])
+            np.less_equal(dist, reach, out=ht)
+            lip = _pair_norms(cand_y[:, r0:r1], tube_y[:, c0:e]) \
+                + 2 * T * _pair_norms(cand_cy[:, r0:r1], tube_cy[:, c0:e])
+            pi, pj = np.nonzero((dist <= (reach + margin + lip * half_gap) * grow) & ~ht)
+            for f in range(0, len(pi), per_fine):
+                i, j = pi[f:f + per_fine], pj[f:f + per_fine]
+                fc, ft, fs = fcand[:len(i)], ftube[:len(i)], fsq[:len(i)]
+                for axis in range(d):  # (mode="raise" would copy through a temporary)
+                    np.subtract(np.take(cand_tr[axis], r0 + i, axis=0, out=fc, mode="clip"),
+                                np.take(tube_tr[axis], c0 + j, axis=0, out=ft, mode="clip"), out=fc)
+                    if axis:
+                        fs += np.square(fc, out=fc)
+                    else:
+                        np.square(fc, out=fs)
+                ht[i, j] = np.sqrt(fs.min(axis=1)) <= reach[i, j]
+            meets[r0:r1, c0 // 8:(e + 7) // 8] = np.packbits(ht, axis=1)
+            if cands is spec:
+                meets[c0:e, r0 // 8:(r1 + 7) // 8] = np.packbits(ht.T, axis=1)
+    return meets
+
+
 def hairbrush_decompose(
     spec: TubeFamilySpec,
     N: int,
@@ -406,9 +529,15 @@ def hairbrush_decompose(
     larger thickness at one of H = max(257, ceil((hi - lo) / min delta) + 1)
     evenly spaced heights of the t-range, squared axis terms summed in axis
     order.  On return no candidate meets N of the leftover ("bad") tubes.
-    Costs O(#candidates * #tubes * H * (n - 1)), about half of that without
-    candidates (the meets are then symmetric), and holds the meets as packed
-    bits, #candidates * #tubes / 8 bytes.
+    The meets come out bit for bit as if every height were tested, in two
+    passes.  The coarse pass tests every stride-th height and the last one: a
+    sample within reach is a meet, and a pair whose least sampled distance,
+    less a Lipschitz bound on how far the distance can drop between samples
+    and a rounding margin, still clears the reach meets nowhere.  The fine pass
+    tests all H heights of the few pairs left.  This costs
+    O(#candidates * #tubes * (H / stride + H * undecided share) * (n - 1)),
+    about half of that without candidates (the meets are then symmetric), and
+    holds the meets as packed bits, #candidates * #tubes / 8 bytes.
     """
     if N < 1:
         raise PreconditionViolation(f"brush size threshold N = {N} must be at least 1")
@@ -418,45 +547,20 @@ def hairbrush_decompose(
     m = len(spec.Y)
     if not m:
         return HairbrushDecomposition(brushes=(), bad=(), centrals=())
-    lo, hi = spec.t_range
-    # sample at the finest tube scale so transversal crossings are not missed
-    step = min(spec.delta.min(), cands.delta.min())
-    H = max(257, int(math.ceil((hi - lo) / step)) + 1)
-    ts = np.linspace(lo, hi, H)
-
-    tube_tr = _centres(spec.family, spec.Y, spec.W, ts)  # (n-1, curves, H): a contiguous plane per axis
-    cand_tr = tube_tr if cands is spec else _centres(spec.family, cands.Y, cands.W, ts)
-    # bit t of packed row c: min over heights of |cand_c - tube_t| <= 2 max(delta)
-    meets = np.zeros((len(cands.Y), (m + 7) // 8), dtype=np.uint8)
-    # tubes go in blocks of about _BLOCK_ROWS (tube, height) rows, so the two buffers reused
-    # across candidates stay cache-sized; fresh temporaries each time are mostly page faults.
-    # Blocks hold a multiple of 8 tubes, so each owns whole bytes of the packed rows.
-    per_block = max(8, _BLOCK_ROWS // H // 8 * 8)
-    hit = np.empty((len(cands.Y), per_block), dtype=bool)
-    for s in range(0, m, per_block):
-        block, block_delta = tube_tr[:, s:s + per_block], spec.delta[s:s + per_block]
-        w = len(block_delta)
-        diff, sq = np.empty(block.shape[1:]), np.empty(block.shape[1:])
-        # Without candidates the meets are symmetric bit for bit: (a-b)^2 == (b-a)^2, the axis
-        # order is fixed and the reach is symmetric.  So only rows before the block's end are
-        # computed, and the block's rows before its start are mirrored from their columns.
-        rows = s + w if cands is spec else len(cands.Y)
-        for ci in range(rows):
-            np.square(np.subtract(cand_tr[0, ci], block[0], out=sq), out=sq)
-            for axis in range(1, len(block)):
-                sq += np.square(np.subtract(cand_tr[axis, ci], block[axis], out=diff), out=diff)
-            reach = 2.0 * np.maximum(cands.delta[ci], block_delta)
-            np.less_equal(np.sqrt(sq.min(axis=1)), reach, out=hit[ci, :w])
-        meets[:rows, s // 8:(s + w + 7) // 8] = np.packbits(hit[:rows, :w], axis=1)
-        if cands is spec:
-            meets[s:s + w, :s // 8] = np.packbits(hit[:s, :w].T, axis=1)
+    meets = _meets(spec, cands)  # the trajectories are released on return
 
     remaining = np.ones(m, dtype=bool)
     brushes, centrals = [], []
-    counts = np.empty_like(meets)
+    # meets & remaining is counted a cache-sized slab of rows at a time
+    per_slab = max(1, _BLOCK_ROWS // meets.shape[1])
+    slab = np.empty((per_slab, meets.shape[1]), dtype=np.uint8)
+    totals = np.empty(len(meets), dtype=np.int64)
     while True:
-        np.bitwise_count(np.bitwise_and(meets, np.packbits(remaining), out=counts), out=counts)
-        totals = counts.sum(axis=1)
+        packed = np.packbits(remaining)
+        for r0 in range(0, len(meets), per_slab):
+            rows = meets[r0:r0 + per_slab]
+            part = np.bitwise_and(rows, packed, out=slab[:len(rows)])
+            totals[r0:r0 + len(rows)] = np.bitwise_count(part, out=part).sum(axis=1)
         best = int(np.argmax(totals))
         if totals[best] < N:
             break

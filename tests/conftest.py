@@ -113,15 +113,13 @@ def stamp_oracle(spec, k: int) -> Counter:
     return counts
 
 
-def hairbrush_oracle(spec, N: int, candidates=None) -> tuple:
-    """(brushes, bad, centrals) of the greedy hairbrush decomposition, pair by pair.
+def meet_oracle(spec, candidates=None) -> np.ndarray:
+    """(candidates, tubes) bool meets of the hairbrush decomposition, pair by pair.
 
     Curves are sampled at H = max(257, ceil((hi - lo) / min delta) + 1) evenly
     spaced heights of the t-range.  A candidate meets a tube when the square
     root of the least squared distance over those heights, squared axis terms
-    summed in axis order, is at most twice the larger delta.  The candidate
-    meeting the most remaining tubes (lowest index on ties) takes them as a
-    brush while it meets at least N.
+    summed in axis order, is at most twice the larger delta.
     """
     tubes = list(spec.tubes)
     cands = tubes if candidates is None else list(candidates)
@@ -144,9 +142,16 @@ def hairbrush_oracle(spec, N: int, candidates=None) -> tuple:
         for axis in range(pc.shape[1]):
             sq = sq + (pc[None, :, axis] - tube_paths[:, :, axis]) ** 2
         meets.append(np.sqrt(sq.min(axis=1)) <= 2.0 * np.maximum(float(c.delta), tube_deltas))
-    meets = np.array(meets)
+    return np.array(meets).reshape(len(cands), len(tubes))
 
-    remaining = set(range(len(tubes)))
+
+def hairbrush_oracle(spec, N: int, candidates=None, meets=None) -> tuple:
+    """(brushes, bad, centrals) of the greedy hairbrush decomposition over the
+    meets of meet_oracle (or the given ones): the candidate meeting the most
+    remaining tubes (lowest index on ties) takes them as a brush while it meets
+    at least N."""
+    meets = meet_oracle(spec, candidates) if meets is None else meets
+    remaining = set(range(meets.shape[1]))
     brushes, centrals = [], []
     while True:
         counts = meets[:, sorted(remaining)].sum(axis=1).tolist()

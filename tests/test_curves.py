@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import kakeya_lab as kl
 
@@ -103,6 +105,46 @@ class TestIntersectCurves:
         p = kl.CurveParams(y=(1, 0), omega=(0, 0))
         with pytest.raises(kl.IdenticalCurves):
             kl.intersect_curves(f, p, p)
+
+    def test_tiny_float_differences_take_the_exact_path(self):
+        # both curves pass through (-1/8, -1/4, 1/2); dy = (1e-15, 0) is below any absolute float threshold
+        f = fam(WORST)
+        p1 = kl.CurveParams(y=(1e-15, 0.5), omega=(5e-16, 0.0))
+        p2 = kl.CurveParams(y=(0.0, 0.5), omega=(0.0, 0.0))
+        heights = kl.intersect_curves(f, p1, p2)
+        assert heights == [0.5] and type(heights[0]) is float
+
+    @settings(max_examples=200, deadline=None)
+    @given(t0=st.integers(-64, 64), scale=st.sampled_from([1.0, 2.0**-20, 2.0**-50]),
+           C=st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+           coords=st.lists(st.integers(-1024, 1024), min_size=6, max_size=6))
+    def test_float_pairs_meeting_at_a_dyadic_height(self, t0, scale, C, coords):
+        # every value is a dyadic rational with at most about 40 significant bits, so the centres
+        # omega = p + t0 y + t0^2 C y that put both curves through p at t0 are exact floats
+        C = kl.RationalMatrix([[F(C[0], 4), F(C[1], 4)], [F(C[2], 4), F(C[3], 4)]])
+        t0 = F(t0, 64)
+        p, y1, y2 = ([F(v, 1024) * F(scale) for v in coords[i:i + 2]] for i in (0, 2, 4))
+        assume(y1 != y2)
+
+        def params(y):
+            cy = C.mat_vec(y)
+            omega = [pi + t0 * yi + t0 * t0 * ci for pi, yi, ci in zip(p, y, cy)]
+            assert all(F(float(w)) == w for w in omega)
+            return kl.CurveParams(y=tuple(float(v) for v in y), omega=tuple(float(w) for w in omega))
+
+        heights = kl.intersect_curves(fam(C), params(y1), params(y2))
+        assert float(t0) in heights and all(type(t) is float for t in heights)
+
+    def test_irrational_heights_checked_exactly(self):
+        # t + t^2 = 1/2 in both components: heights (-1 +- sqrt 3)/2, of which one lies in [-1, 1]
+        f = fam(kl.RationalMatrix.diagonal([1, 1]))
+        zero = kl.CurveParams(y=(0, 0), omega=(0, 0))
+        root = (math.sqrt(3) - 1) / 2
+        for half in (F(1, 2), 0.5):
+            heights = kl.intersect_curves(f, kl.CurveParams(y=(1, 1), omega=(half, half)), zero)
+            assert len(heights) == 1 and abs(heights[0] - root) <= 1e-16 and type(heights[0]) is float
+        # the second component asks t + t^2 = 1/4, so no height solves both
+        assert kl.intersect_curves(f, kl.CurveParams(y=(1, 1), omega=(F(1, 2), F(1, 4))), zero) == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_points_coincide_exactly_at_heights(self, seed):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import kakeya_lab as kl
 from kakeya_lab import raster
 
-from conftest import hairbrush_oracle, reduced_ball_net, stamp_oracle
+from conftest import hairbrush_oracle, meet_oracle, reduced_ball_net, stamp_oracle
 from kakeya_lab.raster import _BLOCK_ROWS
 
 ZERO2 = kl.RationalMatrix.zero(2)
@@ -417,9 +417,16 @@ class TestHairbrushDecompose:
         tubes = self._clustered(rng, fam, 50, [2.0**-5, 2.0**-6], hubs)
         return kl.TubeFamilySpec(family=fam, tubes=tubes), 5, None
 
+    @staticmethod
+    def _meet_bits(spec, candidates=None):
+        """The packed meets of hairbrush_decompose, unpacked to a (candidates, tubes) bool array."""
+        cands = spec if candidates is None else kl.TubeFamilySpec(spec.family, candidates, spec.t_range)
+        return np.unpackbits(raster._meets(spec, cands), axis=1, count=len(spec.Y)).astype(bool)
+
     @pytest.mark.parametrize("name", ["worst-k3", "nondyadic-mixed-candidates", "n4"])
     def test_matches_oracle(self, name):
         spec, N, cands = self._oracle_case(name)
+        assert np.array_equal(self._meet_bits(spec, cands), meet_oracle(spec, cands))
         dec = kl.hairbrush_decompose(spec, N, cands)
         assert dec.brushes, "the case should produce at least one brush"
         assert (dec.brushes, dec.bad, dec.centrals) == hairbrush_oracle(spec, N, cands)
@@ -427,20 +434,80 @@ class TestHairbrushDecompose:
     @pytest.mark.parametrize("name", ["worst-k4", "mixed-delta"])
     def test_symmetric_packed_path_matches_candidates_and_oracle(self, name):
         # without candidates only half the meets are computed and the rest mirrored; several
-        # blocks and a tube count that is not a multiple of 8 exercise the mirror and the packed tail
-        if name == "worst-k4":
-            spec, N = kl.build_worstcase_kakeya(WORST, 4), 8
+        # blocks, several candidate chunks and a tube count that is not a multiple of 8 exercise
+        # the mirror and the packed tail
+        if name == "worst-k4":  # the k=4 worst case over 1001 directions of the k=5 net
+            spec, N = kl.build_worstcase_kakeya(WORST, 4, kl.ball_lattice_directions(2, 5)[:1001]), 8
         else:
             fam = kl.CurveFamily(n=3, C=kl.RationalMatrix([[F(1, 3), F(-2, 5)], [F(3, 7), F(1, 5)]]))
             hubs = [((0.1, -0.2), 0.3), ((-0.3, 0.25), -0.4), ((0.4, 0.4), 0.6)]
-            tubes = self._clustered(np.random.default_rng(5), fam, 61, [2.0**-5, 2.0**-8, 2.0**-6], hubs)
+            tubes = self._clustered(np.random.default_rng(5), fam, 250, [2.0**-5, 2.0**-8, 2.0**-6], hubs)
             spec, N = kl.TubeFamilySpec(family=fam, tubes=tubes), 4
         m = len(spec.Y)
-        H = max(257, math.ceil((spec.t_range[1] - spec.t_range[0]) / spec.delta.min()) + 1)
-        assert m % 8 and m > _BLOCK_ROWS // H  # more than one block
+        per_block = _BLOCK_ROWS // len(raster._meet_heights(spec, spec)[1])  # tubes per block, at most
+        assert m % 8 and m > per_block and m > _BLOCK_ROWS // (per_block - 7)  # blocks and chunks
+        bits, oracle = self._meet_bits(spec), meet_oracle(spec)
+        assert np.array_equal(bits, oracle) and np.array_equal(bits, bits.T)
         dec = kl.hairbrush_decompose(spec, N)
         assert dec.brushes and dec == kl.hairbrush_decompose(spec, N, candidates=spec.tubes)
-        assert (dec.brushes, dec.bad, dec.centrals) == hairbrush_oracle(spec, N)
+        assert (dec.brushes, dec.bad, dec.centrals) == hairbrush_oracle(spec, N, meets=oracle)
+
+    def test_parallel_pairs_at_the_reach(self):
+        # parallel curves (equal y) at reach * (1 + j 2^-52) apart: L = 0, and the rounding of the
+        # centres moves their distance by a few ulps from height to height, so some pairs come
+        # within reach only at a fine height; only the rounding margin keeps the coarse pass
+        # from deciding them
+        fam = kl.CurveFamily(n=3, C=kl.RationalMatrix([[F(1, 3), F(-2, 5)], [F(3, 7), F(1, 5)]]))
+        delta, reach = 2.0**-6, 2.0**-5
+        rng = np.random.default_rng(1)
+        tubes = []
+        for _ in range(100):
+            y, w, ang = rng.uniform(-0.7, 0.7, 2), rng.uniform(-0.5, 0.5, 2), rng.uniform(0, 2 * np.pi)
+            apart = reach * (1 + int(rng.integers(-30, 30)) * 2.0**-52)
+            for omega in (w, w + apart * np.array([np.cos(ang), np.sin(ang)])):
+                tubes.append(kl.TubeSpec(params=kl.CurveParams(y=tuple(y), omega=tuple(omega)), delta=delta))
+        spec = kl.TubeFamilySpec(family=fam, tubes=tubes)
+        ts, idx = raster._meet_heights(spec, spec)
+        oracle = meet_oracle(spec)
+        paths = raster._centres(fam, spec.Y, spec.W, ts)
+        sq = ((paths[:, 0::2] - paths[:, 1::2]) ** 2).sum(axis=0)
+        assert ((np.sqrt(sq.min(axis=1)) <= reach) & (np.sqrt(sq[:, idx].min(axis=1)) > reach)).any()
+        assert np.array_equal(self._meet_bits(spec), oracle)
+
+    @pytest.mark.parametrize("t_range", [(-1.0, 1.0), (-0.5, 0.75)])
+    def test_coarse_pass_edges(self, t_range):
+        # straight tubes (C = 0) at delta = 2^-6, reach 2^-5, placed around the coarse samples:
+        # tube 0 sits at the origin; tubes 1 and 2 cross at a height strictly between two samples
+        # and are out of reach at every sample; tube 3 passes tube 0 at 5/4 reach at a sample,
+        # inside the Lipschitz slack, and never meets it; tube 4 is exactly at reach from tube 0
+        # at a sample and tube 5 one float further.
+        delta, reach = 2.0**-6, 2.0**-5
+        probe = kl.TubeFamilySpec(family=straight_family(), t_range=t_range,
+                                  tubes=[kl.TubeSpec(params=kl.CurveParams(y=(0.0, 0.0), omega=(0.0, 0.0)),
+                                                     delta=delta)])
+        ts, idx = raster._meet_heights(probe, probe)
+        gaps = np.diff(idx)
+        assert gaps[0] > 2 and gaps[-1] != gaps[0]  # (H - 1) is not a multiple of the stride
+        t_fine, t_s = ts[(idx[1] + idx[2]) // 2], ts[idx[2]]
+        params = [((0.0, 0.0), (0.0, 0.0)),
+                  ((0.9, 0.0), (0.9 * t_fine, 0.0)), ((-0.9, 0.0), (-0.9 * t_fine, 0.0)),
+                  ((0.9, 0.0), (0.9 * t_s, 1.25 * reach)),
+                  ((0.5, 0.0), (0.5 * t_s, reach)), ((0.5, 0.0), (0.5 * t_s, np.nextafter(reach, 1.0)))]
+        tubes = [kl.TubeSpec(params=kl.CurveParams(y=y, omega=w), delta=delta) for y, w in params]
+        spec = kl.TubeFamilySpec(family=straight_family(), tubes=tubes, t_range=t_range)
+        paths = [np.asarray(w) - ts[:, None] * np.asarray(y) for y, w in params]
+
+        def dist(a, b):
+            return np.sqrt(((paths[a] - paths[b]) ** 2).sum(axis=1))
+
+        assert dist(1, 2).min() == 0.0 and (dist(1, 2)[idx] > reach).all()
+        lipschitz_slack = 0.9 * np.diff(ts[idx]).max() / 2
+        assert reach < dist(0, 3)[idx].min() <= reach + lipschitz_slack and dist(0, 3).min() > reach
+        assert dist(0, 4)[idx].min() == reach and dist(0, 5).min() > reach
+        bits = self._meet_bits(spec)
+        assert np.array_equal(bits, meet_oracle(spec))
+        assert bits[1, 2] and bits[0, 4] and not bits[0, 3] and not bits[0, 5]
+        assert np.array_equal(self._meet_bits(spec, tubes), bits)
 
 
 class TestSurfaceResidual:
