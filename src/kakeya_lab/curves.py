@@ -27,6 +27,8 @@ from .errors import (
 )
 from .exact import RationalMatrix, rat
 
+_SLAB = 2**15  # float64 elements of _centres' scratch: 256 KB, a slab that stays in cache
+
 Vector = tuple
 
 
@@ -109,16 +111,23 @@ def _param_arrays(params: Sequence[CurveParams]) -> tuple[np.ndarray, np.ndarray
 
 
 def _centres(family: CurveFamily, Y: np.ndarray, W: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """omega - t*y - t^2*C*y for direction rows Y and centre rows W at heights
-    ts, axis-major: shape (n-1, curves, heights), one contiguous plane per axis.
-    The one float copy of the curve formula; built an axis at a time through
-    one plane of scratch, which is released on return."""
-    CY = family._cf @ Y.T  # (n-1, curves)
+    """omega - t*y - t^2*C*y for direction rows Y and centre rows W at finite
+    heights ts, axis-major: shape (n-1, curves, heights), one contiguous plane
+    per axis.  The one float copy of the curve formula.  Each plane is built in
+    place; its t^2*C*y term is formed a cache-sized slab of rows at a time, and
+    skipped on an axis whose C y row is all +0.0, where it would change no bit
+    (t^2 * +0.0 is +0.0, and x - +0.0 is x for every x, -0.0 included)."""
+    CY = family._cf @ Y.T  # (n-1, curves), C-contiguous rows
     out = np.empty((Y.shape[1], len(Y), len(ts)))
-    tmp = np.empty(out.shape[1:])
+    tt = ts * ts
+    rows = max(1, _SLAB // max(1, len(ts)))
+    slab = np.empty((min(rows, len(Y)), len(ts)))
     for plane, w, y, cy in zip(out, W.T, Y.T, CY):
-        np.subtract(w[:, None], np.multiply(ts, y[:, None], out=tmp), out=plane)
-        plane -= np.multiply(ts * ts, cy[:, None], out=tmp)
+        np.subtract(w[:, None], np.multiply(ts, y[:, None], out=plane), out=plane)
+        if cy.view(np.uint64).any():
+            for r in range(0, len(plane), rows):
+                part = plane[r:r + rows]
+                part -= np.multiply(tt, cy[r:r + rows, None], out=slab[:len(part)])
     return out
 
 

@@ -20,6 +20,8 @@ from .errors import NoSolution, NotCompanionForm, SingularConfiguration, Singula
 from .exact import (
     Polynomial,
     RationalMatrix,
+    _squarefree_part,
+    char_poly,
     eigenvalues_float,
     count_real_roots,
     nilpotency,
@@ -154,21 +156,33 @@ def _nikodym_residual(Cf: np.ndarray, t0: float, t1: float, t2: float) -> float:
     return float(np.max(np.abs(_float_X(Mf, lam) - _float_T(Cf, t0, t1))))
 
 
-def _distinct_eigenvalue_pair(C: RationalMatrix, tol: float = 1e-8):
-    """Cluster the float spectrum; return the (at most two) distinct values or None."""
-    eigs = eigenvalues_float(C)
+def _eigenvalue_pair(M: RationalMatrix, tol: float = 1e-8):
+    """M's (at most two) distinct eigenvalues as complex floats, a single one twice; None for more.
+
+    The count is exact: the degree of the squarefree part of char_poly(M).  The
+    values are the float spectrum clustered with ``tol * max(1, |r|)`` when
+    that finds as many, else the roots of the squarefree part, from exact
+    coefficients (the clustering merges distinct values below about ``tol``).
+    """
+    sf = _squarefree_part(char_poly(M))
+    if sf.degree > 2:
+        return None
     reps: list[complex] = []
-    for z in eigs:
+    for z in eigenvalues_float(M):
         for r in reps:
             if abs(z - r) <= tol * max(1.0, abs(r)):
                 break
         else:
             reps.append(z)
-    if len(reps) > 2:
-        return None
-    if len(reps) == 1:
-        reps = [reps[0], reps[0]]
-    return reps[0], reps[1]
+    if len(reps) != sf.degree:
+        c0, c1, c2 = (sf.coeffs + (0,))[:3]
+        if sf.degree == 1:
+            reps = [complex(-c0 / c1)]
+        else:  # roots m +- sqrt(d); the larger one without cancellation, the other from the product c0/c2
+            m, d = -c1 / (2 * c2), (c1 * c1 - 4 * c0 * c2) / (4 * c2 * c2)
+            r = complex(float(m) + math.copysign(1.0, m) * np.sqrt(complex(d)))
+            reps = [r, float(c0 / c2) / r]
+    return reps[0], reps[-1]
 
 
 def _valid_heights(*ts: float) -> bool:
@@ -310,7 +324,7 @@ def solve_nikodym_three_slice(C: RationalMatrix) -> HeightsSolution:
     if not (C.is_diagonal() or C.det() != 0):
         raise NoSolution("unsupported_matrix_shape", "need C diagonal or invertible, or C^2 = 0")
 
-    pair = _distinct_eigenvalue_pair(C)
+    pair = _eigenvalue_pair(C)
     if pair is None:
         raise NoSolution("too_many_eigenvalues", "spectrum must have at most two values")
     h, k = pair
@@ -421,7 +435,7 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
     eigs = eigenvalues_float(C)
     if all(abs(z.imag) <= 1e-10 for z in eigs):
         raise NoSolution("real_spectrum_blocked", "real spectrum cannot solve the quadratic in (-1,1)")
-    pair = _distinct_eigenvalue_pair(C)
+    pair = _eigenvalue_pair(C)
     if pair is None or abs(pair[0].conjugate() - pair[1]) > 1e-8 * max(1.0, abs(pair[0])):
         raise NoSolution("region_violated", "need exactly one complex-conjugate eigenvalue pair")
     alpha, beta = pair[0].real, abs(pair[0].imag)
@@ -449,9 +463,9 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
         t0, t1 = Fraction(-1) + best_eps, Fraction(1) - 2 * best_eps
     M = aux_matrix(C, t0, t1)
     Mf = M.to_float()
-    ev = np.linalg.eigvals(Mf)
-    # collapse to the two distinct values
-    lm_pair = _distinct_eigenvalue_pair_from(ev)
+    lm_pair = _eigenvalue_pair(M)
+    if lm_pair is None:
+        raise NoSolution("region_violated", "auxiliary matrix has more than two eigenvalues")
     s = float((lm_pair[0] + lm_pair[1]).real)
     p = float((lm_pair[0] * lm_pair[1]).real)
 
@@ -495,21 +509,6 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
         t0_range=t0_range,
         regime="complex_pair_swapped" if best_swap else "complex_pair",
     )
-
-
-def _distinct_eigenvalue_pair_from(eigs, tol: float = 1e-8):
-    reps: list[complex] = []
-    for z in eigs:
-        for r in reps:
-            if abs(z - r) <= tol * max(1.0, abs(r)):
-                break
-        else:
-            reps.append(complex(z))
-    if len(reps) == 1:
-        reps = [reps[0], reps[0]]
-    if len(reps) != 2:
-        raise NoSolution("region_violated", "auxiliary matrix has more than two eigenvalues")
-    return reps[0], reps[1]
 
 
 # --------------------------------------------------------------------- calculators

@@ -9,8 +9,12 @@ Sets and incidences are stored as rows: an (n, dim) int64 array of the
 distinct points (or pairs) in lexicographic order, or an object array of
 Python ints when a coordinate is outside int64.  Each operation derives from
 the stored coordinate bounds whether its arithmetic stays inside int64, and
-otherwise runs the same array code on Python ints.  The frozensets of tuples
-(``points``, ``pairs``) are built on each access and not kept.
+otherwise runs the same array code on Python ints.  Rows are compared through
+one key per row (``_keys``): Horner's scheme in the balanced base 2P + 1, P a
+bound on the coordinates, which is injective and sorts as the rows do, in
+int64 while it fits and in Python ints past that.  Cardinalities are counted
+on the keys without building a set.  The frozensets of tuples (``points``,
+``pairs``) are built on each access and not kept.
 """
 
 from __future__ import annotations
@@ -47,32 +51,6 @@ def _rows(points: Iterable, dim: int) -> np.ndarray:
     return rows.reshape(len(pts), dim)
 
 
-def _firsts(rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows that differ from the row before them."""
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return first
-
-
-def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stable lexicographic sort order of the rows, and the first-of-run mask of the sorted rows."""
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
-    return order, _firsts(rows[order])
-
-
-def _distinct(rows: np.ndarray) -> np.ndarray:
-    order, first = _runs(rows)
-    return rows[order[first]]
-
-
-def _ranks(rows: np.ndarray) -> np.ndarray:
-    """Rank of each row among the distinct rows in lexicographic order."""
-    order, first = _runs(rows)
-    ranks = np.empty(len(rows), dtype=np.int64)
-    ranks[order] = np.cumsum(first) - 1
-    return ranks
-
-
 def _peak(rows: np.ndarray) -> int:
     return max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
 
@@ -80,6 +58,45 @@ def _peak(rows: np.ndarray) -> int:
 def _exact(bound: int, *arrays: np.ndarray) -> tuple:
     """The arrays as they are when ``bound`` < 2^63, else as Python-int object arrays."""
     return arrays if bound < 2**63 else tuple(x.astype(object) for x in arrays)
+
+
+def _keys(rows: np.ndarray, peak: int) -> np.ndarray:
+    """One key per row, in the rows' lexicographic order; ``peak`` bounds every |coordinate|.
+
+    Horner's scheme in the balanced base S = 2 peak + 1 is injective and keeps the order, and every
+    partial key is within (S^dim - 1)/2: the keys are int64 while that fits, else Python ints.  int64
+    rows take their own peak when the given one is too loose for int64 keys, so compare only the keys
+    of one call.
+    """
+    dim = rows.shape[1]
+    if rows.dtype != object and ((2 * peak + 1) ** dim - 1) // 2 >= 2**63:
+        peak = _peak(rows)
+    S = 2 * peak + 1
+    dtype = np.int64 if (S**dim - 1) // 2 < 2**63 else object
+    keys = rows[:, 0].astype(dtype) if dim else np.zeros(len(rows), dtype=dtype)
+    for column in rows.T[1:]:
+        keys = keys * S + column.astype(dtype, copy=False)  # a column at a time: no Python-int copy of the rows
+    return keys
+
+
+def _distinct(rows: np.ndarray, peak: Optional[int] = None) -> np.ndarray:
+    """The distinct rows in lexicographic order; ``peak`` bounds every |coordinate| (default: the rows' own)."""
+    keys = _keys(rows, _peak(rows) if peak is None else peak)
+    return rows.take(np.unique(keys, return_index=True)[1], axis=0)
+
+
+def _count(rows: np.ndarray, peak: int) -> int:
+    """Number of distinct rows: int64 keys sorted, Python ints in a set (6x faster than their sort)."""
+    keys = _keys(rows, peak)
+    if keys.dtype == object:
+        return len(set(keys.tolist()))
+    keys = np.sort(keys)
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + (len(keys) > 0)
+
+
+def _ranks(rows: np.ndarray, peak: int) -> np.ndarray:
+    """Rank of each row among the distinct rows in lexicographic order."""
+    return np.unique(_keys(rows, peak), return_inverse=True)[1]
 
 
 class LatticeSet:
@@ -190,12 +207,12 @@ class Incidence:
 
 def _indices(S: LatticeSet, rows: np.ndarray) -> np.ndarray:
     """Index in S.rows of each of ``rows``, which must all be points of S."""
-    if not len(rows):
-        return np.zeros(0, dtype=np.int64)
-    ranks = _ranks(np.vstack([S.rows, rows]))
-    if ranks.max(initial=-1) >= S.size:  # a row outside S adds a distinct row
+    keys = _keys(np.vstack([S.rows, rows]), max(_peak(S.rows), _peak(rows)))
+    own, want = keys[:S.size], keys[S.size:]
+    at = np.searchsorted(own, want)
+    if len(want) and (at.max() == S.size or (own[at] != want).any()):
         raise PreconditionViolation("incidence references a point outside A or B")
-    return ranks[S.size:]
+    return at
 
 
 def _x_scale(X: RationalMatrix) -> int:
@@ -203,36 +220,47 @@ def _x_scale(X: RationalMatrix) -> int:
 
 
 def _scaled_rows(M: RationalMatrix, L: int) -> list:
-    return [[int(e * L) for e in r] for r in M.rows]
+    return [[e.numerator * (L // e.denominator) for e in r] for r in M.rows]
+
+
+def _check(A: LatticeSet, B: LatticeSet, *Xs: RationalMatrix):
+    if A.dim != B.dim or any(X.dim != A.dim for X in Xs):
+        raise PreconditionViolation("dimension mismatch")
+    if A.scale != B.scale:
+        raise PreconditionViolation("A and B must share a scale")
+
+
+def _sums(G: Incidence, X: RationalMatrix, dim: int) -> tuple[np.ndarray, int]:
+    """The rows L a + (L X) b over G's pairs, L the lcm of X's denominators, and a bound on their entries."""
+    if not G.size:
+        return np.empty((0, dim), dtype=np.int64), 0
+    L = _x_scale(X)
+    XL = _scaled_rows(X, L)
+    x_max = max(abs(v) for r in XL for v in r)
+    # every entry and partial sum of L*a + b @ XL.T is <= L*|a| + dim*|XL|*|b|; +1s keep L, XL in int64
+    bound = L * (G.peak_a + 1) + dim * x_max * (G.peak_b + 1)
+    a, b = _exact(bound, G.a, G.b)
+    return L * a + b @ np.array(XL, dtype=a.dtype).T, bound
+
+
+def _differences(G: Incidence, dim: int) -> tuple[np.ndarray, int]:
+    """The rows a - b over G's pairs and a bound on their coordinates."""
+    if not G.size:
+        return np.empty((0, dim), dtype=np.int64), 0
+    a, b = _exact(G.peak_a + G.peak_b, G.a, G.b)
+    return a - b, G.peak_a + G.peak_b
 
 
 def x_sumset(A: LatticeSet, B: LatticeSet, G: Incidence, X: RationalMatrix) -> LatticeSet:
     """{a + X b : (a, b) in G} on the lattice (1/L) Z^{n-1}, L = lcm of X's denominators."""
-    if A.dim != B.dim or X.dim != A.dim:
-        raise PreconditionViolation("dimension mismatch")
-    if A.scale != B.scale:
-        raise PreconditionViolation("A and B must share a scale")
-    L = _x_scale(X)
-    if not G.size:
-        return LatticeSet._of_rows(A.dim, np.empty((0, A.dim), dtype=np.int64), L * A.scale)
-    XL = _scaled_rows(X, L)
-    x_max = max(abs(v) for r in XL for v in r)
-    # every entry and partial sum of L*a + b @ XL.T is <= L*|a| + dim*|XL|*|b|; +1s keep L, XL in int64
-    a, b = _exact(L * (G.peak_a + 1) + A.dim * x_max * (G.peak_b + 1), G.a, G.b)
-    pts = L * a + b @ np.array(XL, dtype=a.dtype).T
-    return LatticeSet._of_rows(A.dim, _distinct(pts), L * A.scale)
+    _check(A, B, X)
+    return LatticeSet._of_rows(A.dim, _distinct(*_sums(G, X, A.dim)), _x_scale(X) * A.scale)
 
 
 def difference_set(A: LatticeSet, B: LatticeSet, G: Incidence) -> LatticeSet:
     """{a - b : (a, b) in G}."""
-    if A.dim != B.dim:
-        raise PreconditionViolation("dimension mismatch")
-    if A.scale != B.scale:
-        raise PreconditionViolation("A and B must share a scale")
-    if not G.size:
-        return LatticeSet._of_rows(A.dim, np.empty((0, A.dim), dtype=np.int64), A.scale)
-    a, b = _exact(G.peak_a + G.peak_b, G.a, G.b)
-    return LatticeSet._of_rows(A.dim, _distinct(a - b), A.scale)
+    _check(A, B)
+    return LatticeSet._of_rows(A.dim, _distinct(*_differences(G, A.dim)), A.scale)
 
 
 @dataclass(frozen=True)
@@ -249,8 +277,9 @@ class RatioReport:
 def check_ratio(A: LatticeSet, B: LatticeSet, G: Incidence, Xs: Sequence[RationalMatrix],
                 eps) -> RatioReport:
     """Test #(A-B) <= max(#A, #B, max_j #(A + X_j B))^(2 - eps), exactly for rational eps."""
-    sum_sizes = tuple(x_sumset(A, B, G, X).size for X in Xs)
-    n_diff = difference_set(A, B, G).size
+    _check(A, B, *Xs)
+    sum_sizes = tuple(_count(*_sums(G, X, A.dim)) for X in Xs)
+    n_diff = _count(*_differences(G, A.dim))
     mx = max((A.size, B.size) + sum_sizes)
     if mx <= 1 and n_diff > 1:
         raise DegenerateInstance("max side is 1 but the difference set is larger")
@@ -284,12 +313,7 @@ def gen_line_counterexample(X: RationalMatrix, M: int) -> tuple[LatticeSet, Latt
     if M < 1:
         raise PreconditionViolation("M must be positive")
     d = X.dim
-    col = None
-    for i in range(d):
-        column = [X[r, i] for r in range(d)]
-        if any(column[r] != 0 for r in range(d) if r != i):
-            col = i
-            break
+    col = next((i for i in range(d) if any(X[r, i] != 0 for r in range(d) if r != i)), None)
     if col is None:
         raise NoSuchVector("every standard basis vector is an eigendirection; X is diagonal-like")
     c = math.lcm(*[X[r, col].denominator for r in range(d)])
@@ -367,13 +391,11 @@ class TrapeziumReport:
 
 def _discard_to_distinct_differences(G: Incidence) -> Incidence:
     # keep the lexicographically least pair for each difference value: G's rows
-    # are in that order and the sort in _runs is stable
+    # are in that order and np.unique returns each key's first index
     if not G.size:
         return G
-    a, b = _exact(G.peak_a + G.peak_b, G.a, G.b)
-    order, first = _runs(a - b)
-    keep = np.sort(order[first])
-    return Incidence._of_rows(G.a[keep], G.b[keep])
+    keep = np.sort(np.unique(_keys(*_differences(G, G.a.shape[1])), return_index=True)[1])
+    return Incidence._of_rows(G.a.take(keep, axis=0), G.b.take(keep, axis=0))
 
 
 def _trapezia(G: Incidence, X: RationalMatrix, Y: RationalMatrix) -> tuple[int, bool]:
@@ -402,22 +424,17 @@ def _trapezia(G: Incidence, X: RationalMatrix, Y: RationalMatrix) -> tuple[int, 
     S = D * D * b
 
     # triples (i, j): rows i, j of G with a_i == a_j; each a is one run of G's sorted rows
-    n = len(a)
-    first = _firsts(a)
-    run = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
-    m = np.diff(np.append(starts, n))[run]
-    i = np.repeat(np.arange(n), m)
+    _, starts, run, m = np.unique(_keys(G.a, G.peak_a), return_index=True, return_inverse=True,
+                                  return_counts=True)
+    m = m[run]
+    i = np.repeat(np.arange(len(a)), m)
     j = np.repeat(starts[run] - (np.cumsum(m) - m), m) + np.arange(len(i))
 
-    side = _ranks(R)[i] * n + _ranks(b)[j]
-    order, first = _runs(side[:, None])
-    starts = np.flatnonzero(first)
-    sizes = np.diff(np.append(starts, len(side)))
-    i, j = i[order], j[order]
-    F = P[i] - Q[j]
-    H = R[i] - S[j]
-    ref = F[np.repeat(starts, sizes)]
+    side = _ranks(R, D * U)[i] * len(a) + _ranks(G.b, G.peak_b)[j]
+    _, first, group, sizes = np.unique(side, return_index=True, return_inverse=True, return_counts=True)
+    F = P.take(i, axis=0) - Q.take(j, axis=0)
+    H = R.take(i, axis=0) - S.take(j, axis=0)
+    ref = F.take(first[group], axis=0)
     return int((sizes * sizes).sum()), bool((F == ref).all() and (H == ref).all())
 
 
@@ -442,9 +459,9 @@ def count_trapezia(
         raise PreconditionViolation("need Y - X = I")
     if X.det() == 0:
         raise PreconditionViolation("X must be invertible")
+    _check(A, B, X, Y)
     Gd = _discard_to_distinct_differences(G)
-    sX = x_sumset(A, B, Gd, X).size
-    sY = x_sumset(A, B, Gd, Y).size
+    sX, sY = (_count(*_sums(Gd, Z, A.dim)) for Z in (X, Y))
     M = max(A.size, B.size, sX, sY)
     count, identity_ok = _trapezia(Gd, X, Y) if Gd.size else (0, True)
     g = Gd.size
@@ -480,34 +497,19 @@ def slices_from_construction(
     t0, t1, delta = rat(t0), rat(t1), rat(delta)
     if t0 == t1:
         raise PreconditionViolation("t0 and t1 must differ")
-    if isinstance(omega_map, RationalMatrix):
-        W = omega_map
-        omega_of = lambda y: W.mat_vec(y)
-    else:
-        omega_of = omega_map
-
-    def snap(coord: Fraction) -> int:
-        q = coord / delta + Fraction(1, 2)
-        return math.floor(q)
-
+    omega_of = omega_map.mat_vec if isinstance(omega_map, RationalMatrix) else omega_map
     inv = 1 / delta
     if inv.denominator != 1:
         raise PreconditionViolation("delta must be the reciprocal of an integer (2^-k preferred)")
-    a_pts, b_pts, pairs = [], [], []
+    pairs = []
     for y in directions:
         yv = [rat(c) for c in y]
-        om = tuple(rat(c) for c in omega_of(yv))
-        ppar = CurveParams(y=tuple(yv), omega=om)
-        a = curve_point(family, ppar, t0)[:-1]
-        b = curve_point(family, ppar, t1)[:-1]
-        ai = tuple(snap(c) for c in a)
-        bi = tuple(snap(c) for c in b)
-        a_pts.append(ai)
-        b_pts.append(bi)
-        pairs.append((ai, bi))
-    scale = int(inv)
-    A = LatticeSet.of(a_pts, dim=family.n - 1, scale=scale)
-    B = LatticeSet.of(b_pts, dim=family.n - 1, scale=scale)
+        ppar = CurveParams(y=tuple(yv), omega=tuple(rat(c) for c in omega_of(yv)))
+        a, b = (tuple(math.floor(c / delta + Fraction(1, 2)) for c in curve_point(family, ppar, t)[:-1])
+                for t in (t0, t1))
+        pairs.append((a, b))
+    A = LatticeSet.of([a for a, _ in pairs], dim=family.n - 1, scale=int(inv))
+    B = LatticeSet.of([b for _, b in pairs], dim=family.n - 1, scale=int(inv))
     return A, B, Incidence(pairs=frozenset(pairs))
 
 
@@ -524,16 +526,19 @@ def random_instance(
 
     One coin per (a, b) in lexicographic order of the distinct points.
     """
+    if dim < 1 or box < 0 or max_size < 1 or not (density is None or 0 <= density <= 1):
+        raise PreconditionViolation(
+            f"need dim >= 1, box >= 0, max_size >= 1 and 0 <= density <= 1, got {dim, box, max_size, density}")
     rng = np.random.default_rng(seed)
     nA = int(rng.integers(1, max_size + 1))
     nB = int(rng.integers(1, max_size + 1))
-    A = LatticeSet._of_rows(dim, _distinct(rng.integers(-box, box + 1, size=(nA, dim))))
-    B = LatticeSet._of_rows(dim, _distinct(rng.integers(-box, box + 1, size=(nB, dim))))
+    A = LatticeSet._of_rows(dim, _distinct(rng.integers(-box, box + 1, size=(nA, dim)), box))
+    B = LatticeSet._of_rows(dim, _distinct(rng.integers(-box, box + 1, size=(nB, dim)), box))
     rho = float(rng.uniform(0.05, 1.0)) if density is None else density
     ia, ib = np.divmod(np.flatnonzero(rng.random(A.size * B.size) < rho), B.size)
     if not len(ia):
         ia = ib = np.zeros(1, dtype=np.intp)
-    return A, B, Incidence._of_rows(A.rows[ia], B.rows[ib])
+    return A, B, Incidence._of_rows(A.rows.take(ia, axis=0), B.rows.take(ib, axis=0))
 
 
 # ----------------------------------------------------------------------- io

@@ -437,3 +437,41 @@ def test_tubes_json_roundtrip():
 def test_nondegeneracy_flag():
     assert fam(WORST).nondegenerate
     assert not kl.CurveFamily(n=3, C=kl.RationalMatrix.diagonal([F(3, 5), 0])).nondegenerate
+
+
+def _centres_full_plane(family, Y, W, ts):
+    """The centre formula through one full-size scratch plane per axis, as _centres computed it before
+    it worked in place: the same float operations in the same order."""
+    CY = family._cf @ Y.T
+    out = np.empty((Y.shape[1], len(Y), len(ts)))
+    tmp = np.empty(out.shape[1:])
+    for plane, w, y, cy in zip(out, W.T, Y.T, CY):
+        np.subtract(w[:, None], np.multiply(ts, y[:, None], out=tmp), out=plane)
+        plane -= np.multiply(ts * ts, cy[:, None], out=tmp)
+    return out
+
+
+class TestCentres:
+    @pytest.mark.parametrize("C", [
+        WORST,                                            # a zero C y row: the skipped term
+        kl.RationalMatrix([[F(1, 3), -2], [F(5, 7), 1]]),
+        kl.RationalMatrix.zero(3),                        # every row skipped
+        kl.RationalMatrix([[0, 0, 0], [1, 0, 0], [0, F(-1, 2), 0]]),
+    ])
+    @pytest.mark.parametrize("curves, heights", [(0, 5), (1, 1), (7, 257), (300, 257), (5000, 9), (40000, 1)])
+    def test_bit_identical_to_full_plane(self, C, curves, heights):
+        # slabs of _SLAB // heights rows: several full slabs and a partial one for the larger shapes
+        rng = np.random.default_rng(curves * 31 + heights)
+        d = C.dim
+        Y = rng.uniform(-1, 1, size=(curves, d))
+        W = rng.uniform(-2, 2, size=(curves, d))
+        ts = np.sort(rng.uniform(-1, 1, size=heights))
+        if curves >= 7:  # signed zeros and exact edges, where skipping or reordering a term would show
+            Y[:3], W[:3] = -0.0, -0.0
+            Y[3, 0], W[4, -1] = 0.0, -0.0
+            ts[0] = -0.0 if heights > 1 else ts[0]
+            ts[-1] = 1.0
+        f = fam(C)
+        got, want = kl.curves._centres(f, Y, W, ts), _centres_full_plane(f, Y, W, ts)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import kakeya_lab as kl
-from kakeya_lab.slices import aux_matrix
+from kakeya_lab.slices import _eigenvalue_pair, aux_matrix
 
 from conftest import float_T, float_X_of_lambda
 
@@ -154,6 +154,41 @@ class TestNikodymSolver:
                     + (t0 + t1 + t2) * (t0 * t2 + t1 * t2 - 2 * t0 * t1) * Cf
                     + (t0 * t2 + t1 * t2 - 2 * t0 * t1) * np.eye(C.dim))
             assert np.max(np.abs(quad)) <= 1e-9
+
+
+class TestEigenvalueCount:
+    """The number of distinct eigenvalues is exact; float clustering only supplies their values."""
+
+    def test_merged_pair_reports_true_reciprocal_sum(self):
+        # within 1e-8 of each other, so the float clustering alone merged them and reported 2e9
+        C = kl.RationalMatrix.diagonal([F(-1, 10**9), F(16668, 10**13)])
+        assert sorted(z.real for z in _eigenvalue_pair(C)) == pytest.approx([-1e-9, 1.6668e-9], rel=1e-12)
+        with pytest.raises(kl.NoSolution) as e:
+            kl.solve_nikodym_three_slice(C)
+        assert e.value.reason == "reciprocal_sum_out_of_range" and "4.00048e+08" in str(e.value)
+
+    def test_one_eigenvalue_with_a_split_float_spectrum(self):
+        # a conjugated 3x3 Jordan block for 1: its float eigenvalues lie about 4e-6 apart
+        J = kl.RationalMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+        P = kl.RationalMatrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+        C = P * J * P.inverse()
+        assert len({complex(z) for z in np.linalg.eigvals(C.to_float())}) == 3
+        assert _eigenvalue_pair(C) == (1, 1)
+        with pytest.raises(kl.NoSolution) as e:
+            kl.solve_nikodym_three_slice(C)
+        assert e.value.reason == "real_region_empty"
+
+    def test_tiny_conjugate_pair_kept_apart(self):
+        e9 = F(1, 10**9)
+        h, k = _eigenvalue_pair(kl.RationalMatrix([[e9, -e9], [e9, e9]]))
+        assert h == pytest.approx(k.conjugate(), rel=1e-12) and abs(h.imag) == pytest.approx(1e-9, rel=1e-12)
+
+    def test_three_values_refused(self):
+        C = kl.RationalMatrix.diagonal([F(1, 4), F(1, 3), F(-1, 2)])
+        assert _eigenvalue_pair(C) is None
+        with pytest.raises(kl.NoSolution) as e:
+            kl.solve_nikodym_three_slice(C)
+        assert e.value.reason == "too_many_eigenvalues"
 
 
 class TestKakeyaSolver:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kakeya_lab as kl
-from kakeya_lab.sumsets import _discard_to_distinct_differences, instance_from_json, instance_to_json
+from kakeya_lab.sumsets import _discard_to_distinct_differences, _keys, instance_from_json, instance_to_json
 
 from conftest import sumset_oracle, trapezium_oracle
 
@@ -381,6 +381,20 @@ class TestInstanceIO:
 DRAWS_DIGEST = "27e53676fb4c7e8c6ab6ce4ec8fef035f4bef4800ffb7eb3356b60d09117ed45"
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"dim": 0}, {"box": -1}, {"max_size": 0}, {"density": 1.5}, {"density": -1}, {"density": float("nan")},
+])
+def test_random_instance_rejects_bad_arguments(kwargs):
+    with pytest.raises(kl.PreconditionViolation):
+        kl.random_instance(3, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"box": 0}, {"max_size": 1}, {"density": 0}, {"density": 1}, {"dim": 1}])
+def test_random_instance_edge_arguments(kwargs):
+    A, B, G = kl.random_instance(3, **kwargs)
+    assert G.size >= 1 and A.size >= 1 and B.size >= 1
+
+
 def test_random_instance_draws_pinned():
     h = hashlib.sha256()
 
@@ -437,3 +451,128 @@ class TestAgainstPlainSets:
         rep = kl.count_trapezia(A, B, G, X, Y)
         assert rep.count == rep.identities_checked == trapezium_oracle(_discard_to_distinct_differences(G).pairs, Y)
         assert rep.identity_verified
+
+
+def _plain_ratio(pairs, Xs, eps):
+    """check_ratio's report from plain Python sets."""
+    sums = tuple(len(sumset_oracle(pairs, X)) for X in Xs)
+    n_diff = len(sumset_oracle(pairs))
+    mx = max((len({a for a, _ in pairs}), len({b for _, b in pairs})) + sums)
+    p, q = eps.numerator, eps.denominator
+    return kl.RatioReport(
+        holds=n_diff**q <= mx ** (2 * q - p),
+        achieved_exponent=math.log(n_diff) / math.log(mx) if mx >= 2 else None,
+        size_A=len({a for a, _ in pairs}), size_B=len({b for _, b in pairs}),
+        sumset_sizes=sums, size_diff=n_diff, max_side=mx)
+
+
+def _plain_trapezia(pairs, Y) -> tuple[int, list]:
+    """(count, thinned pairs): the least pair per difference kept, then the ordered quadruples counted
+    as sum over pairs p, q with a_p + Y b_p == a_q + Y b_q of the b' shared by a_p and a_q."""
+    kept = {}
+    for a, b in sorted(pairs):
+        kept.setdefault(tuple(x - y for x, y in zip(a, b)), (a, b))
+    kept = list(kept.values())
+    bs = {}
+    for a, b in kept:
+        bs.setdefault(a, set()).add(b)
+    side = [tuple(F(x) + v for x, v in zip(a, Y.mat_vec(b))) for a, b in kept]
+    count = sum(len(bs[p[0]] & bs[q[0]]) for p, sp in zip(kept, side) for q, sq in zip(kept, side) if sp == sq)
+    return count, kept
+
+
+@st.composite
+def wide_instances(draw):
+    """(dim, pairs, X): dim 1-8, coordinates k * step + o with |k| <= 6 and |o| <= 1, where the step
+    runs from 1 to 2^59 (coordinates up to about 2^61.6, keys far past int64) and on to 2^99 (coordinates
+    past int64); X integral or rational."""
+    dim = draw(st.integers(1, 8))
+    step = draw(st.sampled_from([1, 3, 2**20 + 1, 2**31, 2**40, 2**59, 2**99]))
+    coord = st.builds(lambda k, o: k * step + o, st.integers(-6, 6), st.integers(-1, 1))
+    point = st.tuples(*[coord] * dim)
+    pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=10))
+    entry = draw(st.sampled_from([st.integers(-2, 2), rationals]))
+    X = kl.RationalMatrix(draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)))
+    return dim, pairs, X
+
+
+class TestKeysAgainstPlainSets:
+    @given(wide_instances())
+    @settings(max_examples=120, deadline=None)
+    def test_rows_and_reports(self, inst):
+        dim, pairs, X = inst
+        A = kl.LatticeSet.of([a for a, _ in pairs], dim=dim)
+        B = kl.LatticeSet.of([b for _, b in pairs], dim=dim)
+        G = kl.Incidence(pairs=pairs)
+        assert A.rows.tolist() == sorted(map(list, {a for a, _ in pairs}))
+        assert [a + b for a, b in zip(G.a.tolist(), G.b.tolist())] == sorted(map(list, {a + b for a, b in pairs}))
+        S, Dset = kl.x_sumset(A, B, G, X), kl.difference_set(A, B, G)
+        assert [tuple(F(c, S.scale) for c in p) for p in S.rows.tolist()] == sorted(sumset_oracle(pairs, X))
+        assert [tuple(p) for p in Dset.rows.tolist()] == sorted(sumset_oracle(pairs))
+        I = kl.RationalMatrix.identity(dim)
+        for Xs, eps in (([I], F(1, 6)), ([I, X], F(1, 4)), ([], F(0))):
+            assert kl.check_ratio(A, B, G, Xs, eps) == _plain_ratio(pairs, Xs, eps)
+        assume(X.det() != 0)
+        rep = kl.count_trapezia(A, B, G, X, X + I)
+        count, kept = _plain_trapezia(pairs, X + I)
+        g, M = len(kept), max(A.size, B.size, len(sumset_oracle(kept, X)), len(sumset_oracle(kept, X + I)))
+        assert (rep.count, rep.identities_checked, rep.g_size, rep.max_side, rep.upper_bound) == (count, count, g, M, M**3)
+        assert rep.lower_bound == g**4 / M**4 and rep.identity_verified
+
+
+def _edge_peak(dim: int) -> int:
+    """The largest peak P whose keys fit int64: (S^dim - 1)/2 <= 2^63 - 1 with S = 2P + 1."""
+    S = math.isqrt(2**64) if dim == 2 else int((2**64 - 1) ** (1 / dim))
+    while S**dim > 2**64 - 1:
+        S -= 1
+    while (S + 1) ** dim <= 2**64 - 1:
+        S += 1
+    return (S - 1) // 2 if S % 2 else (S - 2) // 2
+
+
+class TestKeyBound:
+    """Keys at the int64 edge: the bound (S^dim - 1)/2 just below, at and just above 2^63 - 1."""
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_keys_exact_and_ordered(self, dim, step):
+        P = _edge_peak(dim) + step
+        S = 2 * P + 1
+        rng = np.random.default_rng(dim * 3 + step)
+        values = [-P, -P + 1, -1, 0, 1, P - 1, P]
+        pts = {tuple(values[i] for i in rng.integers(0, len(values), size=dim)) for _ in range(300)}
+        pts |= {(P,) * dim, (-P,) * dim, (0,) * (dim - 1) + (P,), (1,) + (-P,) * (dim - 1)}
+        rows = sorted(pts)
+        keys = _keys(kl.LatticeSet.of(rows, dim=dim).rows, P)
+        assert keys.dtype == (np.int64 if (S**dim - 1) // 2 <= 2**63 - 1 else object)
+        assert (keys.dtype == np.int64) == (step <= 0)
+        horner = [sum(c * S ** (dim - 1 - j) for j, c in enumerate(p)) for p in rows]
+        assert keys.tolist() == horner
+        assert all(x < y for x, y in zip(horner, horner[1:]))
+        assert max(map(abs, horner)) == (S**dim - 1) // 2  # the bound is reached by (P, ..., P)
+
+    def test_bound_reached_exactly_in_dim_one(self):
+        P = 2**63 - 1  # (S - 1)/2 = 2^63 - 1: the largest int64 coordinate, and int64 keys
+        rows = kl.LatticeSet.of([(P,), (-P,), (0,), (P - 1,)]).rows
+        assert rows.dtype == np.int64 and _keys(rows, P).tolist() == [-P, 0, P - 1, P]
+
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    def test_edge_sets_and_reports(self, dim):
+        # sums and differences of points at the edge peak: P + P needs Python-int keys, P - 0 fits
+        P = _edge_peak(dim)
+        pts = [(P,) * dim, (-P,) * dim, (0,) * dim, (P - 1,) + (1,) * (dim - 1), (1 - P,) + (-1,) * (dim - 1)]
+        pairs = [(a, b) for a in pts for b in pts[:3]]
+        A = kl.LatticeSet.of(pts, dim=dim)
+        B = kl.LatticeSet.of(pts[:3], dim=dim)
+        G = kl.Incidence(pairs=pairs)
+        I = kl.RationalMatrix.identity(dim)
+        assert [tuple(p) for p in kl.x_sumset(A, B, G, I).rows.tolist()] == sorted(sumset_oracle(pairs, I))
+        assert [tuple(p) for p in kl.difference_set(A, B, G).rows.tolist()] == sorted(sumset_oracle(pairs))
+        assert kl.check_ratio(A, B, G, [I], F(1, 6)) == _plain_ratio(pairs, [I], F(1, 6))
+
+    def test_loose_bound_falls_back_to_the_rows_own_peak(self):
+        # a derived bound of 10^6 in dim 8 is past int64 keys; the rows themselves (|c| <= 100) are not
+        rows = np.random.default_rng(0).integers(-100, 101, size=(50, 8))
+        keys = _keys(rows, 10**6)
+        assert keys.dtype == np.int64 and keys.tolist() == _keys(rows, 100).tolist()
+        assert rows[np.argsort(keys, kind="stable")].tolist() == sorted(rows.tolist())
