@@ -287,10 +287,6 @@ class Polynomial:
                 return k
         return None
 
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "Polynomial":
-        return cls([0] * k + [c])
-
 
 class PolyMatrix:
     """Square matrix of polynomials with an exact, division-free determinant."""
@@ -311,10 +307,6 @@ class PolyMatrix:
 
     def __setattr__(self, *a):
         raise AttributeError("PolyMatrix is immutable")
-
-    @classmethod
-    def from_rational(cls, m: RationalMatrix) -> "PolyMatrix":
-        return cls([[Polynomial([e]) for e in r] for r in m.rows])
 
     def det(self) -> Polynomial:
         # Cofactor expansion down the leading column of each minor, memoised on

@@ -165,12 +165,13 @@ def _stamp(spec: TubeFamilySpec, k: int):
     cells are dropped from the block's distinct keys.
     """
     Y, W = spec.Y, spec.W
-    m = len(Y)
+    m, d = len(Y), spec.family.n - 1
+    if m * 2**d > CELL_BUDGET:
+        raise ResolutionTooFine(f"per-band stamp budget exceeded: {m} tubes x {2**d} candidates")
     if not m:
         return
     if (np.abs(spec.delta - 2.0**-k) > 1e-15).any():
         raise ValueError("tube delta must equal 2^-k")
-    d = spec.family.n - 1
     R = 2**k
     K = 2 * R + 6
     if K**d >= 2**63:
@@ -272,12 +273,8 @@ def union_volume(spec: TubeFamilySpec, k: int) -> tuple[int, float]:
     Nothing larger than one block's keys is held, so this handles unions too
     large for a :class:`CellSet`.  Blocks are deduplicated as in :func:`rasterize`.
     """
-    n = spec.family.n
-    if len(spec.Y) * 2 ** (n - 1) > CELL_BUDGET:
-        raise ResolutionTooFine(
-            f"per-band stamp budget exceeded: {len(spec.Y)} tubes x {2 ** (n - 1)} candidates")
     total = sum(keys.size for _, keys, _ in _stamp(spec, k))
-    return total, (2.0**-k) ** n * total
+    return total, (2.0**-k) ** spec.family.n * total
 
 
 @dataclass(frozen=True)

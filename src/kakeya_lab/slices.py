@@ -20,8 +20,10 @@ from .errors import NoSolution, NotCompanionForm, SingularConfiguration, Singula
 from .exact import (
     Polynomial,
     RationalMatrix,
+    _rat_to_json,
     _squarefree_part,
     char_poly,
+    companion,
     eigenvalues_float,
     count_real_roots,
     nilpotency,
@@ -47,7 +49,12 @@ class SliceMatrices:
 
 @dataclass(frozen=True)
 class HeightsSolution:
-    """Heights solving a slice identity, with the verified residual."""
+    """Heights solving a slice identity, with the verified residual.
+
+    ``residual`` is the largest entry of the identity's gap at the returned
+    heights, lam and mu, each taken as the exact rational it is: computed
+    exactly and rounded once.
+    """
 
     kind: str  # "nikodym3" | "kakeya4"
     heights: tuple  # (t0, t1, t2) or (t0, t1)
@@ -58,10 +65,7 @@ class HeightsSolution:
     regime: str = ""
 
     def to_json(self) -> dict:
-        def num(x):
-            if isinstance(x, Fraction):
-                return str(x) if x.denominator != 1 else int(x)
-            return float(x)
+        num = lambda x: _rat_to_json(x) if isinstance(x, Fraction) else float(x)
 
         return {
             "kind": self.kind,
@@ -74,14 +78,18 @@ class HeightsSolution:
         }
 
 
+def _inverse(A: RationalMatrix, message: str) -> RationalMatrix:
+    try:
+        return A.inverse()
+    except SingularMatrix as e:
+        raise SingularConfiguration(message) from e
+
+
 def aux_matrix(C: RationalMatrix, t0, t1) -> RationalMatrix:
     """M = (t1-t0) C (I + (t0+t1)C)^{-1}."""
     t0, t1 = rat(t0), rat(t1)
     I = RationalMatrix.identity(C.dim)
-    try:
-        inner = (I + (t0 + t1) * C).inverse()
-    except SingularMatrix as e:
-        raise SingularConfiguration(f"I + (t0+t1)C is singular at t0+t1={t0 + t1}") from e
+    inner = _inverse(I + (t0 + t1) * C, f"I + (t0+t1)C is singular at t0+t1={t0 + t1}")
     return (t1 - t0) * (C * inner)
 
 
@@ -92,10 +100,7 @@ def x_of_lambda(C: RationalMatrix, t0, t1, lam) -> RationalMatrix:
         raise SingularConfiguration("lam = 1")
     I = RationalMatrix.identity(C.dim)
     M = aux_matrix(C, t0, t1)
-    try:
-        left = (I + lam * M).inverse()
-    except SingularMatrix as e:
-        raise SingularConfiguration("I + lam*M is singular") from e
+    left = _inverse(I + lam * M, "I + lam*M is singular")
     return (lam / (1 - lam)) * (left * (I - (1 - lam) * M))
 
 
@@ -105,10 +110,7 @@ def centre_matrix(C: RationalMatrix, t0, t1) -> RationalMatrix:
     if t0 == 0 or t1 == 0:
         raise SingularConfiguration("T requires t0, t1 != 0")
     I = RationalMatrix.identity(C.dim)
-    try:
-        right = (I + t1 * C).inverse()
-    except SingularMatrix as e:
-        raise SingularConfiguration("I + t1*C is singular") from e
+    right = _inverse(I + t1 * C, "I + t1*C is singular")
     return (t0 / t1) * ((I + t0 * C) * right)
 
 
@@ -131,29 +133,21 @@ def check_nondegenerate(C: RationalMatrix) -> bool:
 
     Equivalent to every real eigenvalue of C lying in (-1/2, 1/2).
     """
-    p = poly_combination(C.dim, [(None, Polynomial([1])), (C, Polynomial([0, 2]))]).det()
-    if p.is_zero():  # cannot happen: leading behaviour of det(I+2tC) is bounded below
-        return False
+    p = poly_combination(C.dim, [(None, Polynomial([1])), (C, Polynomial([0, 2]))]).det()  # p(0) = 1
     return count_real_roots(p, Fraction(-1), Fraction(1)) == 0
 
 
 # --------------------------------------------------------------------------- solvers
 
-def _float_X(Mf: np.ndarray, z: float) -> np.ndarray:
-    I = np.eye(Mf.shape[0])
-    return z / (1.0 - z) * np.linalg.solve(I + z * Mf, I - (1.0 - z) * Mf)
+def _gap(A: RationalMatrix, B: RationalMatrix) -> float:
+    """The largest |A_ij - B_ij|, exact and rounded once."""
+    return float(max(abs(a - b) for ra, rb in zip(A.rows, B.rows) for a, b in zip(ra, rb)))
 
 
-def _float_T(Cf: np.ndarray, t0: float, t1: float) -> np.ndarray:
-    I = np.eye(Cf.shape[0])
-    return (t0 / t1) * (I + t0 * Cf) @ np.linalg.inv(I + t1 * Cf)
-
-
-def _nikodym_residual(Cf: np.ndarray, t0: float, t1: float, t2: float) -> float:
-    lam = (t0 - t2) / (t0 - t1)
-    I = np.eye(Cf.shape[0])
-    Mf = (t1 - t0) * Cf @ np.linalg.inv(I + (t0 + t1) * Cf)
-    return float(np.max(np.abs(_float_X(Mf, lam) - _float_T(Cf, t0, t1))))
+def _nikodym_gap(C: RationalMatrix, t0, t1, lam) -> float:
+    """The gap between X(lam) and T at float or rational values, each taken as the exact rational it is."""
+    t0, t1, lam = Fraction(t0), Fraction(t1), Fraction(lam)
+    return _gap(x_of_lambda(C, t0, t1, lam), centre_matrix(C, t0, t1))
 
 
 def _eigenvalue_pair(M: RationalMatrix, tol: float = 1e-8):
@@ -191,47 +185,53 @@ def _valid_heights(*ts: float) -> bool:
     return all(abs(a - b) > 1e-12 for i, a in enumerate(ts) for b in ts[i + 1:])
 
 
+def _product_identity(t0: float, t1: float, t2: float):
+    """(c/a, (d/dt1, d/dt2) of c/a) for the product identity at fixed t0; None when |a| < 1e-14.
+
+    a = t0^2 t2^2 + t1^2 t2^2 - 2 t0^2 t1^2 and c = t0 t2 + t1 t2 - 2 t0 t1,
+    so the gradient is (a grad c - c grad a) / a^2 in closed form.
+    """
+    a = t0 * t0 * t2 * t2 + t1 * t1 * t2 * t2 - 2 * t0 * t0 * t1 * t1
+    if not abs(a) >= 1e-14:  # NaN lands here too
+        return None
+    c = t0 * t2 + t1 * t2 - 2 * t0 * t1
+    dc = (t2 - 2 * t0, t0 + t1)
+    da = (2 * t1 * (t2 * t2 - 2 * t0 * t0), 2 * t2 * (t0 * t0 + t1 * t1))
+    return c / a, tuple((a * gc - c * ga) / (a * a) for gc, ga in zip(dc, da))
+
+
 def _newton_heights(S: float, P: float, t0: float, t1: float, t2: float):
-    """Solve t0+t1+t2 = -S and product identity = P for (t1, t2) at fixed t0."""
+    """Solve t0+t1+t2 = -S and product identity = P for (t1, t2) at fixed t0.
 
-    def g(t1_, t2_):
-        a = t0**2 * t2_**2 + t1_**2 * t2_**2 - 2 * t0**2 * t1_**2
-        c = t0 * t2_ + t1_ * t2_ - 2 * t0 * t1_
-        if abs(a) < 1e-14:
-            return None
-        return np.array([t0 + t1_ + t2_ + S, c / a - P])
-
-    x = np.array([t1, t2], dtype=float)
+    Python floats throughout, so a diverging iterate overflows to inf or NaN
+    without a warning and stops the iteration with None.
+    """
+    t0, t1, t2 = float(t0), float(t1), float(t2)
     for _ in range(60):
-        f0 = g(*x)
-        if f0 is None:
+        got = math.isfinite(t1) and math.isfinite(t2) and _product_identity(t0, t1, t2)
+        if not got:
             return None
-        if np.max(np.abs(f0)) < 1e-12:
-            return x
-        J = np.empty((2, 2))
-        h = 1e-7
-        for j in range(2):
-            xp = x.copy()
-            xp[j] += h
-            fp = g(*xp)
-            if fp is None:
-                return None
-            J[:, j] = (fp - f0) / h
-        try:
-            step = np.linalg.solve(J, f0)
-        except np.linalg.LinAlgError:
+        g, (g1, g2) = got
+        f0, f1 = t0 + t1 + t2 + S, g - P
+        if max(abs(f0), abs(f1)) < 1e-12:
+            return t1, t2
+        det = g2 - g1  # the Jacobian is [[1, 1], [g1, g2]]
+        if det == 0 or not math.isfinite(det):
             return None
-        x = x - step
+        d1, d2 = (g2 * f0 - f1) / det, (f1 - g1 * f0) / det
+        if abs(d1) <= 4 * math.ulp(t1) and abs(d2) <= 4 * math.ulp(t2):
+            return t1, t2  # converged to rounding: |f1| can stall above 1e-12 when |grad| ulp(t) does
+        t1, t2 = t1 - d1, t2 - d2
     return None
 
 
-def _nikodym_range(Cf, S, P, t0, t1, t2) -> Optional[tuple[float, float]]:
+def _nikodym_range(C, S, P, t0, t1, t2) -> Optional[tuple[float, float]]:
     for sgn in (-1.0, 1.0):
         t0p = t0 + sgn * RANGE_PROBE
         sol = _newton_heights(S, P, t0p, t1, t2)
         if sol is None or not _valid_heights(t0p, *sol):
             return None
-        if _nikodym_residual(Cf, t0p, *sol) > RESIDUAL_TOL:
+        if _nikodym_gap(C, t0p, sol[0], (t0p - sol[1]) / (t0p - sol[0])) > RESIDUAL_TOL:
             return None
     return (t0 - RANGE_PROBE, t0 + RANGE_PROBE)
 
@@ -240,15 +240,9 @@ def _nikodym_range(Cf, S, P, t0, t1, t2) -> Optional[tuple[float, float]]:
 # quadratic becomes Q(x) = A x^2 + B x + D in x = (eigenvalue)*t0, and the walk
 # looks for (b, c) with -(b+c+1) * x_plus(b, c) equal to 1 + h/k.
 
-def _region_Q(b: float, c: float):
-    A = 2 * b * b - b * b * c * c - c * c
-    B = (b + c + 1) * (2 * b - b * c - c)
-    D = 2 * b - b * c - c
-    return A, B, D
-
-
 def _region_x_plus(b: float, c: float) -> Optional[float]:
-    A, B, D = _region_Q(b, c)
+    D = 2 * b - b * c - c
+    A, B = 2 * b * b - b * b * c * c - c * c, (b + c + 1) * D
     disc = B * B - 4 * A * D
     if disc < 0 or A == 0:
         return None
@@ -306,17 +300,13 @@ def solve_nikodym_three_slice(C: RationalMatrix) -> HeightsSolution:
     """
     if (C * C).is_zero():
         # X(lam) and T are parallel; lam/(1-lam) = t0/t1 makes them equal.
-        t0, t1 = Fraction(1, 3), Fraction(2, 3)
-        lam = Fraction(1, 3)
+        t0, t1, lam = Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)
         t2 = (1 - lam) * t0 + lam * t1
-        X = x_of_lambda(C, t0, t1, lam)
-        T = centre_matrix(C, t0, t1)
-        residual = max(abs(float(a - b)) for ra, rb in zip(X.rows, T.rows) for a, b in zip(ra, rb))
         return HeightsSolution(
             kind="nikodym3",
             heights=(t0, t1, t2),
             lam=lam,
-            residual=residual,
+            residual=_nikodym_gap(C, t0, t1, lam),
             t0_range=(float(t0) - RANGE_PROBE, float(t0) + RANGE_PROBE),
             regime="square_zero",
         )
@@ -337,7 +327,6 @@ def solve_nikodym_three_slice(C: RationalMatrix) -> HeightsSolution:
     if abs(S) >= 3.0:
         raise NoSolution("reciprocal_sum_out_of_range", f"|1/h + 1/k| = {abs(S):.6g} >= 3")
 
-    Cf = C.to_float()
     P = (h * k).real
 
     if abs(h.imag) > 1e-10:  # complex conjugate pair alpha +/- i beta
@@ -371,16 +360,16 @@ def solve_nikodym_three_slice(C: RationalMatrix) -> HeightsSolution:
         regime = "real_pair"
 
     t0, t1, t2 = heights
-    residual = _nikodym_residual(Cf, t0, t1, t2)
+    lam = (t0 - t2) / (t0 - t1)
+    residual = _nikodym_gap(C, t0, t1, lam)
     if residual > RESIDUAL_TOL:
         raise NoSolution("residual_check_failed", f"residual {residual:.3g}")
-    lam = (t0 - t2) / (t0 - t1)
     return HeightsSolution(
         kind="nikodym3",
         heights=(t0, t1, t2),
         lam=lam,
         residual=residual,
-        t0_range=_nikodym_range(Cf, S, P, t0, t1, t2),
+        t0_range=_nikodym_range(C, S, P, t0, t1, t2),
         regime=regime,
     )
 
@@ -429,11 +418,9 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
     t0 = -1+eps, t1 = 1-2eps.  Raises :class:`NoSolution` with reason
     ``nilpotent_M`` / ``real_spectrum_blocked`` / ``region_violated``.
     """
-    is_nil, _ = nilpotency(C)
-    if is_nil:
+    if nilpotency(C)[0]:
         raise NoSolution("nilpotent_M", "C (hence M) is nilpotent; no combination can reach I")
-    eigs = eigenvalues_float(C)
-    if all(abs(z.imag) <= 1e-10 for z in eigs):
+    if all(abs(z.imag) <= 1e-10 for z in eigenvalues_float(C)):
         raise NoSolution("real_spectrum_blocked", "real spectrum cannot solve the quadratic in (-1,1)")
     pair = _eigenvalue_pair(C)
     if pair is None or abs(pair[0].conjugate() - pair[1]) > 1e-8 * max(1.0, abs(pair[0])):
@@ -461,18 +448,14 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
         t0, t1 = Fraction(1) - 2 * best_eps, Fraction(-1) + best_eps
     else:
         t0, t1 = Fraction(-1) + best_eps, Fraction(1) - 2 * best_eps
-    M = aux_matrix(C, t0, t1)
-    Mf = M.to_float()
-    lm_pair = _eigenvalue_pair(M)
+    lm_pair = _eigenvalue_pair(aux_matrix(C, t0, t1))
     if lm_pair is None:
         raise NoSolution("region_violated", "auxiliary matrix has more than two eigenvalues")
     s = float((lm_pair[0] + lm_pair[1]).real)
     p = float((lm_pair[0] * lm_pair[1]).real)
 
-    disc = (s + 2.0) ** 2 - 8.0
-    if disc <= 0:
+    if (s + 2.0) ** 2 - 8.0 <= 0:
         raise NoSolution("region_violated", "mu interval is empty")
-    mu_lo = (2.0 - s - math.sqrt(disc)) / (2.0 * (1.0 - s))
 
     coeffs = _quartic_coeffs(s, p)
     roots = [r.real for r in np.roots(coeffs) if abs(r.imag) < 1e-9]
@@ -488,13 +471,13 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
             r -= f / df
         lam = _lambda_of_mu(r, s)
         if 0.0 < r < 1.0 and 0.0 < lam < 1.0:
-            residual = float(np.max(np.abs(_float_X(Mf, lam) - _float_X(Mf, r) - np.eye(C.dim))))
+            X_lam, X_mu = (x_of_lambda(C, t0, t1, Fraction(z)) for z in (lam, r))
+            residual = _gap(X_lam - X_mu, RationalMatrix.identity(C.dim))
             if residual <= RESIDUAL_TOL:
                 mu = r
                 break
     if mu is None:
         raise NoSolution("region_violated", "no quartic root gave an admissible (lam, mu)")
-    lam = _lambda_of_mu(mu, s)
 
     same_side = [e for e, swap in admissible if swap == best_swap]
     eps_lo, eps_hi = min(same_side), max(same_side)
@@ -513,16 +496,21 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
 
 # --------------------------------------------------------------------- calculators
 
-def iterate_epsilon(eps: float) -> float:
-    """One application of the improvement map eps -> (2 - eps^2)/(8 - 7 eps + eps^2)."""
-    if isinstance(eps, (int, Fraction)):
-        e = rat(eps)
-        if not 0 <= e < 1:
-            raise ValueError("eps must lie in [0, 1)")
-        return (2 - e * e) / (8 - 7 * e + e * e)
-    if not 0.0 <= eps < 1.0:
+def _epsilon(eps):
+    """eps as an exact rational when it is an int or Fraction, else as given; must lie in [0, 1)."""
+    e = rat(eps) if isinstance(eps, (int, Fraction)) else eps
+    if not 0 <= e < 1:
         raise ValueError("eps must lie in [0, 1)")
-    return (2.0 - eps * eps) / (8.0 - 7.0 * eps + eps * eps)
+    return e
+
+
+def iterate_epsilon(eps: float) -> float:
+    """One application of the improvement map eps -> (2 - eps^2)/(8 - 7 eps + eps^2).
+
+    Exact for int or Fraction eps; a float gets the float formula bit for bit (2 == 2.0, 7*e == 7.0*e).
+    """
+    e = _epsilon(eps)
+    return (2 - e * e) / (8 - 7 * e + e * e)
 
 
 def iteration_fixed_point(tol: float = 1e-12) -> float:
@@ -546,14 +534,7 @@ def dimension_lower_bound(n: int, eps, has_range: bool):
     """Lower bound (n-1)/(2-eps) for the box dimension, plus 1 given a height range."""
     if n < 3:
         raise ValueError("n must be at least 3")
-    if isinstance(eps, (int, Fraction)):
-        e = rat(eps)
-        if not 0 <= e < 1:
-            raise ValueError("eps must lie in [0, 1)")
-        return Fraction(n - 1) / (2 - e) + (1 if has_range else 0)
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    return (n - 1) / (2.0 - eps) + (1.0 if has_range else 0.0)
+    return (n - 1) / (2 - _epsilon(eps)) + (1 if has_range else 0)
 
 
 @dataclass(frozen=True)
@@ -606,34 +587,20 @@ def companion_blocks(C: RationalMatrix) -> list[tuple[int, list[Fraction]]]:
     Raises :class:`NotCompanionForm` if the matrix is not such a direct sum.
     """
     n = C.dim
-    blocks = []
-    r = 0
+    blocks, rebuilt, r = [], [[Fraction(0)] * n for _ in range(n)], 0
     while r < n:
         l = 1
         while r + l < n and C[r + l - 1, r + l] == 1:
             l += 1
-        blocks.append((r, l))
+        cs = [C[r + i, r] for i in range(l)]
+        for i, row in enumerate(companion(cs).rows):  # C must equal the direct sum of these blocks
+            rebuilt[r + i][r:r + l] = row
+        blocks.append((l, cs))
         r += l
-    # validate: inside its block the first column is free and the superdiagonal
-    # is 1; everything else (including all off-block rectangles) is zero.
-    owner = {}
-    for (r, l) in blocks:
-        for i in range(r, r + l):
-            owner[i] = (r, l)
-    for i in range(n):
-        for j in range(n):
-            r, l = owner[i]
-            if not r <= j < r + l:
-                if C[i, j] != 0:
-                    raise NotCompanionForm(f"non-zero entry outside blocks at ({i},{j})")
-                continue
-            bi, bj = i - r, j - r
-            if bj == 0:
-                continue
-            expected = 1 if bj == bi + 1 else 0
-            if C[i, j] != expected:
-                raise NotCompanionForm(f"entry ({i},{j}) breaks companion layout")
-    return [(l, [C[r + i, r] for i in range(l)]) for (r, l) in blocks]
+    bad = next(((i, j) for i in range(n) for j in range(n) if C[i, j] != rebuilt[i][j]), None)
+    if bad is not None:
+        raise NotCompanionForm(f"entry {bad} breaks the companion-block layout")
+    return blocks
 
 
 def w_matrix(C: RationalMatrix) -> RationalMatrix:

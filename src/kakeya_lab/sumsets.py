@@ -163,8 +163,10 @@ class Incidence:
     def __init__(self, pairs: Iterable):
         pairs = list(pairs)
         dim = len(pairs[0][0]) if pairs else 0
-        ab = _distinct(np.hstack([_rows([p[0] for p in pairs], dim), _rows([p[1] for p in pairs], dim)]))
-        self._init(ab[:, :dim], ab[:, dim:])
+        a, b = _rows([p[0] for p in pairs], dim), _rows([p[1] for p in pairs], dim)
+        keys = _ranks(a, _peak(a)) * len(b) + _ranks(b, _peak(b))  # int64, in (a, b) order
+        first = np.unique(keys, return_index=True)[1]
+        self._init(a[first], b[first])
 
     def _init(self, a: np.ndarray, b: np.ndarray):
         if a.dtype != b.dtype:

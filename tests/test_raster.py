@@ -178,6 +178,18 @@ class TestKeyRange:
             with pytest.raises(kl.ResolutionTooFine):
                 stamp(spec, k + 1)
 
+    def test_per_band_budget_in_the_kernel(self, monkeypatch):
+        # three tubes at n = 3 stamp 3 x 4 candidates per band: 12 fits, 11 does not, in all reductions
+        spec = three_tubes(3, 3)
+        monkeypatch.setattr(raster, "CELL_BUDGET", 12)
+        with pytest.raises(kl.ResolutionTooFine):
+            kl.rasterize(spec, 3)  # its total check over all bands fires first
+        assert kl.union_volume(spec, 3)[0] > 0 and kl.covering_norm(spec, 2.0, 3) > 0
+        monkeypatch.setattr(raster, "CELL_BUDGET", 11)
+        for stamp in (kl.rasterize, kl.union_volume, lambda s, k: kl.covering_norm(s, 2.0, k)):
+            with pytest.raises(kl.ResolutionTooFine, match="stamp budget"):
+                stamp(spec, 3)
+
 
 @settings(max_examples=200, deadline=None)
 @example([])

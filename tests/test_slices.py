@@ -1,11 +1,12 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 import kakeya_lab as kl
-from kakeya_lab.slices import _eigenvalue_pair, aux_matrix
+from kakeya_lab.slices import _eigenvalue_pair, _newton_heights, _product_identity, aux_matrix, companion_blocks
 
 from conftest import float_T, float_X_of_lambda
 
@@ -154,6 +155,92 @@ class TestNikodymSolver:
                     + (t0 + t1 + t2) * (t0 * t2 + t1 * t2 - 2 * t0 * t1) * Cf
                     + (t0 * t2 + t1 * t2 - 2 * t0 * t1) * np.eye(C.dim))
             assert np.max(np.abs(quad)) <= 1e-9
+
+
+def exact_X(C, t0, t1, lam):
+    """X(lam) in Fractions, written out longhand."""
+    I = kl.RationalMatrix.identity(C.dim)
+    M = (t1 - t0) * (C * (I + (t0 + t1) * C).inverse())
+    return (lam / (1 - lam)) * ((I + lam * M).inverse() * (I - (1 - lam) * M))
+
+
+def exact_T(C, t0, t1):
+    I = kl.RationalMatrix.identity(C.dim)
+    return (t0 / t1) * ((I + t0 * C) * (I + t1 * C).inverse())
+
+
+def max_gap(A, B) -> float:
+    return float(max(abs(a - b) for ra, rb in zip(A.rows, B.rows) for a, b in zip(ra, rb)))
+
+
+ROT10 = kl.RationalMatrix([[0, -10], [10, 0]])
+NIKODYM_CASES = [
+    NIL, kl.RationalMatrix([[F(5, 2), -1], [1, F(5, 2)]]), kl.RationalMatrix.diagonal([F(1, 4), F(-2, 5)]),
+    kl.RationalMatrix.diagonal([F(1, 4), F(1, 4), F(-2, 5)]), kl.RationalMatrix([[-3, -1], [1, -3]]),
+    kl.RationalMatrix([[37, F(-5, 2)], [F(5, 2), 37]]), kl.RationalMatrix([[F(7, 3), -2], [-1, F(-8, 3)]]),
+]
+KAKEYA_CASES = [
+    ROT10, kl.RationalMatrix([[-2, F(-1, 2)], [F(1, 2), -2]]),
+    kl.RationalMatrix([[F(13, 10), F(-1, 10)], [F(1, 10), F(13, 10)]]),
+    kl.RationalMatrix([[0, -10, 0, 0], [10, 0, 0, 0], [0, 0, 0, -10], [0, 0, 10, 0]]),
+]
+
+
+class TestCertifiedResiduals:
+    """Residuals are the exact gap at the returned values, each taken as the rational it is."""
+
+    @pytest.mark.parametrize("C", NIKODYM_CASES)
+    def test_nikodym_residual_is_the_exact_gap(self, C):
+        sol = kl.solve_nikodym_three_slice(C)
+        t0, t1, lam = F(sol.heights[0]), F(sol.heights[1]), F(sol.lam)
+        assert sol.residual == max_gap(exact_X(C, t0, t1, lam), exact_T(C, t0, t1)) <= 1e-9
+
+    @pytest.mark.parametrize("C", KAKEYA_CASES)
+    def test_kakeya_residual_is_the_exact_gap(self, C):
+        sol = kl.solve_kakeya_four_slice(C)
+        t0, t1 = sol.heights
+        X_lam, X_mu = exact_X(C, t0, t1, F(sol.lam)), exact_X(C, t0, t1, F(sol.mu))
+        assert sol.residual == max_gap(X_lam - X_mu, kl.RationalMatrix.identity(C.dim)) <= 1e-9
+
+    def test_product_identity_gradient_against_central_difference(self):
+        rng = np.random.default_rng(3)
+        h, checked = F(1, 10**9), 0
+        for t0, t1, t2 in rng.uniform(-0.9, 0.9, (400, 3)):
+            got = _product_identity(t0, t1, t2)
+            a = t0 * t0 * t2 * t2 + t1 * t1 * t2 * t2 - 2 * t0 * t0 * t1 * t1
+            if abs(a) < 1e-2:
+                continue
+            T0, T1, T2 = F(t0), F(t1), F(t2)
+            g = lambda u, v: (T0 * v + u * v - 2 * T0 * u) / (T0**2 * v**2 + u**2 * v**2 - 2 * T0**2 * u**2)
+            fd = ((g(T1 + h, T2) - g(T1 - h, T2)) / (2 * h), (g(T1, T2 + h) - g(T1, T2 - h)) / (2 * h))
+            assert got[0] == pytest.approx(float(g(T1, T2)), rel=1e-12)
+            for closed, diff in zip(got[1], fd):
+                assert closed == pytest.approx(float(diff), rel=1e-7, abs=1e-9)
+            checked += 1
+        assert checked > 200
+        assert _product_identity(0.5, 0.5, 0.5) is None  # a = 0
+
+    def test_diverging_range_probe_stops_without_warnings(self):
+        # the t0 - 1e-3 probe's Newton iterates reach about 1e83 and then NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = kl.solve_nikodym_three_slice(kl.RationalMatrix([[F(-3, 4), 0], [F(5, 4), F(7, 4)]]))
+            assert sol.t0_range is None and sol.residual <= 1e-9
+            assert _newton_heights(0.0, 1.0, 0.5, float("inf"), 0.25) is None
+
+    @pytest.mark.parametrize("C", NIKODYM_CASES[-2:])
+    def test_range_probes_stop_at_rounding(self, C):
+        # |grad| ulp(t) exceeds 1e-12 at these heights, so |f1| stalls above it; the probes stop once
+        # the Newton step is a few ulps, and their heights are certified exactly here
+        sol = kl.solve_nikodym_three_slice(C)
+        assert sol.t0_range is not None
+        tr, det = C[0, 0] + C[1, 1], C.det()
+        t0, t1, t2 = sol.heights
+        for t0p in (t0 - 1e-3, t0 + 1e-3):
+            u1, u2 = _newton_heights(float(tr / det), float(det), t0p, t1, t2)
+            assert abs(t0p + u1 + u2 + float(tr / det)) < 1e-12
+            lam = (t0p - u2) / (t0p - u1)
+            assert max_gap(exact_X(C, F(t0p), F(u1), F(lam)), exact_T(C, F(t0p), F(u1))) <= 1e-9
 
 
 class TestEigenvalueCount:
@@ -317,6 +404,29 @@ class TestIteration:
             kl.iterate_epsilon(1.0)
 
 
+class TestOneFormula:
+    """Floats get the former float formulas bit for bit."""
+
+    FLOATS = [0.0, 5e-324, 0.32486, math.nextafter(1.0, 0.0)] + list(np.random.default_rng(5).uniform(0, 1, 996))
+
+    def test_iterate_epsilon(self):
+        for e in map(float, self.FLOATS):
+            assert kl.iterate_epsilon(e).hex() == ((2.0 - e * e) / (8.0 - 7.0 * e + e * e)).hex()
+
+    def test_dimension_lower_bound(self):
+        for e in map(float, self.FLOATS):
+            for n in (3, 4, 7, 10):
+                for has_range in (False, True):
+                    old = (n - 1) / (2.0 - e) + (1.0 if has_range else 0.0)
+                    assert kl.dimension_lower_bound(n, e, has_range).hex() == old.hex()
+
+    @pytest.mark.parametrize("eps", [-1e-300, 1.0, F(1), F(-1, 7), -1])
+    def test_range_checked_once(self, eps):
+        for call in (lambda: kl.iterate_epsilon(eps), lambda: kl.dimension_lower_bound(3, eps, True)):
+            with pytest.raises(ValueError):
+                call()
+
+
 class TestDimensionLowerBound:
     def test_trivial_bound(self):
         assert kl.dimension_lower_bound(7, F(0), True) == F(8, 2)
@@ -394,6 +504,22 @@ class TestWMatrix:
             kl.w_matrix(kl.RationalMatrix([[0, 0], [1, 0]]))
         with pytest.raises(kl.NotCompanionForm):
             kl.w_matrix(kl.RationalMatrix([[1, 2], [3, 4]]))
+
+    @pytest.mark.parametrize("i,j", [(0, 2), (2, 0), (1, 3), (3, 1)])
+    def test_entry_outside_a_block_rejected(self, i, j):
+        rows = [list(r) for r in kl.RationalMatrix([[3, 1, 0, 0], [5, 0, 0, 0], [0, 0, 2, 1], [0, 0, 7, 0]]).rows]
+        assert [l for l, _ in companion_blocks(kl.RationalMatrix(rows))] == [2, 2]
+        rows[i][j] = F(1, 2)
+        with pytest.raises(kl.NotCompanionForm, match=rf"\({i}, {j}\)"):
+            companion_blocks(kl.RationalMatrix(rows))
+
+    @pytest.mark.parametrize("i,j", [(0, 2), (1, 1), (2, 1), (2, 2)])
+    def test_entry_inside_a_block_off_its_layout_rejected(self, i, j):
+        # a 3-block: only its first column and its superdiagonal of ones may be nonzero
+        rows = [list(r) for r in kl.companion([1, 2, 3]).rows]
+        rows[i][j] = F(4)
+        with pytest.raises(kl.NotCompanionForm, match=rf"\({i}, {j}\)"):
+            companion_blocks(kl.RationalMatrix(rows))
 
     def test_vanishing_order(self):
         C = kl.companion([3, 5])

@@ -520,6 +520,26 @@ class TestKeysAgainstPlainSets:
         assert rep.lower_bound == g**4 / M**4 and rep.identity_verified
 
 
+class TestIncidenceRows:
+    """Incidence(pairs=...) keeps the distinct pairs in (a, b) order, ranking a and b apart."""
+
+    @pytest.mark.parametrize("dim,box,scale", [(8, 20, 1), (2, 12, 2**60), (2, 12, -(2**60)), (1, 3, 1)])
+    def test_rows_match_sorted_plain_set(self, dim, box, scale):
+        rng = np.random.default_rng(dim * 1000 + box)
+        pts = [tuple(scale * int(c) for c in rng.integers(-box, box + 1, dim)) for _ in range(40)]
+        pairs = [(pts[i], pts[j]) for i, j in rng.integers(0, len(pts), (300, 2))]  # with repeats
+        G = kl.Incidence(pairs=pairs)
+        want = sorted(set(pairs))
+        assert list(zip(map(tuple, G.a.tolist()), map(tuple, G.b.tolist()))) == want
+        peaks = tuple(max(abs(c) for p in side for c in p) for side in zip(*want))
+        assert (G.peak_a, G.peak_b) == peaks
+        assert G.a.dtype == G.b.dtype == (object if max(peaks) >= 2**63 else np.int64)  # 12 * 2^60 is past int64
+
+    def test_empty(self):
+        G = kl.Incidence(pairs=[])
+        assert G.size == 0 and G.pairs == frozenset()
+
+
 def _edge_peak(dim: int) -> int:
     """The largest peak P whose keys fit int64: (S^dim - 1)/2 <= 2^63 - 1 with S = 2P + 1."""
     S = math.isqrt(2**64) if dim == 2 else int((2**64 - 1) ** (1 / dim))
