@@ -102,10 +102,9 @@ def _config(args: argparse.Namespace) -> dict:
 
 # ------------------------------------------------------------------ commands
 
-def _sweep_output(args, ks: list[int], cells_by_k: dict, n: int) -> int:
-    rows = [[k, cs.cell_count, cs.volume(), -k, np.log2(cs.volume())]
-            for k, cs in cells_by_k.items()]
-    fit = raster.box_dimension(lambda k: cells_by_k[k].volume(), ks, n=n)
+def _sweep_output(args, ks: list[int], sizes: dict, n: int) -> int:
+    rows = [[k, count, vol, -k, np.log2(vol)] for k, (count, vol) in sizes.items()]
+    fit = raster.box_dimension(lambda k: sizes[k][1], ks, n=n)
     cfg = _config(args)
     write_csv(args.out, cfg, ["k", "cell_count", "volume", "log2_delta", "log2_volume"], rows)
     write_json(None, cfg, {"slope": fit.slope, "fit_residual": fit.fit_residual})
@@ -117,17 +116,17 @@ def cmd_worstcase(args) -> int:
 
     C = _load_matrix(args.matrix) if args.matrix else companion([0] * (args.n - 1))
     ks = _parse_ks(args.ks)
-    cells = {k: raster.rasterize(raster.build_worstcase_kakeya(C, k), k) for k in ks}
-    return _sweep_output(args, ks, cells, C.dim + 1)
+    sizes = {k: raster.union_volume(raster.build_worstcase_kakeya(C, k), k) for k in ks}
+    return _sweep_output(args, ks, sizes, C.dim + 1)
 
 
 def cmd_dimension(args) -> int:
     family = CurveFamily.from_json(json.loads(Path(args.family).read_text()))
     raw = raster.TubeFamilySpec(family, tubes_from_json(json.loads(Path(args.tubes).read_text())))
     ks = _parse_ks(args.ks)
-    cells = {k: raster.rasterize(raster.TubeFamilySpec(family, Y=raw.Y, W=raw.W, delta=2.0**-k), k)
+    sizes = {k: raster.union_volume(raster.TubeFamilySpec(family, Y=raw.Y, W=raw.W, delta=2.0**-k), k)
              for k in ks}
-    return _sweep_output(args, ks, cells, family.n)
+    return _sweep_output(args, ks, sizes, family.n)
 
 
 def cmd_sumset(args) -> int:

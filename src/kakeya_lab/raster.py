@@ -161,8 +161,10 @@ def _stamp(spec: TubeFamilySpec, k: int):
     key packs (band - first band, j_1 + R + 3, ..., j_d + R + 3) in base
     K = 2^(k+1) + 6.  Floors are clipped to [-R-3, R+1], so every digit lies in
     [0, K) and both candidates of a clipped floor lie outside the box [-R-1, R].
-    No row is range-tested: when some floor leaves [-R-1, R-1], out-of-box
-    cells are dropped from the block's distinct keys.
+    A block with at most 2^d key slots per row adds its hit tests into a dense
+    count; others gather their hit keys (int32 below 2^31) for _distinct.  No
+    row is range-tested: when some floor leaves [-R-1, R-1], out-of-box cells
+    are dropped from the block's distinct keys.
     """
     Y, W = spec.Y, spec.W
     m, d = len(Y), spec.family.n - 1
@@ -179,29 +181,45 @@ def _stamp(spec: TubeFamilySpec, k: int):
             f"cell keys exceed int64: (2^{k + 1} + 6)^{d} >= 2^63 at n = {d + 1}, k = {k}")
     bands = _band_indices(k, spec.t_range)
     per_block = min(max(1, _BLOCK_ROWS // m), 2**63 // K**d)  # band offset * K^d stays in int64
-    step = K ** np.arange(d - 1, -1, -1, dtype=np.int64)
     bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1  # candidate -> which axes take j0+1
-    cand_off = bits @ step
+    step = [K**e for e in range(d - 1, -1, -1)]  # Python ints, so int32 keys stay int32
+    cand_off = (bits @ step).tolist()
     # exact (R = 2^k) centres in cell units; column-major, so _centres reads each axis contiguously
     YR, WR = (np.multiply(a, float(R), order="F") for a in (Y, W))
     for first in range(0, bands.size, per_block):
         block = bands[first:first + per_block]
         u = _centres(spec.family, YR, WR, (block + 0.5) * 2.0**-k).reshape(d, -1)  # rows run tube-major
-        band_key = np.tile(np.arange(block.size, dtype=np.int64) * K**d + (R + 3) * int(step.sum()), m)
-        keys, used = np.empty(2**d * u.shape[1], dtype=np.int64), 0
+        space = block.size * K**d
+        counted = space <= 2**d * u.shape[1]  # decided from the rows, before stamping
+        itype = np.int64 if counted or space >= 2**31 else np.int32
+        band_key = np.tile((np.arange(block.size) * K**d + (R + 3) * sum(step)).astype(itype), m)
+        if counted:
+            counts, hits = np.zeros(space, dtype=np.int64), np.empty(min(u.shape[1], _BLOCK_ROWS), dtype=np.int64)
+        else:
+            keys, used = np.empty(2**d * u.shape[1], dtype=itype), 0
         for s in range(0, u.shape[1], _BLOCK_ROWS):
             us = u[:, s:s + _BLOCK_ROWS]
             j0f = np.floor(us - 0.5)
             w0 = j0f + 0.5 - us  # in (-1, 0]
             sq = (w0 * w0, np.square(w0 + 1.0))  # squared axis terms of the candidates j0 and j0+1
-            base = band_key[s:s + _BLOCK_ROWS] + step @ np.clip(j0f, -R - 3, R + 1, out=j0f).astype(np.int64)
+            j0 = np.clip(j0f, -R - 3, R + 1, out=j0f).astype(itype)
+            base = reduce(lambda b, j: np.add(np.multiply(b, K, out=b), j, out=b), j0)  # Horner, in j0[0]
+            base += band_key[s:s + _BLOCK_ROWS]  # every |partial sum| is below (R+3) sum(step) < space
             for c, off in zip(bits, cand_off):
-                hit = reduce(np.add, (sq[b][axis] for axis, b in enumerate(c))) < 1.0  # axes summed in order
+                near = reduce(np.add, (sq[b][axis] for axis, b in enumerate(c)))  # axes summed in order
+                hit = np.less(near, 1.0, out=hits[:near.size] if counted else None)
+                if counted:
+                    np.add.at(counts[off:], base, hit)
+                    continue
                 out = keys[used:used + np.count_nonzero(hit)]
                 np.add(np.compress(hit, base, out=out), off, out=out)
                 used += out.size
-        del j0f, w0, sq, base  # free the last rows' temporaries before deduplicating
-        keys, counts = _distinct(keys[:used], block.size * K**d)
+        del j0f, w0, sq, j0, base  # free the last rows' temporaries before deduplicating
+        if counted:
+            keys = np.flatnonzero(counts != 0)  # a bool scan is about 4x faster than an int64 one
+            counts = counts[keys]
+        else:
+            keys, counts = _distinct(keys[:used])
         if not (np.floor(u.min() - 0.5) >= -R - 1 and np.floor(u.max() - 0.5) <= R - 1):  # NaN lands here too
             axes = _digits(keys, K, d)[1:]
             inside = ((axes >= 2) & (axes < K - 2)).all(axis=0)
@@ -218,24 +236,15 @@ def _digits(keys: np.ndarray, K: int, d: int) -> np.ndarray:
     return out
 
 
-def _distinct(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys in [0, space) and their multiplicities.
-
-    A sort costs about 9-14 ns per key and a dense count (np.bincount) about
-    1 ns per slot of the key space, so keys are counted when the space is at
-    most 8x their number and sorted otherwise.  The sort is about 10x faster
-    here than np.unique's hash path (numpy 2.4).
-    """
-    if space <= 8 * keys.size:
-        counts = np.bincount(keys, minlength=space)
-        keys = np.flatnonzero(counts)
-        return keys, counts[keys]
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and their multiplicities, both int64.  The sort beats np.unique's hash
+    path about 10x here (numpy 2.4), and sorts int32 keys 2.2-2.7x faster than int64 ones."""
     keys = np.sort(keys)
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     first = np.flatnonzero(first)
-    return keys[first], np.diff(first, append=keys.size)
+    return keys[first].astype(np.int64, copy=False), np.diff(first, append=keys.size)
 
 
 def rasterize(spec: TubeFamilySpec, k: int) -> CellSet:
@@ -243,10 +252,8 @@ def rasterize(spec: TubeFamilySpec, k: int) -> CellSet:
 
     Each block of height bands from the stamping kernel is deduplicated on its
     own, so stamping memory is bounded per block, not per grid; the cells of
-    all blocks are then sorted once.  Keys pack in base 2^(k+1) + 6 and are
-    deduplicated by a dense count when a block's key space is at most 8x its
-    keys (the n = 3 worst case), by a sort otherwise: a count costs about
-    1 ns per slot of the key space, a sort 9-14 ns per key.
+    all blocks are then sorted once.  Keys pack in base 2^(k+1) + 6; _stamp
+    counts each block in place (the n = 3 worst case) or sorts its keys.
     Raises :class:`ResolutionTooFine` when the stamping budget (2^30 candidate
     cells) would be exceeded, or when packed cell keys would not fit in int64;
     use :func:`union_volume` for larger counting-only experiments.
@@ -268,10 +275,11 @@ def rasterize(spec: TubeFamilySpec, k: int) -> CellSet:
 
 def union_volume(spec: TubeFamilySpec, k: int) -> tuple[int, float]:
     """(cell count, volume) of the union, summed over the stamping kernel's
-    band blocks.
+    band blocks, with :meth:`CellSet.volume`'s volume.
 
-    Nothing larger than one block's keys is held, so this handles unions too
-    large for a :class:`CellSet`.  Blocks are deduplicated as in :func:`rasterize`.
+    No :class:`CellSet` is built and nothing larger than one block's keys is
+    held, so this handles unions too large for one; the sweep commands count
+    cells this way.  Blocks are deduplicated as in :func:`rasterize`.
     """
     total = sum(keys.size for _, keys, _ in _stamp(spec, k))
     return total, (2.0**-k) ** spec.family.n * total

@@ -94,12 +94,15 @@ def aux_matrix(C: RationalMatrix, t0, t1) -> RationalMatrix:
 
 
 def x_of_lambda(C: RationalMatrix, t0, t1, lam) -> RationalMatrix:
-    """X(lam) = lam/(1-lam) [I + lam M]^{-1} [I - (1-lam) M]."""
+    """X(lam) = lam/(1-lam) [I + lam M]^{-1} [I - (1-lam) M] for M = aux_matrix(C, t0, t1)."""
+    return _x_of_m(aux_matrix(C, t0, t1), lam)
+
+
+def _x_of_m(M: RationalMatrix, lam) -> RationalMatrix:
     lam = rat(lam)
     if lam == 1:
         raise SingularConfiguration("lam = 1")
-    I = RationalMatrix.identity(C.dim)
-    M = aux_matrix(C, t0, t1)
+    I = RationalMatrix.identity(M.dim)
     left = _inverse(I + lam * M, "I + lam*M is singular")
     return (lam / (1 - lam)) * (left * (I - (1 - lam) * M))
 
@@ -123,7 +126,7 @@ def slice_matrices(C: RationalMatrix, t0, t1, lam) -> SliceMatrices:
     if t0 == t1:
         raise SingularConfiguration("t0 and t1 must differ")
     M = aux_matrix(C, t0, t1)
-    X = x_of_lambda(C, t0, t1, lam)
+    X = _x_of_m(M, lam)
     T = None if (t0 == 0 or t1 == 0) else centre_matrix(C, t0, t1)
     return SliceMatrices(X=X, T=T, M=M, heights=(t0, t1, lam))
 
@@ -448,7 +451,8 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
         t0, t1 = Fraction(1) - 2 * best_eps, Fraction(-1) + best_eps
     else:
         t0, t1 = Fraction(-1) + best_eps, Fraction(1) - 2 * best_eps
-    lm_pair = _eigenvalue_pair(aux_matrix(C, t0, t1))
+    M = aux_matrix(C, t0, t1)
+    lm_pair = _eigenvalue_pair(M)
     if lm_pair is None:
         raise NoSolution("region_violated", "auxiliary matrix has more than two eigenvalues")
     s = float((lm_pair[0] + lm_pair[1]).real)
@@ -471,7 +475,7 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
             r -= f / df
         lam = _lambda_of_mu(r, s)
         if 0.0 < r < 1.0 and 0.0 < lam < 1.0:
-            X_lam, X_mu = (x_of_lambda(C, t0, t1, Fraction(z)) for z in (lam, r))
+            X_lam, X_mu = (_x_of_m(M, Fraction(z)) for z in (lam, r))
             residual = _gap(X_lam - X_mu, RationalMatrix.identity(C.dim))
             if residual <= RESIDUAL_TOL:
                 mu = r

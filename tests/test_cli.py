@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 import kakeya_lab as kl
-from kakeya_lab.cli import main
+from kakeya_lab.cli import fmt, main
 from kakeya_lab.sumsets import instance_to_json
 
 
@@ -229,7 +230,8 @@ def test_malformed_family_or_tubes_exit_code(tmp_path, capsys, command, family, 
 @pytest.mark.parametrize("ks", ["8", "5,6", "5,5,6", "6,5,7", "0,1,2", "11,12,13", "3,x,5"])
 def test_ks_rejected_before_rasterizing(tmp_path, capsys, monkeypatch, ks):
     calls = []
-    monkeypatch.setattr(kl.raster, "rasterize", lambda *a: calls.append(a))
+    for name in ("rasterize", "union_volume"):
+        monkeypatch.setattr(kl.raster, name, lambda *a: calls.append(a))
     (tmp_path / "fam.json").write_text(json.dumps(GOOD_FAMILY))
     (tmp_path / "tubes.json").write_text(json.dumps(GOOD_TUBES))
     for argv in (["worstcase", "--ks", ks],
@@ -238,6 +240,37 @@ def test_ks_rejected_before_rasterizing(tmp_path, capsys, monkeypatch, ks):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "--ks" in err
     assert calls == []
+
+
+SWEEP_TUBES = GOOD_TUBES + [{"y": [-0.3, 0.2], "omega": [0.1, -0.1], "delta": 0.25},
+                            {"y": [0.1, 0.4], "omega": [-0.2, 0.3], "delta": 0.25}]
+
+
+@pytest.mark.parametrize("sweep", ["worstcase", "dimension"])
+def test_sweep_bodies_match_cell_sets(tmp_path, capsys, sweep):
+    # the sweeps count cells without building a CellSet; their CSV rows and fit are the cell sets'
+    ks = [3, 4, 5]
+    if sweep == "worstcase":
+        argv = ["worstcase", "--n", "3"]
+        specs = {k: kl.build_worstcase_kakeya(kl.companion([0, 0]), k) for k in ks}
+    else:
+        (tmp_path / "fam.json").write_text(json.dumps(GOOD_FAMILY))
+        (tmp_path / "tubes.json").write_text(json.dumps(SWEEP_TUBES))
+        argv = ["dimension", "--family", str(tmp_path / "fam.json"), "--tubes", str(tmp_path / "tubes.json")]
+        family = kl.CurveFamily.from_json(GOOD_FAMILY)
+        Y = [t["y"] for t in SWEEP_TUBES]
+        W = [t["omega"] for t in SWEEP_TUBES]
+        specs = {k: kl.TubeFamilySpec(family, Y=Y, W=W, delta=2.0**-k) for k in ks}
+    cells = {k: kl.rasterize(spec, k) for k, spec in specs.items()}
+    code, out, _ = run(capsys, *argv, "--ks", "3,4,5", "--out", str(tmp_path / "sweep.csv"))
+    assert code == 0
+    rows = [",".join(fmt(v) for v in (k, cs.cell_count, cs.volume(), -k, np.log2(cs.volume())))
+            for k, cs in cells.items()]
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == \
+        ["k,cell_count,volume,log2_delta,log2_volume", *rows]
+    fit = kl.box_dimension(lambda k: cells[k], ks)
+    result = json.loads(out)["result"]
+    assert (result["slope"], result["fit_residual"]) == (fit.slope, fit.fit_residual)
 
 
 @pytest.mark.parametrize("matrix", ['{"dim": 2}', "[[1, 0], [0, 1]]", '{"entries": 5}'])

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 from fractions import Fraction as F
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -131,14 +130,22 @@ class TestKeyRange:
     @staticmethod
     def _assert_matches_oracle(spec, k, monkeypatch):
         """Cells, union count and covering norms at p' = 2 and 1.5 agree with
-        stamp_oracle; returns which dedupe branches ran (True: counted)."""
-        counted, distinct = set(), raster._distinct
+        stamp_oracle; returns the dedupe branches that ran: "counted" in place,
+        or the key dtype ("int32" or "int64") that _distinct sorted."""
+        ran, sorted_keys = set(), []
+        distinct, stamp = raster._distinct, raster._stamp
 
-        def spy(keys, space):
-            counted.add(space <= 8 * keys.size)
-            return distinct(keys, space)
+        def distinct_spy(keys):
+            sorted_keys.append(keys.dtype.name)
+            return distinct(keys)
 
-        monkeypatch.setattr(raster, "_distinct", spy)
+        def stamp_spy(spec, k):
+            for block in stamp(spec, k):
+                ran.add(sorted_keys.pop() if sorted_keys else "counted")
+                yield block
+
+        monkeypatch.setattr(raster, "_distinct", distinct_spy)
+        monkeypatch.setattr(raster, "_stamp", stamp_spy)
         n = spec.family.n
         want = stamp_oracle(spec, k)
         assert kl.rasterize(spec, k).occupied == frozenset(want)
@@ -146,16 +153,38 @@ class TestKeyRange:
         for p in (2.0, 1.5):
             norm = ((2.0**-k) ** n * sum(c**p for c in want.values())) ** (1 / p)
             assert math.isclose(kl.covering_norm(spec, p, k), norm, rel_tol=1e-12)
-        return counted
+        return ran
 
     @pytest.mark.parametrize("n,k", [(5, 11), (9, 6), (3, 12)])
     def test_matches_oracle(self, n, k, monkeypatch):
-        assert self._assert_matches_oracle(three_tubes(n, k), k, monkeypatch) == {False}
+        assert self._assert_matches_oracle(three_tubes(n, k), k, monkeypatch) == {"int64"}
 
     def test_counted_worst_case_matches_oracle(self, monkeypatch):
-        # 797 tubes: a block of 20 bands has about 50k keys in a key space of 20 * 38^2
+        # 797 tubes: a block of 20 bands has 15,940 rows and a key space of 20 * 38^2 <= 4 * 15,940
         spec = kl.build_worstcase_kakeya(WORST, 4)
-        assert self._assert_matches_oracle(spec, 4, monkeypatch) == {True}
+        assert self._assert_matches_oracle(spec, 4, monkeypatch) == {"counted"}
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_gate_edge_matches_oracle(self, n, monkeypatch):
+        # k = 1 (K = 10), the one band centred at t = 1/4: m tubes give m rows and a key space of
+        # 10^(n-1), which is 2^(n-1) slots per row at m = 5^(n-1).  One tube fewer gives 2^(n-1)
+        # slots more, the least excess a block can have: both sides are multiples of 2^(n-1).
+        d, edge = n - 1, 5 ** (n - 1)
+        rng = np.random.default_rng(n)
+        family = kl.CurveFamily(n=n, C=kl.companion([0] * d))
+        for m, branch in ((edge, "counted"), (edge - 1, "int32")):
+            spec = kl.TubeFamilySpec(family, Y=rng.uniform(-0.6, 0.6, (m, d)), W=rng.uniform(-0.8, 0.8, (m, d)),
+                                     delta=0.5, t_range=(0.0, 0.5))
+            assert self._assert_matches_oracle(spec, 1, monkeypatch) == {branch}
+
+    @pytest.mark.parametrize("bands, dtype", [(509, "int32"), (510, "int64")])
+    def test_sorted_key_width_matches_oracle(self, bands, dtype, monkeypatch):
+        # k = 10, one tube: one block of the given bands, a key space of bands * 2054^2,
+        # 2^31 - 55,404 at 509 bands and 2^31 + 4,163,512 at 510
+        assert (bands * 2054**2 < 2**31) == (dtype == "int32")
+        tube = kl.TubeSpec(params=kl.CurveParams(y=(0.3, -0.2), omega=(0.1, 0.05)), delta=2.0**-10)
+        spec = kl.TubeFamilySpec(straight_family(), [tube], t_range=(0.0, bands / 1024))
+        assert self._assert_matches_oracle(spec, 10, monkeypatch) == {dtype}
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("u", [8.9, -9.1])
@@ -193,16 +222,11 @@ class TestKeyRange:
 
 @settings(max_examples=200, deadline=None)
 @example([])
-@given(st.integers(0, 40).flatmap(
-    lambda n: st.lists(st.integers(0, max(8 * n - 1, 0)), min_size=n, max_size=n)))
-def test_distinct_branches_match_unique(values):
-    keys = np.array(values, dtype=np.int64)
-    want = np.unique(keys, return_counts=True)
-    # the gate's edge: a key space of 8x the keys is counted, one slot more is sorted
-    for space, counted in ((8 * keys.size, True), (8 * keys.size + 1, False)):
-        with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
-            got = raster._distinct(keys.copy(), space)
-        assert bincount.called == counted
+@given(st.lists(st.integers(0, 2**31 - 1) | st.integers(0, 40), max_size=40))
+def test_distinct_matches_unique(values):
+    want = np.unique(np.array(values, dtype=np.int64), return_counts=True)
+    for dtype in (np.int32, np.int64):
+        got = raster._distinct(np.array(values, dtype=dtype))
         for a, b in zip(got, want):
             assert a.dtype == np.int64 and np.array_equal(a, b)
 

@@ -322,6 +322,13 @@ class TestKakeyaSolver:
         assert sol.regime == "complex_pair_swapped"
         assert float(sol.heights[0]) > 0 > float(sol.heights[1])
 
+    def test_residual_reuses_m(self, monkeypatch):
+        # the eigenvalue pair and every candidate root's X(lam), X(mu) share one exact M
+        calls, build = [], aux_matrix
+        monkeypatch.setattr(kl.slices, "aux_matrix", lambda *a: calls.append(a) or build(*a))
+        sol = kl.solve_kakeya_four_slice(kl.RationalMatrix([[0, -10], [10, 0]]))
+        assert len(calls) == 1 and sol.residual <= 1e-9
+
     def test_repeated_conjugate_pair_higher_dimension(self):
         # two identical rotation blocks: still a single conjugate pair
         C = kl.RationalMatrix([
