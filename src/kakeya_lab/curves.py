@@ -468,7 +468,7 @@ def hairbrush_claim_check(
     C = family.C
     if not (C * C).is_zero():
         raise ConfigurationViolation("claim check requires C^2 = 0")
-    if any(abs(float(v)) > 1e-12 for v in central.params.y + central.params.omega):
+    if any(v != 0 for v in central.params.y + central.params.omega):
         raise ConfigurationViolation("central tube must be normalised to T_0(0)")
     deltas = {float(central.delta), float(tube_j.delta), float(tube_i.delta)}
     if len(deltas) != 1:

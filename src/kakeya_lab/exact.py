@@ -1,13 +1,15 @@
 """Exact rational scalars, small dense matrices and polynomials.
 
 Everything here is exact: scalars are ``fractions.Fraction``, matrix and
-polynomial arithmetic never rounds.  Floats appear only in
-:func:`eigenvalues_float`, which is meant for condition screening and never
-for pass/fail identities.
+polynomial arithmetic never rounds.  Floats appear only as outputs:
+:meth:`RationalMatrix.to_float`, and :func:`real_roots`, which decides every
+sign exactly and rounds each root once, to one of the two floats around it.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -376,11 +378,6 @@ def nilpotency(c: RationalMatrix) -> tuple[bool, int | None]:
     return False, None
 
 
-def eigenvalues_float(c: RationalMatrix) -> list[complex]:
-    """Floating-point eigenvalues, for screening only (never exact identities)."""
-    return [complex(z) for z in np.linalg.eigvals(c.to_float())]
-
-
 def char_poly(c: RationalMatrix) -> Polynomial:
     """Exact characteristic polynomial det(c - t*I)."""
     return poly_combination(
@@ -406,18 +403,34 @@ def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a * (1 / a.coeffs[-1])
 
 
-def _sturm_chain(p: Polynomial) -> list[Polynomial]:
+def _sturm_chain(p: Polynomial) -> list[list[int]]:
+    """p's Sturm chain, each polynomial scaled by a positive integer to integer coefficients."""
     chain = [p, p.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
         _, r = chain[-2].divmod(chain[-1])
         if r.is_zero():
             break
         chain.append(-r)
-    return [q for q in chain if not q.is_zero()]
+    scaled = []
+    for q in chain:
+        if not q.is_zero():
+            d = math.lcm(*(c.denominator for c in q.coeffs))
+            scaled.append([int(c * d) for c in q.coeffs])
+    return scaled
 
-def _sign_changes(chain: list[Polynomial], x: Fraction) -> int:
-    signs = [q(x) for q in chain]
-    signs = [s for s in signs if s != 0]
+
+def _scaled_at(cs: list[int], x) -> int:
+    """sum(cs[i] x^i) d^deg at x = n/d, a float or a rational: an integer with the sign of the value."""
+    n, d = x.as_integer_ratio()
+    v, pw = cs[-1], 1
+    for c in reversed(cs[:-1]):
+        pw *= d
+        v = v * n + c * pw
+    return v
+
+
+def _sign_changes(chain: list[list[int]], x) -> int:
+    signs = [v for v in (_scaled_at(cs, x) for cs in chain) if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
 
@@ -431,7 +444,42 @@ def count_real_roots(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
     sf = _squarefree_part(p)
     chain = _sturm_chain(sf)
     # Sturm counts roots in (lo, hi]; add lo back if it is a root.
-    n = _sign_changes(chain, lo) - _sign_changes(chain, hi)
-    if sf(lo) == 0:
-        n += 1
-    return n
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi) + (sf(lo) == 0)
+
+
+def _float_between(a: float, b: float) -> float | None:
+    """The float halfway between floats a < b in their order, None when they are adjacent.
+
+    The order is that of the bit patterns, negated for negative floats, so a bisection takes at most 64 steps.
+    """
+    i, j = (n if n >= 0 else -(n & 0x7FFF_FFFF_FFFF_FFFF) for n in struct.unpack("<2q", struct.pack("<2d", a, b)))
+    if j - i < 2:
+        return None
+    m = (i + j) // 2
+    return math.copysign(struct.unpack("<d", struct.pack("<q", abs(m)))[0], m)
+
+
+def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
+    """The distinct real roots of ``p`` in the open interval (lo, hi), increasing, each as a float.
+
+    Bisects (lo, hi) over the floats, counting the roots in each part with the
+    Sturm chain of p's squarefree part evaluated exactly, until each root's
+    bracket is two adjacent floats; of those two, the one where |p| is smaller
+    is returned.  A root that is a float is returned exactly.
+    """
+    if p.is_zero() or not lo < hi:
+        raise ValueError("need a nonzero polynomial and lo < hi")
+    sf = _squarefree_part(p)
+    chain = _sturm_chain(sf)
+    count = lambda a, b: _sign_changes(chain, a) - _sign_changes(chain, b) - (_scaled_at(chain[0], b) == 0)
+    roots, todo = [], [(lo, hi, count(lo, hi))]  # (a, b, number of roots in the open interval (a, b))
+    while todo:
+        a, b, n = todo.pop()
+        m = _float_between(a, b) if n else None
+        if n and m is None:  # n roots between two adjacent floats
+            roots += [min([x for x in (a, b) if lo < x < hi] or [a, b], key=lambda x: abs(sf(Fraction(x))))] * n
+        elif n:
+            hit, left = _scaled_at(chain[0], m) == 0, count(a, m)
+            roots += [m] * hit
+            todo += [(a, m, left), (m, b, n - left - hit)]
+    return sorted(roots)

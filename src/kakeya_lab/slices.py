@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .errors import NoSolution, NotCompanionForm, SingularConfiguration, SingularMatrix
 from .exact import (
     Polynomial,
@@ -24,14 +22,11 @@ from .exact import (
     _squarefree_part,
     char_poly,
     companion,
-    eigenvalues_float,
     count_real_roots,
-    nilpotency,
     poly_combination,
     rat,
+    real_roots,
 )
-
-GOLDEN_SUM_BARRIER = -2.0 * (1.0 + math.sqrt(2.0))  # root-sum threshold for the four-slice case
 
 RESIDUAL_TOL = 1e-9
 RANGE_PROBE = 1e-3
@@ -153,33 +148,17 @@ def _nikodym_gap(C: RationalMatrix, t0, t1, lam) -> float:
     return _gap(x_of_lambda(C, t0, t1, lam), centre_matrix(C, t0, t1))
 
 
-def _eigenvalue_pair(M: RationalMatrix, tol: float = 1e-8):
-    """M's (at most two) distinct eigenvalues as complex floats, a single one twice; None for more.
+def _sum_product(q: Polynomial) -> Optional[tuple[Fraction, Fraction]]:
+    """(s, p) = (h + k, hk) for the distinct roots h, k of a squarefree q of degree <= 2, exactly.
 
-    The count is exact: the degree of the squarefree part of char_poly(M).  The
-    values are the float spectrum clustered with ``tol * max(1, |r|)`` when
-    that finds as many, else the roots of the squarefree part, from exact
-    coefficients (the clustering merges distinct values below about ``tol``).
+    A single root h counts twice: s = 2h, p = h^2.  None when deg q > 2.
     """
-    sf = _squarefree_part(char_poly(M))
-    if sf.degree > 2:
+    if q.degree > 2:
         return None
-    reps: list[complex] = []
-    for z in eigenvalues_float(M):
-        for r in reps:
-            if abs(z - r) <= tol * max(1.0, abs(r)):
-                break
-        else:
-            reps.append(z)
-    if len(reps) != sf.degree:
-        c0, c1, c2 = (sf.coeffs + (0,))[:3]
-        if sf.degree == 1:
-            reps = [complex(-c0 / c1)]
-        else:  # roots m +- sqrt(d); the larger one without cancellation, the other from the product c0/c2
-            m, d = -c1 / (2 * c2), (c1 * c1 - 4 * c0 * c2) / (4 * c2 * c2)
-            r = complex(float(m) + math.copysign(1.0, m) * np.sqrt(complex(d)))
-            reps = [r, float(c0 / c2) / r]
-    return reps[0], reps[-1]
+    if q.degree == 1:
+        h = -q[0] / q[1]
+        return 2 * h, h * h
+    return -q[1] / q[2], q[0] / q[2]
 
 
 def _valid_heights(*ts: float) -> bool:
@@ -299,7 +278,9 @@ def solve_nikodym_three_slice(C: RationalMatrix) -> HeightsSolution:
 
     Supported inputs: C with C^2 = 0 (exact branch), and diagonal or invertible C
     whose spectrum consists of at most two values.  Raises :class:`NoSolution`
-    with a reason code otherwise.
+    with a reason code otherwise.  The branch and every reason code are decided
+    exactly from s = h + k and p = hk of the distinct eigenvalues h, k; only the
+    heights are floats.
     """
     if (C * C).is_zero():
         # X(lam) and T are parallel; lam/(1-lam) = t0/t1 makes them equal.
@@ -317,49 +298,37 @@ def solve_nikodym_three_slice(C: RationalMatrix) -> HeightsSolution:
     if not (C.is_diagonal() or C.det() != 0):
         raise NoSolution("unsupported_matrix_shape", "need C diagonal or invertible, or C^2 = 0")
 
-    pair = _eigenvalue_pair(C)
-    if pair is None:
+    sp = _sum_product(_squarefree_part(char_poly(C)))
+    if sp is None:
         raise NoSolution("too_many_eigenvalues", "spectrum must have at most two values")
-    h, k = pair
-    if abs(h) < 1e-12 or abs(k) < 1e-12:
+    s, p = sp
+    if p == 0:
         raise NoSolution("reciprocal_sum_out_of_range", "zero eigenvalue")
-    S = complex(1) / h + complex(1) / k
-    if abs(S.imag) > 1e-9:
-        raise NoSolution("unsupported_matrix_shape", "eigenvalues are not a real or conjugate pair")
-    S = S.real
-    if abs(S) >= 3.0:
-        raise NoSolution("reciprocal_sum_out_of_range", f"|1/h + 1/k| = {abs(S):.6g} >= 3")
+    S = s / p  # 1/h + 1/k
+    if abs(S) >= 3:
+        raise NoSolution("reciprocal_sum_out_of_range", f"|1/h + 1/k| = {float(abs(S)):.6g} >= 3")
 
-    P = (h * k).real
-
-    if abs(h.imag) > 1e-10:  # complex conjugate pair alpha +/- i beta
-        alpha, beta = h.real, abs(h.imag)
-        a2b2 = alpha * alpha + beta * beta
+    if s * s < 4 * p:  # complex conjugate pair alpha +/- i beta: s = 2 alpha, p = alpha^2 + beta^2
         heights = None
-        if 3 * alpha * alpha - beta * beta > 1e-14:
-            t0 = math.sqrt(3 * alpha * alpha - beta * beta) / a2b2
-            cand = (t0, -t0, -2 * alpha / a2b2)
-            if _valid_heights(*cand):
-                heights = cand
-                regime = "complex_symmetric"
+        third = float(-S)  # -2 alpha / (alpha^2 + beta^2); the heights sum to it
+        if s * s > p:  # 3 alpha^2 - beta^2 > 0
+            t0 = math.sqrt(s * s - p) / float(p)
+            if _valid_heights(t0, -t0, third):
+                heights, regime = (t0, -t0, third), "complex_symmetric"
         if heights is None:
-            # fallback branch with t2 = -t0: cubic in t0
-            roots = np.roots([a2b2 * a2b2, 0.0, beta * beta - 3 * alpha * alpha, -6 * alpha])
-            t1 = -2 * alpha / a2b2
-            for r in roots:
-                if abs(r.imag) < 1e-10:
-                    cand = (r.real, t1, -r.real)
-                    if _valid_heights(*cand):
-                        heights = cand
-                        regime = "complex_antisymmetric"
-                        break
+            # fallback branch with t2 = -t0: the cubic p^2 t^3 + (p - s^2) t - 3s in t0
+            for r in real_roots(Polynomial([-3 * s, p - s * s, 0, p * p]), -1.0, 1.0):
+                if _valid_heights(r, third, -r):
+                    heights, regime = (r, third, -r), "complex_antisymmetric"
+                    break
         if heights is None:
             raise NoSolution("complex_region_empty", "no admissible heights for this (alpha, beta)")
     else:
-        got = _solve_real_pair(h.real, k.real)
-        if got is None:
+        # h, k = s/2 +- sqrt(s^2/4 - p): the larger |root| without cancellation, the other as p over it
+        h = float(s / 2) + math.copysign(math.sqrt(s * s / 4 - p), s)
+        heights = _solve_real_pair(h, float(p) / h)
+        if heights is None:
             raise NoSolution("real_region_empty", "1 + h/k outside (0, 3/5) or walk failed")
-        heights = got
         regime = "real_pair"
 
     t0, t1, t2 = heights
@@ -372,7 +341,7 @@ def solve_nikodym_three_slice(C: RationalMatrix) -> HeightsSolution:
         heights=(t0, t1, t2),
         lam=lam,
         residual=residual,
-        t0_range=_nikodym_range(C, S, P, t0, t1, t2),
+        t0_range=_nikodym_range(C, float(S), float(p), t0, t1, t2),
         regime=regime,
     )
 
@@ -398,14 +367,14 @@ def quartic_q(mu, l, m):
     return val.real
 
 
-def _quartic_coeffs(s: float, p: float) -> list[float]:
+def _quartic_coeffs(s, p) -> list:
     # q as a polynomial in mu, written through s = l+m and p = lm (degree 4..0).
     return [
         p * (s - 1),
         -p * s + s * s + 2 * p - s,
         -s * s - 2 * p + 4 * s - 1,
         -4 * (s - 1),
-        -4.0,
+        -4,
     ]
 
 
@@ -419,62 +388,49 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
     Works when C is invertible with a single complex-conjugate eigenvalue pair
     whose root-sum can be pushed below -2(1+sqrt(2)) by the height family
     t0 = -1+eps, t1 = 1-2eps.  Raises :class:`NoSolution` with reason
-    ``nilpotent_M`` / ``real_spectrum_blocked`` / ``region_violated``.
+    ``nilpotent_M`` / ``real_spectrum_blocked`` / ``region_violated``.  Every
+    branch is decided exactly: the real spectrum by a Sturm count, the root
+    sums on the rational eps grid, and the candidate mu are the roots of the
+    rational quartic q(mu, l, m) in (0, 1), each bisected exactly to a float.
     """
-    if nilpotency(C)[0]:
+    q = _squarefree_part(char_poly(C))
+    if q.degree == 1 and q[0] == 0:  # the spectrum is {0}
         raise NoSolution("nilpotent_M", "C (hence M) is nilpotent; no combination can reach I")
-    if all(abs(z.imag) <= 1e-10 for z in eigenvalues_float(C)):
+    bound = 1 + max(abs(c) for c in q.coeffs[:-1]) / abs(q.coeffs[-1])  # Cauchy's bound on |roots|
+    if count_real_roots(q, -bound, bound) == q.degree:
         raise NoSolution("real_spectrum_blocked", "real spectrum cannot solve the quadratic in (-1,1)")
-    pair = _eigenvalue_pair(C)
-    if pair is None or abs(pair[0].conjugate() - pair[1]) > 1e-8 * max(1.0, abs(pair[0])):
+    sp = _sum_product(q)
+    if sp is None:
         raise NoSolution("region_violated", "need exactly one complex-conjugate eigenvalue pair")
-    alpha, beta = pair[0].real, abs(pair[0].imag)
-    a2b2 = alpha * alpha + beta * beta
+    s, p = sp  # of the conjugate pair h, conj(h)
 
-    # Root-sum of M's spectrum along the one-parameter height family; both
-    # orientations of the outer heights are tried (swapping flips the sign).
+    def heights(eps: Fraction, swap: bool) -> tuple[Fraction, Fraction]:
+        return (1 - 2 * eps, -1 + eps) if swap else (-1 + eps, 1 - 2 * eps)
+
+    def root_sum(eps: Fraction) -> Fraction:
+        # of M's pair (t1-t0) h / (1 + (t0+t1) h) at t0 + t1 = -eps, t1 - t0 = 2 - 3eps;
+        # swapping t0 and t1 negates it.  Its denominator is |1 - eps h|^2 > 0.
+        return (2 - 3 * eps) * (s - 2 * eps * p) / (1 - eps * s + eps * eps * p)
+
+    # Root-sum along the one-parameter height family, exact on the rational
+    # grid, in both orientations.  x < -2(1 + sqrt 2) is x + 2 < 0 and (x + 2)^2 > 8.
     grid = [Fraction(2, 3) * Fraction(j, 65) for j in range(1, 65)]
-
-    def root_sum(eps: float, swap: bool) -> float:
-        t0, t1 = (-1 + eps, 1 - 2 * eps) if not swap else (1 - 2 * eps, -1 + eps)
-        ssum = t0 + t1
-        den = 1 + 2 * ssum * alpha + ssum * ssum * a2b2
-        return 2 * (t1 - t0) * (alpha + ssum * a2b2) / den
-
-    sums = [(root_sum(float(e), swap), e, swap) for e in grid for swap in (False, True)]
-    admissible = [(e, swap) for s, e, swap in sums if s < GOLDEN_SUM_BARRIER]
+    sums = []
+    for e in grid:
+        x = root_sum(e)
+        sums += [(x, e, False), (-x, e, True)]
+    admissible = [(e, swap) for x, e, swap in sums if x + 2 < 0 and (x + 2) ** 2 > 8]
     if not admissible:
         raise NoSolution("region_violated", "root-sum never falls below -2(1+sqrt(2)) on the grid")
-    best_s, best_eps, best_swap = min(sums, key=lambda se: (se[0], se[1], se[2]))
+    sm, best_eps, best_swap = min(sums)
 
-    if best_swap:
-        t0, t1 = Fraction(1) - 2 * best_eps, Fraction(-1) + best_eps
-    else:
-        t0, t1 = Fraction(-1) + best_eps, Fraction(1) - 2 * best_eps
+    t0, t1 = heights(best_eps, best_swap)
     M = aux_matrix(C, t0, t1)
-    lm_pair = _eigenvalue_pair(M)
-    if lm_pair is None:
-        raise NoSolution("region_violated", "auxiliary matrix has more than two eigenvalues")
-    s = float((lm_pair[0] + lm_pair[1]).real)
-    p = float((lm_pair[0] * lm_pair[1]).real)
-
-    if (s + 2.0) ** 2 - 8.0 <= 0:
-        raise NoSolution("region_violated", "mu interval is empty")
-
-    coeffs = _quartic_coeffs(s, p)
-    roots = [r.real for r in np.roots(coeffs) if abs(r.imag) < 1e-9]
-    candidates = sorted(r for r in roots if 1e-12 < r < 1.0 - 1e-12)
+    pm = (2 - 3 * best_eps) ** 2 * p / (1 - best_eps * s + best_eps * best_eps * p)  # the product of M's pair
     mu = None
-    for r in candidates:
-        # Newton polish on the quartic
-        for _ in range(8):
-            f = np.polyval(coeffs, r)
-            df = np.polyval(np.polyder(coeffs), r)
-            if df == 0:
-                break
-            r -= f / df
-        lam = _lambda_of_mu(r, s)
-        if 0.0 < r < 1.0 and 0.0 < lam < 1.0:
+    for r in real_roots(Polynomial(_quartic_coeffs(sm, pm)[::-1]), 0.0, 1.0):
+        lam = _lambda_of_mu(r, float(sm))
+        if 0.0 < lam < 1.0:
             X_lam, X_mu = (_x_of_m(M, Fraction(z)) for z in (lam, r))
             residual = _gap(X_lam - X_mu, RationalMatrix.identity(C.dim))
             if residual <= RESIDUAL_TOL:
@@ -484,9 +440,7 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
         raise NoSolution("region_violated", "no quartic root gave an admissible (lam, mu)")
 
     same_side = [e for e, swap in admissible if swap == best_swap]
-    eps_lo, eps_hi = min(same_side), max(same_side)
-    t0_at = (lambda e: float(1 - 2 * e)) if best_swap else (lambda e: float(-1 + e))
-    t0_range = tuple(sorted((t0_at(eps_lo), t0_at(eps_hi))))
+    t0_range = tuple(sorted(float(heights(e, best_swap)[0]) for e in (min(same_side), max(same_side))))
     return HeightsSolution(
         kind="kakeya4",
         heights=(t0, t1),

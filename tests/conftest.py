@@ -24,6 +24,12 @@ def float_T(Cf: np.ndarray, t0: float, t1: float) -> np.ndarray:
     return (t0 / t1) * (I + t0 * Cf) @ np.linalg.inv(I + t1 * Cf)
 
 
+def within_one_ulp_of_a_root(p: kl.Polynomial, x: float) -> bool:
+    """p vanishes at x, or changes sign between the floats on either side of it, decided exactly."""
+    lo, hi = (p(F(math.nextafter(x, d))) for d in (-math.inf, math.inf))
+    return p(F(x)) == 0 or (lo > 0) != (hi > 0)
+
+
 def rational_det_by_elimination(rows):
     """Fraction determinant via elimination; used to cross-check polynomial dets."""
     m = [list(map(F, r)) for r in rows]

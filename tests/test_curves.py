@@ -421,6 +421,20 @@ class TestHairbrushClaim:
         with pytest.raises(kl.ConfigurationViolation):
             kl.hairbrush_claim_check(family_bad, central, bad_shell, bad_shell, k=2, l=3, m=2)
 
+    def test_central_tube_normalised_exactly(self):
+        # the trivial-regime triple passes with the central tube at 0, and is refused 1e-13 off it
+        family, delta, k = fam(WORST), 2.0**-8, 3
+        yj = np.array([0.9 * 2.0**-k, 0.0])
+        theta = math.radians(50.0)
+        yi = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]) @ yj
+        Cf, tj = family.C.to_float(), 0.4
+        mk = lambda y, w: kl.TubeSpec(params=kl.CurveParams(y=tuple(y), omega=tuple(w)), delta=delta)
+        tube = lambda y: mk(y, tj * (np.eye(2) + tj * Cf) @ y)
+        assert kl.hairbrush_claim_check(family, mk((0.0, 0.0), (0.0, 0.0)), tube(yj), tube(yi), k=k, l=k, m=0).passed
+        for y, w in (((1e-13, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, -1e-13))):
+            with pytest.raises(kl.ConfigurationViolation, match="normalised"):
+                kl.hairbrush_claim_check(family, mk(y, w), tube(yj), tube(yi), k=k, l=k, m=0)
+
 
 def test_family_json_roundtrip():
     f = fam(WORST)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kakeya_lab as kl
-from kakeya_lab.exact import Polynomial, PolyMatrix, poly_combination
+from kakeya_lab.exact import Polynomial, PolyMatrix, poly_combination, real_roots
 
-from conftest import rational_det_by_elimination
+from conftest import rational_det_by_elimination, within_one_ulp_of_a_root
 
 
 class TestRationalMatrix:
@@ -142,24 +143,9 @@ class TestNilpotency:
         dim = int(rng.integers(2, 5))
         c = kl.RationalMatrix([[int(rng.integers(-2, 3)) for _ in range(dim)] for _ in range(dim)])
         nil, _ = kl.nilpotency(c)
-        eigs = kl.eigenvalues_float(c)
+        eigs = np.linalg.eigvals(c.to_float())
         spectrum_zero = all(abs(z) < 1e-8 for z in eigs)
         assert nil == (spectrum_zero and c.power(dim).is_zero())
-
-
-class TestEigenvaluesFloat:
-    def test_diagonal(self):
-        eigs = sorted(z.real for z in kl.eigenvalues_float(kl.RationalMatrix.diagonal([F(1, 4), F(-1, 4)])))
-        assert np.allclose(eigs, [-0.25, 0.25], atol=1e-12)
-
-    def test_rotation_scaling(self):
-        eigs = kl.eigenvalues_float(kl.RationalMatrix([[F(5, 2), -1], [1, F(5, 2)]]))
-        assert sorted(round(z.imag, 10) for z in eigs) == [-1.0, 1.0]
-        assert all(abs(z.real - 2.5) < 1e-10 for z in eigs)
-
-    def test_nilpotent(self):
-        eigs = kl.eigenvalues_float(kl.RationalMatrix([[0, 1], [0, 0]]))
-        assert all(abs(z) < 1e-10 for z in eigs)
 
 
 class TestPolynomialUtilities:
@@ -181,6 +167,64 @@ class TestPolynomialUtilities:
     def test_count_real_roots_multiple(self):
         p = Polynomial([1, -2, 1])  # (t-1)^2
         assert kl.count_real_roots(p, F(0), F(2)) == 1
+
+
+class TestRealRoots:
+    def test_matches_np_roots_on_separated_roots(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(300):
+            coeffs = [int(c) for c in rng.integers(-9, 10, size=int(rng.integers(2, 6)))]
+            if coeffs[-1] == 0:
+                continue
+            z = np.roots(coeffs[::-1])
+            if any(abs(a - b) < 0.5 for i, a in enumerate(z) for b in z[i + 1:]):
+                continue
+            p = Polynomial(coeffs)
+            got = real_roots(p, -10.0, 10.0)
+            assert got == sorted(got)
+            assert got == pytest.approx(sorted(r.real for r in z if r.imag == 0), rel=1e-12, abs=0)
+            assert all(within_one_ulp_of_a_root(p, x) for x in got)
+            checked += len(got)
+        assert checked > 200
+
+    def test_rational_roots_round_to_the_nearest_float(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            roots = sorted({F(int(rng.integers(-999, 1000)), int(rng.integers(1, 1000))) for _ in range(4)})
+            p = Polynomial([1, 0, 1])  # no real roots of its own
+            for r in roots:
+                p = p * Polynomial([-r, 1])
+            assert real_roots(p, -2.0, 2.0) == [float(r) for r in roots if -2 < r < 2]
+
+    def test_roots_1e_12_apart_stay_apart(self):
+        # float clustering at 1e-8 merges these; the Sturm chain keeps them apart
+        a, b = F(1, 3), F(1, 3) + F(1, 10**12)
+        got = real_roots(Polynomial([-a, 1]) * Polynomial([-b, 1]) * Polynomial([2, 0, 1]), 0.0, 1.0)
+        assert got == [float(a), float(b)] and got[0] < got[1]
+
+    def test_open_interval_excludes_endpoint_roots(self):
+        # q(1, l, m) = -(l+1)(m+1): mu = 1 is a root of the solver's quartic when M has eigenvalue -1
+        from kakeya_lab.slices import _quartic_coeffs
+
+        l, m = F(-1), F(-7, 3)
+        q = Polynomial(_quartic_coeffs(l + m, l * m)[::-1])
+        assert q(1) == 0 == kl.quartic_q(1, l, m)
+        assert 1.0 not in real_roots(q, 0.0, 1.0) and 1.0 in real_roots(q, 0.0, 2.0)
+        assert real_roots(Polynomial([-1, 0, 1]), -1.0, 1.0) == []
+        assert real_roots(Polynomial([-1, 0, 1]), -1.0, 1.5) == [1.0]
+
+    def test_repeated_float_and_tiny_roots(self):
+        p = Polynomial([0, 1]) * Polynomial([-F(1, 4), 1]) * Polynomial([-F(1, 4), 1])  # t (t - 1/4)^2
+        assert real_roots(p, -1.0, 1.0) == [0.0, 0.25]
+        assert real_roots(Polynomial([-F(1, 10**300), 1]), 0.0, 1.0) == [1e-300]
+        assert real_roots(Polynomial([-2, 0, 1]), -2.0, 2.0) == [-math.sqrt(2), math.sqrt(2)]
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError):
+            real_roots(Polynomial([]), 0.0, 1.0)
+        with pytest.raises(ValueError):
+            real_roots(Polynomial([1, 1]), 1.0, 1.0)
 
 
 def test_poly_combination_matches_manual():

@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 import kakeya_lab as kl
-from kakeya_lab.slices import _eigenvalue_pair, _newton_heights, _product_identity, aux_matrix, companion_blocks
+from kakeya_lab.exact import _squarefree_part, char_poly
+from kakeya_lab.slices import (
+    _lambda_of_mu,
+    _newton_heights,
+    _product_identity,
+    _quartic_coeffs,
+    _sum_product,
+    aux_matrix,
+    companion_blocks,
+)
 
-from conftest import float_T, float_X_of_lambda
+from conftest import float_T, float_X_of_lambda, within_one_ulp_of_a_root
 
 I2 = kl.RationalMatrix.identity(2)
 NIL = kl.companion([0, 0])
@@ -243,13 +252,17 @@ class TestCertifiedResiduals:
             assert max_gap(exact_X(C, F(t0p), F(u1), F(lam)), exact_T(C, F(t0p), F(u1))) <= 1e-9
 
 
+def sum_product(C):
+    return _sum_product(_squarefree_part(char_poly(C)))
+
+
 class TestEigenvalueCount:
-    """The number of distinct eigenvalues is exact; float clustering only supplies their values."""
+    """s = h + k and p = hk of the distinct eigenvalues are read off the squarefree part exactly."""
 
     def test_merged_pair_reports_true_reciprocal_sum(self):
-        # within 1e-8 of each other, so the float clustering alone merged them and reported 2e9
+        # within 1e-8 of each other, so float clustering at 1e-8 merged them and reported 2e9
         C = kl.RationalMatrix.diagonal([F(-1, 10**9), F(16668, 10**13)])
-        assert sorted(z.real for z in _eigenvalue_pair(C)) == pytest.approx([-1e-9, 1.6668e-9], rel=1e-12)
+        assert sum_product(C) == (F(6668, 10**13), F(-16668, 10**22))
         with pytest.raises(kl.NoSolution) as e:
             kl.solve_nikodym_three_slice(C)
         assert e.value.reason == "reciprocal_sum_out_of_range" and "4.00048e+08" in str(e.value)
@@ -260,22 +273,63 @@ class TestEigenvalueCount:
         P = kl.RationalMatrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
         C = P * J * P.inverse()
         assert len({complex(z) for z in np.linalg.eigvals(C.to_float())}) == 3
-        assert _eigenvalue_pair(C) == (1, 1)
+        assert sum_product(C) == (2, 1)  # the single eigenvalue 1, twice
         with pytest.raises(kl.NoSolution) as e:
             kl.solve_nikodym_three_slice(C)
         assert e.value.reason == "real_region_empty"
+        with pytest.raises(kl.NoSolution) as e:
+            kl.solve_kakeya_four_slice(C)
+        assert e.value.reason == "real_spectrum_blocked"
 
     def test_tiny_conjugate_pair_kept_apart(self):
         e9 = F(1, 10**9)
-        h, k = _eigenvalue_pair(kl.RationalMatrix([[e9, -e9], [e9, e9]]))
-        assert h == pytest.approx(k.conjugate(), rel=1e-12) and abs(h.imag) == pytest.approx(1e-9, rel=1e-12)
+        s, p = sum_product(kl.RationalMatrix([[e9, -e9], [e9, e9]]))
+        assert (s, p) == (2 * e9, 2 * e9 * e9) and s * s < 4 * p  # 1e-9 (1 +- i)
 
     def test_three_values_refused(self):
         C = kl.RationalMatrix.diagonal([F(1, 4), F(1, 3), F(-1, 2)])
-        assert _eigenvalue_pair(C) is None
+        assert sum_product(C) is None
         with pytest.raises(kl.NoSolution) as e:
             kl.solve_nikodym_three_slice(C)
         assert e.value.reason == "too_many_eigenvalues"
+
+
+B11 = F(1, 10**11)
+
+
+class TestExactRegimes:
+    """Regimes and reason codes follow the exact spectrum, however small its imaginary part."""
+
+    @pytest.mark.parametrize("b", [B11, F(1, 10**9)])
+    @pytest.mark.parametrize("rows", [
+        lambda b: [[0, -b], [b, 0]],
+        lambda b: [[F(1, 2), -b, 0], [b, F(1, 2), 0], [0, 0, F(1, 2)]],
+    ])
+    def test_kakeya_small_rotation_region_violated(self, rows, b):
+        with pytest.raises(kl.NoSolution) as e:
+            kl.solve_kakeya_four_slice(kl.RationalMatrix(rows(b)))
+        assert e.value.reason == "region_violated"
+
+    @pytest.mark.parametrize("b", [B11, F(1, 10**9)])
+    @pytest.mark.parametrize("a", [1, -1, 0])
+    def test_nikodym_small_imaginary_part_is_complex(self, a, b):
+        with pytest.raises(kl.NoSolution) as e:
+            kl.solve_nikodym_three_slice(kl.RationalMatrix([[a, -b], [b, a]]))
+        assert e.value.reason == "complex_region_empty"
+
+    def test_reciprocal_sum_exactly_three_refused(self):
+        # trace 45/14 over det 15/14: |1/h + 1/k| = 3, which floats put just below 3
+        with pytest.raises(kl.NoSolution) as e:
+            kl.solve_nikodym_three_slice(kl.RationalMatrix([[F(12, 7), -2], [F(-3, 4), F(3, 2)]]))
+        assert e.value.reason == "reciprocal_sum_out_of_range" and e.value.detail == "|1/h + 1/k| = 3 >= 3"
+
+    @pytest.mark.parametrize("C", KAKEYA_CASES)
+    def test_mu_is_a_root_of_the_quartic_of_exact_m(self, C):
+        # lam and the quartic come from M's exact (s, p), read here off char_poly(M)
+        sol = kl.solve_kakeya_four_slice(C)
+        s, p = sum_product(aux_matrix(C, *sol.heights))
+        assert sol.lam == _lambda_of_mu(sol.mu, float(s))
+        assert within_one_ulp_of_a_root(kl.Polynomial(_quartic_coeffs(s, p)[::-1]), sol.mu)
 
 
 class TestKakeyaSolver:
