@@ -1,4 +1,4 @@
-"""The height solvers' outputs, pinned against a recorded file.
+"""The height solvers' and the sumset counts' outputs, pinned against recorded files.
 
 Both solvers run on the acceptance matrices, every matrix of ``test_slices.py``,
 the small-imaginary-part cases and 300 seeded rational 2x2 matrices.  ``kind``,
@@ -6,10 +6,15 @@ the small-imaginary-part cases and 300 seeded rational 2x2 matrices.  ``kind``,
 record exactly.  Float heights, lam, mu and the t0 range match within a
 relative 1e-9, and the exact residual stays at most 1e-9.
 
-Running this file as a script re-records ``contract_solvers.json``.  A change
-to a recorded output is listed, record by record, in CHANGES.md.
+Every ``RatioReport`` and ``TrapeziumReport`` field of seeded random instances,
+some of them scaled by 2^58, 2^59 or 2^99, is hashed (sha256 over canonical
+JSON) per group and scale; ``contract_sumsets.json`` holds the digests.
+
+Running this file as a script re-records both files.  A change to a recorded
+output is listed, record by record, in CHANGES.md.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -21,6 +26,7 @@ import pytest
 import kakeya_lab as kl
 
 RECORD = Path(__file__).with_name("contract_solvers.json")
+SUMSET_RECORD = Path(__file__).with_name("contract_sumsets.json")
 REL = 1e-9
 
 
@@ -168,5 +174,61 @@ def test_solver_outputs_match_the_record(rec):
                 assert _close(got[key], w), (mode, key, got[key], w)
 
 
+# ----------------------------------------------------------------- sumsets
+
+# the benchmark's trapezium matrices X (Y = X + I)
+TRAPEZIUM_XS = ([[1, 1], [0, 1]], [[2, 1], [1, 1]], [[0, -1], [1, 0]], [[1, 0], [3, 1]])
+# with box 12, 2^58 and 2^59 keep the rows in int64 but not their packed keys, and the 2I sums pass
+# 2^63; 2^99 puts the rows themselves on Python ints
+RATIO_SCALES = (0, 0, 0, 0, 0, 0, 58, 58, 59, 99)  # exponents of 2
+TRAPEZIUM_SCALES = (0, 0, 0, 58, 99)
+
+
+def _scaled(A, B, G, e: int):
+    """The instance with every coordinate times 2^e, rebuilt through the public constructors."""
+    if not e:
+        return A, B, G
+    up = lambda rows: (rows.astype(object) * 2**e).tolist()
+    return (kl.LatticeSet(A.dim, up(A.rows)), kl.LatticeSet(B.dim, up(B.rows)),
+            kl.Incidence(pairs=zip(map(tuple, up(G.a)), map(tuple, up(G.b)))))
+
+
+def _sumset_records() -> dict:
+    """{"<group> 2^<e>": [record, ...]}: every report field, in draw order, of instances scaled by 2^e."""
+    I2, two = kl.RationalMatrix.identity(2), kl.RationalMatrix.diagonal([2, 2])
+    groups = {}
+    for i in range(300):
+        seed, e = 50_000 + i, RATIO_SCALES[i % len(RATIO_SCALES)]
+        inst = _scaled(*kl.random_instance(seed), e)
+        for Xs, eps in (([I2], F(1, 6)), ([I2, two], F(1, 4))):
+            r = kl.check_ratio(*inst, Xs, eps)
+            groups.setdefault(f"ratio 2^{e}", []).append(
+                [seed, str(eps), r.holds, r.achieved_exponent, r.size_A, r.size_B, list(r.sumset_sizes),
+                 r.size_diff, r.max_side])
+    rng = random.Random(20261019)
+    for i in range(200):
+        seed, box, max_size = rng.randrange(2**31), rng.randint(2, 6), rng.randint(2, 15)
+        e = TRAPEZIUM_SCALES[i % len(TRAPEZIUM_SCALES)]
+        X = kl.RationalMatrix(TRAPEZIUM_XS[i % len(TRAPEZIUM_XS)])
+        r = kl.count_trapezia(*_scaled(*kl.random_instance(seed, 2, box, max_size), e), X, X + I2)
+        groups.setdefault(f"trapezia 2^{e}", []).append(
+            [seed, box, max_size, r.count, r.lower_bound, r.upper_bound, r.identity_verified, r.g_size,
+             r.max_side, r.identities_checked])
+    return groups
+
+
+def _digests(groups: dict) -> dict:
+    return {name: {"cases": len(recs), "sha256": hashlib.sha256(
+        json.dumps(recs, sort_keys=True, separators=(",", ":")).encode()).hexdigest()}
+        for name, recs in groups.items()}
+
+
+def test_sumset_reports_match_the_record():
+    want = json.loads(SUMSET_RECORD.read_text())
+    got = _digests(_sumset_records())
+    assert got == want, [name for name in want if got.get(name) != want[name]]
+
+
 if __name__ == "__main__":
     RECORD.write_text(json.dumps(_record(), indent=1) + "\n")
+    SUMSET_RECORD.write_text(json.dumps(_digests(_sumset_records()), indent=1) + "\n")
