@@ -131,6 +131,15 @@ def _centres(family: CurveFamily, Y: np.ndarray, W: np.ndarray, ts: np.ndarray) 
     return out
 
 
+def _pair_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(r, w) Euclidean norms of a[:, i] - b[:, j] for axis-major a (d, r) and b (d, w), the squared
+    axis terms summed in axis order (as ``np.sum`` over an axis of fewer than 8 does)."""
+    sq, term = np.zeros((a.shape[1], b.shape[1])), np.empty((a.shape[1], b.shape[1]))
+    for x, y in zip(a, b):
+        sq += np.square(np.subtract(x[:, None], y, out=term), out=term)
+    return np.sqrt(sq, out=sq)
+
+
 def _check_height(t):
     if not -1 <= float(t) <= 1:
         raise HeightOutOfSupport(f"t = {t} outside [-1, 1]")
@@ -271,13 +280,11 @@ def intersection_diameter(
     disc = delta * np.concatenate([np.eye(d), -np.eye(d)])  # coincident centres: the disc's axis points
     pts = [mid[lens] + half * perp, mid[lens] - half * perp] + [mid[~lens] + e for e in disc]
     heights = [t[lens]] * 2 + [t[~lens]] * len(disc)
-    P = np.column_stack([np.concatenate(pts), np.concatenate(heights)])
-    # max pairwise distance, in chunks of about 2^20 floats per temporary to bound memory
-    best, rows = 0.0, max(1, 2**20 // P.size)
-    for i in range(0, len(P), rows):
-        block = P[i:i + rows]
-        d2 = np.sum((block[:, None, :] - P[None, :, :]) ** 2, axis=2)
-        best = max(best, float(np.sqrt(d2.max())))
+    P = np.vstack([np.concatenate(pts).T, np.concatenate(heights)])  # axis-major (d + 1, points)
+    # max pairwise distance, in blocks of about 2^20 pairs to bound memory
+    best, rows = 0.0, max(1, 2**20 // P.shape[1])
+    for i in range(0, P.shape[1], rows):
+        best = max(best, float(_pair_norms(P[:, i:i + rows], P).max()))
     return best, sep
 
 

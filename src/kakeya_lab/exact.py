@@ -40,7 +40,7 @@ def _rat_to_json(x: Fraction):
 class RationalMatrix:
     """Immutable square matrix over the rationals, dimension at most 8."""
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "rows", "_memo")
 
     def __init__(self, rows: Sequence[Sequence]):
         rows = tuple(tuple(rat(e) for e in row) for row in rows)
@@ -51,6 +51,7 @@ class RationalMatrix:
             raise ValueError(f"dimension {dim} exceeds the supported maximum {MAX_DIM}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_memo", {})  # the inverse and the integer form, each derived once
 
     def __setattr__(self, *a):
         raise AttributeError("RationalMatrix is immutable")
@@ -159,7 +160,17 @@ class RationalMatrix:
                     m[r][j] -= f * m[c][j]
         return sign * det
 
+    def integer_form(self) -> tuple[int, tuple]:
+        """(L, L * rows): L the lcm of the entries' denominators, the scaled rows as tuples of ints."""
+        if "integer" not in self._memo:
+            L = math.lcm(*(e.denominator for r in self.rows for e in r))
+            self._memo["integer"] = L, tuple(tuple(e.numerator * (L // e.denominator) for e in r) for r in self.rows)
+        return self._memo["integer"]
+
     def inverse(self) -> "RationalMatrix":
+        """The exact inverse, derived once per matrix; :class:`SingularMatrix` when the determinant is 0."""
+        if "inverse" in self._memo:
+            return self._memo["inverse"]
         n = self.dim
         m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
         for c in range(n):
@@ -174,7 +185,8 @@ class RationalMatrix:
                     continue
                 f = m[r][c]
                 m[r] = [e - f * p for e, p in zip(m[r], m[c])]
-        return RationalMatrix([row[n:] for row in m])
+        self._memo["inverse"] = inverse = RationalMatrix([row[n:] for row in m])
+        return inverse
 
     def to_float(self) -> np.ndarray:
         return np.array([[float(e) for e in r] for r in self.rows], dtype=float)

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .curves import CurveFamily, CurveParams, TubeSpec, _centres, _param_arrays
+from .curves import CurveFamily, CurveParams, TubeSpec, _centres, _pair_norms, _param_arrays
 from .errors import PreconditionViolation, ResolutionTooFine
 from .exact import RationalMatrix
 from .slices import vanishing_order, w_matrix
@@ -396,14 +396,6 @@ class HairbrushDecomposition:
     brushes: tuple        # tuple of sorted index tuples
     bad: tuple            # sorted indices not in any brush
     centrals: tuple       # candidate index chosen for each brush
-
-
-def _pair_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(r, w) Euclidean norms of a[:, i] - b[:, j] for axis-major a (d, r) and b (d, w)."""
-    sq = np.zeros((a.shape[1], b.shape[1]))
-    for x, y in zip(a, b):
-        sq += np.square(x[:, None] - y)
-    return np.sqrt(sq, out=sq)
 
 
 def _meet_heights(spec: TubeFamilySpec, cands: TubeFamilySpec) -> tuple[np.ndarray, np.ndarray]:

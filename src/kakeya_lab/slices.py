@@ -403,30 +403,31 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
     if sp is None:
         raise NoSolution("region_violated", "need exactly one complex-conjugate eigenvalue pair")
     s, p = sp  # of the conjugate pair h, conj(h)
+    L, S, P = s.denominator * p.denominator, s.numerator * p.denominator, p.numerator * s.denominator
 
     def heights(eps: Fraction, swap: bool) -> tuple[Fraction, Fraction]:
         return (1 - 2 * eps, -1 + eps) if swap else (-1 + eps, 1 - 2 * eps)
 
-    def root_sum(eps: Fraction) -> Fraction:
-        # of M's pair (t1-t0) h / (1 + (t0+t1) h) at t0 + t1 = -eps, t1 - t0 = 2 - 3eps;
-        # swapping t0 and t1 negates it.  Its denominator is |1 - eps h|^2 > 0.
-        return (2 - 3 * eps) * (s - 2 * eps * p) / (1 - eps * s + eps * eps * p)
-
-    # Root-sum along the one-parameter height family, exact on the rational
-    # grid, in both orientations.  x < -2(1 + sqrt 2) is x + 2 < 0 and (x + 2)^2 > 8.
-    grid = [Fraction(2, 3) * Fraction(j, 65) for j in range(1, 65)]
+    # Root-sum of M's pair, (t1-t0) h / (1 + (t0+t1) h) summed over h, along the height family
+    # t0 = -1 + eps, t1 = 1 - 2 eps, exact on the grid eps = 2j/195, in both orientations (a swap negates
+    # it).  With s = S/L and p = P/L it is N/D: N = (390 - 6j)(195 S - 4jP) and
+    # D = 38025 L - 390 jS + 4 j^2 P = 38025 L |1 - eps h|^2 > 0.  x < -2(1 + sqrt 2) is x + 2 < 0 and (x + 2)^2 > 8.
     sums = []
-    for e in grid:
-        x = root_sum(e)
-        sums += [(x, e, False), (-x, e, True)]
-    admissible = [(e, swap) for x, e, swap in sums if x + 2 < 0 and (x + 2) ** 2 > 8]
+    for j in range(1, 65):
+        N, D = (390 - 6 * j) * (195 * S - 4 * j * P), 38025 * L - 390 * j * S + 4 * j * j * P
+        sums += [(N, D, j, False), (-N, D, j, True)]
+    admissible = [(j, swap) for N, D, j, swap in sums if N + 2 * D < 0 and (N + 2 * D) ** 2 > 8 * D * D]
     if not admissible:
         raise NoSolution("region_violated", "root-sum never falls below -2(1+sqrt(2)) on the grid")
-    sm, best_eps, best_swap = min(sums)
+    N, D, j, best_swap = sums[0]
+    for cand in sums:  # the least root sum, ties to the least (eps, swap): the first in the order of sums
+        if cand[0] * D < N * cand[1]:
+            N, D, j, best_swap = cand
+    sm = Fraction(N, D)
 
-    t0, t1 = heights(best_eps, best_swap)
+    t0, t1 = heights(Fraction(2 * j, 195), best_swap)
     M = aux_matrix(C, t0, t1)
-    pm = (2 - 3 * best_eps) ** 2 * p / (1 - best_eps * s + best_eps * best_eps * p)  # the product of M's pair
+    pm = Fraction((390 - 6 * j) ** 2 * P, D)  # the product of M's pair
     mu = None
     for r in real_roots(Polynomial(_quartic_coeffs(sm, pm)[::-1]), 0.0, 1.0):
         lam = _lambda_of_mu(r, float(sm))
@@ -439,7 +440,7 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
     if mu is None:
         raise NoSolution("region_violated", "no quartic root gave an admissible (lam, mu)")
 
-    same_side = [e for e, swap in admissible if swap == best_swap]
+    same_side = [Fraction(2 * j, 195) for j, swap in admissible if swap == best_swap]
     t0_range = tuple(sorted(float(heights(e, best_swap)[0]) for e in (min(same_side), max(same_side))))
     return HeightsSolution(
         kind="kakeya4",

@@ -10,11 +10,12 @@ distinct points (or pairs) in lexicographic order, or an object array of
 Python ints when a coordinate is outside int64.  Each operation derives from
 the stored coordinate bounds whether its arithmetic stays inside int64, and
 otherwise runs the same array code on Python ints.  Rows are compared through
-one key per row (``_keys``): Horner's scheme in the balanced base 2P + 1, P a
-bound on the coordinates, which is injective and sorts as the rows do, in
-int64 while it fits and in Python ints past that.  Cardinalities are counted
-on the keys without building a set.  The frozensets of tuples (``points``,
-``pairs``) are built on each access and not kept.
+one key per row (``_keys``), injective and sorted as the rows: Horner's scheme
+in the balanced base 2P + 1, P a bound on the coordinates, while it fits int64;
+past that, int64 rows pack each column's ranks into int64 keys, and only object
+rows get Python-int keys.  Cardinalities are counted on the keys without
+building a set.  The frozensets of tuples (``points``, ``pairs``) are built on
+each access and not kept.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
     DegenerateInstance,
     NoSuchVector,
     PreconditionViolation,
+    SingularMatrix,
     reading_json,
 )
 from .exact import RationalMatrix, rat
@@ -61,21 +63,34 @@ def _exact(bound: int, *arrays: np.ndarray) -> tuple:
 
 
 def _keys(rows: np.ndarray, peak: int) -> np.ndarray:
-    """One key per row, in the rows' lexicographic order; ``peak`` bounds every |coordinate|.
+    """One key per row, injective and in the rows' lexicographic order; ``peak`` bounds every |coordinate|.
 
     Horner's scheme in the balanced base S = 2 peak + 1 is injective and keeps the order, and every
-    partial key is within (S^dim - 1)/2: the keys are int64 while that fits, else Python ints.  int64
-    rows take their own peak when the given one is too loose for int64 keys, so compare only the keys
-    of one call.
+    partial key is within (S^dim - 1)/2.  int64 rows always get int64 keys: they take their own peak
+    when the given one is too loose, and rank keys (``_rank_keys``) when even that is past int64.
+    Object rows get Python-int keys past int64.  Compare only the keys of one call.
     """
     dim = rows.shape[1]
     if rows.dtype != object and ((2 * peak + 1) ** dim - 1) // 2 >= 2**63:
         peak = _peak(rows)
+        if ((2 * peak + 1) ** dim - 1) // 2 >= 2**63:
+            return _rank_keys(rows)
     S = 2 * peak + 1
     dtype = np.int64 if (S**dim - 1) // 2 < 2**63 else object
     keys = rows[:, 0].astype(dtype) if dim else np.zeros(len(rows), dtype=dtype)
     for column in rows.T[1:]:
         keys = keys * S + column.astype(dtype, copy=False)  # a column at a time: no Python-int copy of the rows
+    return keys
+
+
+def _rank_keys(rows: np.ndarray) -> np.ndarray:
+    """int64 keys of int64 rows: column ranks packed in mixed radix, re-ranked before they would pass int64."""
+    keys, size = np.zeros(len(rows), dtype=np.int64), 1
+    for column in rows.T:
+        values, ranks = np.unique(column, return_inverse=True)
+        if size * len(values) > 2**63:
+            size, keys = len(rows), np.unique(keys, return_inverse=True)[1]
+        keys, size = keys * len(values) + ranks, size * len(values)
     return keys
 
 
@@ -217,14 +232,6 @@ def _indices(S: LatticeSet, rows: np.ndarray) -> np.ndarray:
     return at
 
 
-def _x_scale(X: RationalMatrix) -> int:
-    return math.lcm(*[e.denominator for r in X.rows for e in r]) if X.dim else 1
-
-
-def _scaled_rows(M: RationalMatrix, L: int) -> list:
-    return [[e.numerator * (L // e.denominator) for e in r] for r in M.rows]
-
-
 def _check(A: LatticeSet, B: LatticeSet, *Xs: RationalMatrix):
     if A.dim != B.dim or any(X.dim != A.dim for X in Xs):
         raise PreconditionViolation("dimension mismatch")
@@ -236,11 +243,9 @@ def _sums(G: Incidence, X: RationalMatrix, dim: int) -> tuple[np.ndarray, int]:
     """The rows L a + (L X) b over G's pairs, L the lcm of X's denominators, and a bound on their entries."""
     if not G.size:
         return np.empty((0, dim), dtype=np.int64), 0
-    L = _x_scale(X)
-    XL = _scaled_rows(X, L)
-    x_max = max(abs(v) for r in XL for v in r)
-    # every entry and partial sum of L*a + b @ XL.T is <= L*|a| + dim*|XL|*|b|; +1s keep L, XL in int64
-    bound = L * (G.peak_a + 1) + dim * x_max * (G.peak_b + 1)
+    L, XL = X.integer_form()
+    # each entry and partial sum of L*a + b @ XL.T is <= L*|a| + (max row sum of |XL|)*|b|; +1s keep L, XL in int64
+    bound = L * (G.peak_a + 1) + max(sum(map(abs, r)) for r in XL) * (G.peak_b + 1)
     a, b = _exact(bound, G.a, G.b)
     return L * a + b @ np.array(XL, dtype=a.dtype).T, bound
 
@@ -256,7 +261,7 @@ def _differences(G: Incidence, dim: int) -> tuple[np.ndarray, int]:
 def x_sumset(A: LatticeSet, B: LatticeSet, G: Incidence, X: RationalMatrix) -> LatticeSet:
     """{a + X b : (a, b) in G} on the lattice (1/L) Z^{n-1}, L = lcm of X's denominators."""
     _check(A, B, X)
-    return LatticeSet._of_rows(A.dim, _distinct(*_sums(G, X, A.dim)), _x_scale(X) * A.scale)
+    return LatticeSet._of_rows(A.dim, _distinct(*_sums(G, X, A.dim)), X.integer_form()[0] * A.scale)
 
 
 def difference_set(A: LatticeSet, B: LatticeSet, G: Incidence) -> LatticeSet:
@@ -400,7 +405,7 @@ def _discard_to_distinct_differences(G: Incidence) -> Incidence:
     return Incidence._of_rows(G.a.take(keep, axis=0), G.b.take(keep, axis=0))
 
 
-def _trapezia(G: Incidence, X: RationalMatrix, Y: RationalMatrix) -> tuple[int, bool]:
+def _trapezia(G: Incidence, X: RationalMatrix, Y: RationalMatrix, Z: RationalMatrix) -> tuple[int, bool]:
     """Ordered trapezium count of a non-empty incidence, and whether every counted tuple passes the identity.
 
     The tuples are the triples (a, b0, b0') of pairs (a, b0), (a, b0') in G,
@@ -408,16 +413,15 @@ def _trapezia(G: Incidence, X: RationalMatrix, Y: RationalMatrix) -> tuple[int, 
     For p = (a0, b0, b0') and q = (a1, b1, b1') the identity reads F_p == H_q
     with F = (I + X^-1)(a0 + X b0) - X^-1 (a0 + X b0') and H = a1 - b1' + Y b1,
     so it holds on a whole group iff all its F and H are one value.  Both are
-    computed scaled by D^2, D the lcm of the denominators of X, Y and X^-1.
+    computed scaled by D^2, D the lcm of the denominators of X, Y and Z = X^-1.
     """
-    mats = (X, Y, X.inverse())
-    D = math.lcm(*(_x_scale(m) for m in mats))
-    XD, YD, ZD = (_scaled_rows(m, D) for m in mats)
-    top = max(abs(v) for m in (XD, YD, ZD) for r in m for v in r)
-    dim = X.dim
-    U = D * (G.peak_a + 1) + dim * top * (G.peak_b + 1)  # bounds D (a + X b) and D (a + Y b)
-    # |F| <= (D + 2 dim top) U and |H| <= D U + D^2 |b|, partial sums included
-    a, b = _exact((D + 2 * dim * top) * U + D * D * (G.peak_b + 1), G.a, G.b)
+    forms = [m.integer_form() for m in (X, Y, Z)]
+    D = math.lcm(*(L for L, _ in forms))
+    XD, YD, ZD = ([[v * (D // L) for v in r] for r in rows] for L, rows in forms)
+    top = max(sum(map(abs, r)) for m in (XD, YD, ZD) for r in m)  # the largest row sum of |XD|, |YD|, |ZD|
+    U = D * (G.peak_a + 1) + top * (G.peak_b + 1)  # bounds D (a + X b) and D (a + Y b)
+    # |F| <= (D + 2 top) U and |H| <= D U + D^2 |b|, partial sums included
+    a, b = _exact((D + 2 * top) * U + D * D * (G.peak_b + 1), G.a, G.b)
     XD, YD, ZD = (np.array(m, dtype=a.dtype) for m in (XD, YD, ZD))
     u = D * a + b @ XD.T            # D (a + X b)
     P = D * u + u @ ZD.T            # D^2 (I + X^-1)(a + X b)
@@ -456,16 +460,18 @@ def count_trapezia(
     a1 - b1' = (I + X^-1)(a0 + X b0) - X^-1 (a0 + X b0') - Y b1
     exactly on every counted tuple.
     """
-    I = RationalMatrix.identity(X.dim)
-    if Y - X != I:
-        raise PreconditionViolation("need Y - X = I")
-    if X.det() == 0:
-        raise PreconditionViolation("X must be invertible")
     _check(A, B, X, Y)
+    L, XL = X.integer_form()  # Y - X = I exactly when Y's integer form is (L, XL + L I)
+    if Y.integer_form() != (L, tuple(tuple(x + L * (i == j) for j, x in enumerate(r)) for i, r in enumerate(XL))):
+        raise PreconditionViolation("need Y - X = I")
+    try:
+        Z = X.inverse()
+    except SingularMatrix:
+        raise PreconditionViolation("X must be invertible") from None
     Gd = _discard_to_distinct_differences(G)
-    sX, sY = (_count(*_sums(Gd, Z, A.dim)) for Z in (X, Y))
+    sX, sY = (_count(*_sums(Gd, S, A.dim)) for S in (X, Y))
     M = max(A.size, B.size, sX, sY)
-    count, identity_ok = _trapezia(Gd, X, Y) if Gd.size else (0, True)
+    count, identity_ok = _trapezia(Gd, X, Y, Z) if Gd.size else (0, True)
     g = Gd.size
     lower = g**4 / M**4 if M else 0.0
     return TrapeziumReport(

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import numpy as np
 
 import kakeya_lab as kl
-from kakeya_lab.sumsets import _discard_to_distinct_differences, _x_scale
+from kakeya_lab.sumsets import _discard_to_distinct_differences
 
 from conftest import (
     crossing_tube_pair,
@@ -119,8 +119,8 @@ def _einsum_quadruple_count(G: kl.Incidence, Y: kl.RationalMatrix) -> int:
     pairs = sorted(G.pairs)
     a = np.array([p[0] for p in pairs], dtype=np.int64)
     b = np.array([p[1] for p in pairs], dtype=np.int64)
-    L = _x_scale(Y)
-    YL = np.array([[int(e * L) for e in r] for r in Y.rows], dtype=np.int64)
+    L, YL = Y.integer_form()
+    YL = np.array(YL, dtype=np.int64)
     key = L * a + b @ YL.T
     Ea = (a[:, None, :] == a[None, :, :]).all(-1).astype(np.int64)
     Ek = (key[:, None, :] == key[None, :, :]).all(-1).astype(np.int64)

@@ -394,6 +394,18 @@ class TestKakeyaSolver:
         sol = kl.solve_kakeya_four_slice(C)
         assert sol.residual <= 1e-9
 
+    @pytest.mark.parametrize("p, j, k", [(F(195, 2), 8, 9), (F(117, 2), 10, 11), (F(585, 34), 16, 17)])
+    def test_root_sum_tie_goes_to_the_least_eps(self, p, j, k):
+        # spectrum +-i sqrt(p): the least root sum on the grid eps = 2i/195 is reached at i = j and i = k,
+        # and the solver takes the least eps, as a min over (root sum, eps, swap) does
+        C = kl.RationalMatrix([[0, -p], [1, 0]])
+        x = lambda e: (2 - 3 * e) * (-2 * e * p) / (1 + e * e * p)  # the root sum at s = 0
+        grid = [F(2 * i, 195) for i in range(1, 65)]
+        least = min(min(x(e), -x(e)) for e in grid)
+        assert [e for e in grid if x(e) == least] == [F(2 * j, 195), F(2 * k, 195)]
+        sol = kl.solve_kakeya_four_slice(C)
+        assert sol.heights == (-1 + F(2 * j, 195), 1 - F(4 * j, 195)) and sol.regime == "complex_pair"
+
 
 class TestQuarticQ:
     def test_mu_zero(self):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kakeya_lab as kl
-from kakeya_lab.sumsets import _discard_to_distinct_differences, _keys, instance_from_json, instance_to_json
+from kakeya_lab.sumsets import _discard_to_distinct_differences, _keys, _sums, instance_from_json, instance_to_json
 
 from conftest import sumset_oracle, trapezium_oracle
 
@@ -550,6 +550,14 @@ def _edge_peak(dim: int) -> int:
     return (S - 1) // 2 if S % 2 else (S - 2) // 2
 
 
+def assert_keys_order_like(keys, horner):
+    """``keys`` sort as ``horner`` does, and are equal exactly where ``horner`` is: the same order, injective."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    assert order == sorted(range(len(horner)), key=horner.__getitem__)
+    ks, hs = [keys[i] for i in order], [horner[i] for i in order]
+    assert [x == y for x, y in zip(ks, ks[1:])] == [x == y for x, y in zip(hs, hs[1:])]
+
+
 class TestKeyBound:
     """Keys at the int64 edge: the bound (S^dim - 1)/2 just below, at and just above 2^63 - 1."""
 
@@ -562,14 +570,18 @@ class TestKeyBound:
         values = [-P, -P + 1, -1, 0, 1, P - 1, P]
         pts = {tuple(values[i] for i in rng.integers(0, len(values), size=dim)) for _ in range(300)}
         pts |= {(P,) * dim, (-P,) * dim, (0,) * (dim - 1) + (P,), (1,) + (-P,) * (dim - 1)}
-        rows = sorted(pts)
-        keys = _keys(kl.LatticeSet.of(rows, dim=dim).rows, P)
-        assert keys.dtype == (np.int64 if (S**dim - 1) // 2 <= 2**63 - 1 else object)
-        assert (keys.dtype == np.int64) == (step <= 0)
-        horner = [sum(c * S ** (dim - 1 - j) for j, c in enumerate(p)) for p in rows]
-        assert keys.tolist() == horner
+        rows = kl.LatticeSet.of(pts, dim=dim).rows
+        horner = [sum(c * S ** (dim - 1 - j) for j, c in enumerate(p)) for p in rows.tolist()]
         assert all(x < y for x, y in zip(horner, horner[1:]))
         assert max(map(abs, horner)) == (S**dim - 1) // 2  # the bound is reached by (P, ..., P)
+        # shuffled, with repeats: int64 rows get int64 keys, Horner's up to the bound and rank keys past it
+        pick = np.concatenate([rng.permutation(len(rows)), rng.integers(0, len(rows), 60)])
+        keys = _keys(rows[pick], P)
+        assert keys.dtype == (np.int64 if rows.dtype == np.int64 else object)
+        assert (rows.dtype == np.int64) == (dim > 1 or step <= 0)  # only (2^63,) is past int64
+        if (S**dim - 1) // 2 <= 2**63 - 1 or rows.dtype == object:
+            assert keys.tolist() == [horner[i] for i in pick]
+        assert_keys_order_like(keys.tolist(), [horner[i] for i in pick])
 
     def test_bound_reached_exactly_in_dim_one(self):
         P = 2**63 - 1  # (S - 1)/2 = 2^63 - 1: the largest int64 coordinate, and int64 keys
@@ -596,3 +608,104 @@ class TestKeyBound:
         keys = _keys(rows, 10**6)
         assert keys.dtype == np.int64 and keys.tolist() == _keys(rows, 100).tolist()
         assert rows[np.argsort(keys, kind="stable")].tolist() == sorted(rows.tolist())
+
+
+def _signed_rows(dim: int) -> list:
+    """A dim x dim integer matrix with zero and negative entries whose largest row sum of |entries| is odd."""
+    rows = [[(3 * i + 5 * j) % 7 - 3 for j in range(dim)] for i in range(dim)]
+    if max(sum(map(abs, r)) for r in rows) % 2 == 0:
+        rows[0][0] += 1 if rows[0][0] >= 0 else -1
+    return rows
+
+
+class TestRowSumBound:
+    """``_sums`` bounds each entry by L (|a| + 1) + (the largest row sum of |L X|) (|b| + 1): int64 below 2^63."""
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_bound_edges(self, dim, half, step):
+        rows = _signed_rows(dim)
+        X = kl.RationalMatrix([[F(v, 2 if half else 1) for v in r] for r in rows])
+        L = 2 if half else 1
+        top, i_top = max((sum(map(abs, r)), i) for i, r in enumerate(rows))
+        assert top % 2 and 0 in (v for r in rows for v in r) and min(min(r) for r in rows) < 0
+        target = 2**63 + step  # = L (pa + 1) + top (pb + 1)
+        pb = 2**40 + ((target + 1) % 2 if half else 0)  # top is odd: makes target - top (pb + 1) divisible by L
+        pa = (target - top * (pb + 1)) // L - 1
+        assert L * (pa + 1) + top * (pb + 1) == target
+        b = tuple(pb if v >= 0 else -pb for v in rows[i_top])  # reaches L pa + top pb on row i_top
+        a = tuple(pa if k % 2 == 0 else -pa for k in range(dim))
+        pairs = [(a, b), (a, tuple(-c for c in b)), (tuple(-c for c in a), b), ((0,) * dim, b)]
+        A = kl.LatticeSet.of([p for p, _ in pairs], dim=dim)
+        B = kl.LatticeSet.of([q for _, q in pairs], dim=dim)
+        G = kl.Incidence(pairs=pairs)
+        sums, bound = _sums(G, X, dim)
+        assert bound == target and (sums.dtype == np.int64) == (step < 0)
+        assert max(abs(int(v)) for v in sums.ravel()) == L * pa + top * pb
+        S = kl.x_sumset(A, B, G, X)
+        assert [tuple(F(c, S.scale) for c in p) for p in S.rows.tolist()] == sorted(sumset_oracle(pairs, X))
+        I = kl.RationalMatrix.identity(dim)
+        for Xs, eps in (([X], F(1, 6)), ([I, X], F(1, 4))):
+            assert kl.check_ratio(A, B, G, Xs, eps) == _plain_ratio(pairs, Xs, eps)
+
+
+class TestRankKeys:
+    """int64 rows whose Horner keys are past int64 get rank keys: int64, ordered as the rows, injective."""
+
+    @pytest.mark.parametrize("dim,spread,count", [(2, 2**62, 200), (3, 2**40, 300), (8, 2**40, 400), (8, 3, 400)])
+    def test_order_and_injectivity(self, dim, spread, count):
+        # (8, 2^40): 400 distinct values per column, 400^8 > 2^63, so the keys are re-ranked on the way
+        rng = np.random.default_rng(dim + count)
+        rows = rng.integers(-spread, spread + 1, size=(count, dim))
+        rows[-1] = spread  # the peak, so the Horner bound is past int64 in every case but the last
+        rows = np.concatenate([rows, rows[rng.integers(0, count, 80)]])  # with repeats
+        keys = _keys(rows, spread)
+        assert keys.dtype == np.int64
+        assert_keys_order_like(keys.tolist(), list(map(tuple, rows.tolist())))
+
+
+def _instance_scaled(seed: int, box: int, scale: int):
+    A, B, G = kl.random_instance(seed, 2, box, 10)
+    return [(tuple(scale * c for c in a), tuple(scale * c for c in b)) for a, b in G.pairs]
+
+
+@pytest.mark.parametrize("e, box", [(58, 12), (60, 6), (62, 1), (99, 12)])
+@pytest.mark.parametrize("seed", range(3))
+def test_scaled_reports_match_plain_sets(e, box, seed):
+    # coordinates box * 2^e: int64 rows with rank keys up to 2^62, Python-int rows at 2^99
+    pairs = _instance_scaled(seed, box, 2**e)
+    A = kl.LatticeSet.of([a for a, _ in pairs], dim=2)
+    B = kl.LatticeSet.of([b for _, b in pairs], dim=2)
+    G = kl.Incidence(pairs=pairs)
+    assert A.rows.dtype == (np.int64 if box * 2**e < 2**63 else object)
+    I2, two = kl.RationalMatrix.identity(2), kl.RationalMatrix.diagonal([2, 2])
+    for Xs, eps in (([I2], F(1, 6)), ([I2, two], F(1, 4))):
+        assert kl.check_ratio(A, B, G, Xs, eps) == _plain_ratio(pairs, Xs, eps)
+    X = kl.RationalMatrix([[2, 1], [1, 1]])
+    rep = kl.count_trapezia(A, B, G, X, X + I2)
+    count, kept = _plain_trapezia(pairs, X + I2)
+    assert (rep.count, rep.identities_checked, rep.g_size) == (count, count, len(kept)) and rep.identity_verified
+
+
+class TestTrapeziumBound:
+    """``_trapezia``'s int64 bound (D + 2r) U + D^2 (|b| + 1), U = D (|a| + 1) + r (|b| + 1), r the largest
+    row sum of |D X|, |D Y| and |D X^-1|: counts and identities exact at its edge and past it."""
+
+    X = kl.RationalMatrix([[1, 0], [0, F(1, 8)]])  # D = 8: D X^-1 = [[8, 0], [0, 64]] holds the largest row sum
+    # with every |coordinate| <= 2c: r = 64, U = 72 (2c + 1), and the bound is (8 + 128) U + 64 (2c + 1)
+    EDGE = ((2**63 - 1) // 9856 - 1) // 2  # the largest c with 9856 (2c + 1) < 2^63
+
+    @pytest.mark.parametrize("c", [EDGE, EDGE + 1, 2**63 // 1000, 2**63 // 100])
+    def test_matches_plain_sets(self, c):
+        pts = [(2, 2), (2, -1), (-2, 1), (1, 2), (0, 0)]
+        pairs = [(tuple(c * v for v in a), tuple(c * v for v in b)) for a in pts for b in pts[:3]]
+        A = kl.LatticeSet.of([a for a, _ in pairs], dim=2)
+        B = kl.LatticeSet.of([b for _, b in pairs], dim=2)
+        G = kl.Incidence(pairs=pairs)
+        Gd = _discard_to_distinct_differences(G)
+        assert (Gd.peak_a, Gd.peak_b) == (2 * c, 2 * c)
+        Y = self.X + kl.RationalMatrix.identity(2)
+        rep = kl.count_trapezia(A, B, G, self.X, Y)
+        count, kept = _plain_trapezia(pairs, Y)
+        assert (rep.count, rep.g_size) == (count, len(kept)) and rep.identity_verified
