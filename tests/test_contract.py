@@ -1,32 +1,52 @@
-"""The height solvers' and the sumset counts' outputs, pinned against recorded files.
+"""The library's outputs, pinned against recorded files.
 
-Both solvers run on the acceptance matrices, every matrix of ``test_slices.py``,
-the small-imaginary-part cases and 300 seeded rational 2x2 matrices.  ``kind``,
-``regime``, ``NoSolution`` reasons and details, and other errors must match the
-record exactly.  Float heights, lam, mu and the t0 range match within a
-relative 1e-9, and the exact residual stays at most 1e-9.
+Both height solvers run on the acceptance matrices, every matrix of
+``test_slices.py``, the small-imaginary-part cases and 300 seeded rational 2x2
+matrices.  ``kind``, ``regime``, ``NoSolution`` reasons and details, and other
+errors must match the record exactly.  Float heights, lam, mu and the t0 range
+match within a relative 1e-9, and the exact residual stays at most 1e-9.
 
 Every ``RatioReport`` and ``TrapeziumReport`` field of seeded random instances,
 some of them scaled by 2^58, 2^59 or 2^99, is hashed (sha256 over canonical
 JSON) per group and scale; ``contract_sumsets.json`` holds the digests.
 
-Running this file as a script re-records both files.  A change to a recorded
+``locus_dichotomy_test`` runs on the matrices of ``TestLocusDichotomy`` and
+criterion 10, two near-degenerate repros and 20 seeded rational 2x2 matrices;
+``locus_curve_params`` and ``locus_point`` run on float inputs.  Flags,
+``samples`` and errors must match ``contract_locus.json`` exactly; residuals,
+witnesses and float outputs match within a relative 1e-9, and two values both
+at most 1e-15 in size (rounding noise of unit-size float data) match.
+
+Hairbrush decompositions of the worst case at k = 3..5 and of seeded n = 3, 4
+and 5 families, with and without candidates, the union counts of the n = 5
+two-block nets at k = 2..5 and the bodies of the ``exponents``,
+``iterate-eps`` and ``counterexample`` commands are hashed per group;
+``contract_digests.json`` holds the digests.
+
+Running this file as a script re-records every file.  A change to a recorded
 output is listed, record by record, in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kakeya_lab as kl
+from conftest import reduced_ball_net
+from kakeya_lab.cli import main
 
 RECORD = Path(__file__).with_name("contract_solvers.json")
 SUMSET_RECORD = Path(__file__).with_name("contract_sumsets.json")
+LOCUS_RECORD = Path(__file__).with_name("contract_locus.json")
+DIGEST_RECORD = Path(__file__).with_name("contract_digests.json")
 REL = 1e-9
 
 
@@ -229,6 +249,208 @@ def test_sumset_reports_match_the_record():
     assert got == want, [name for name in want if got.get(name) != want[name]]
 
 
+# ------------------------------------------------------------------- locus
+
+WORST = [[0, 1], [0, 0]]
+NOISE = 1e-15  # two floats both this small are rounding noise of unit-size data
+
+
+def _locus_cases() -> dict:
+    """{name: (C rows, y0, t0, trials, seed)}"""
+    diag = [[F(1, 4), 0], [0, F(-1, 4)]]
+    cases = {
+        # TestLocusDichotomy, at 200 trials
+        "square_zero_y0_0_1": (WORST, (0.0, 1.0), 0.5, 200, 3),
+        "square_zero_y0_.7_.3": (WORST, (0.7, 0.3), -0.25, 200, 3),
+        "square_zero_y0_.2_-.6": (WORST, (0.2, -0.6), 0.75, 200, 3),
+        "scalar_1/4": ([[F(1, 4), 0], [0, F(1, 4)]], (1.0, 0.5), 0.25, 200, 3),
+        "diag_1/4_-1/4": (diag, (1.0, 1.0), 0.5, 200, 3),
+        "square_zero_3x3": ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], (0.3, 0.8, 0.4), 0.5, 200, 6),
+        # criterion 10, at 200 trials
+        "criterion_10_square_zero": (WORST, (0.0, 1.0), 0.5, 200, 10),
+        "criterion_10_diag": (diag, (1.0, 1.0), 0.5, 200, 10),
+        # off the predicted line by about 1e-12; and centres exactly on one line
+        "repro_1e-12": ([[0, 1], [F(1, 10**12), 0]], (0, 1), F(1, 2), 200, 1),
+        "repro_collinear": (WORST, (0, 1), F(1, 2), 200, 1),
+    }
+    rng = random.Random(20261019)
+    for i in range(20):
+        kind = ("square_zero", "scalar", "diag", "random", "near_square_zero")[i % 5]
+        p, q = rng.randint(-3, 3), rng.randint(1, 3)
+        r = F(rng.randint(1, 4), 8 * q * q)
+        if kind == "square_zero":
+            rows = [[r * p * q, r * q * q], [-r * p * p, -r * p * q]]
+        elif kind == "scalar":
+            rows = [[r, 0], [0, r]]
+        elif kind == "diag":
+            rows = [[r, 0], [0, F(rng.randint(-4, 4), 16)]]
+        elif kind == "random":
+            rows = [[F(rng.randint(-6, 6), rng.randint(6, 12)) for _ in range(2)] for _ in range(2)]
+        else:
+            rows = [[0, r], [F(1, 10 ** rng.randint(6, 14)), 0]]
+        y0 = (F(rng.randint(-8, 8), 8), F(rng.randint(1, 8), 8))
+        t0 = F(rng.randint(-7, 7), 8)
+        cases[f"seeded_{i:02d}_{kind}"] = (rows, y0, t0, 100, rng.randrange(1000))
+    return cases
+
+
+def _locus_float_cases() -> dict:
+    """{name: (C rows, y0, t0, u, s, t)}: float inputs, t None for locus_curve_params alone"""
+    rot = [[F(1, 3), F(-2, 5)], [F(3, 7), F(1, 5)]]
+    return {
+        "square_zero": (WORST, (0.7, 0.3), 0.5, -0.25, 0.75, 0.125),
+        "square_zero_decimal": (WORST, (0.2, -0.6), 0.1, 0.3, -0.7, 0.9),
+        "scalar_1/4": ([[F(1, 4), 0], [0, F(1, 4)]], (1.0, 0.5), 0.25, -0.5, 0.6, -0.1),
+        "diag_1/4_-1/4": ([[F(1, 4), 0], [0, F(-1, 4)]], (1.0, 1.0), 0.5, 0.2, -0.3, 0.0),
+        "rational_rot": (rot, (0.3, -0.45), -0.6, 0.35, 0.8, 0.55),
+        "rational_rot_t_u": (rot, (0.3, -0.45), -0.6, 0.35, 0.8, 0.35),
+        "companion_3x3": (kl.companion([F(1, 3), F(-1, 5), F(2, 7)]).rows,
+                          (0.1, 0.2, -0.3), 0.4, -0.9, 0.65, -0.8),
+        "singular_identity": ([[1, 0], [0, 1]], (0.5, 0.5), 0.5, -0.25, -0.75, 0.5),
+        "s_equals_u": (WORST, (0.5, 0.5), 0.5, 0.25, 0.25, None),
+    }
+
+
+def _error(e: Exception) -> dict:
+    return {"error": type(e).__name__}
+
+
+def _locus_records() -> dict:
+    out = {"dichotomy": [], "float_inputs": []}
+    for name, (rows, y0, t0, trials, seed) in _locus_cases().items():
+        C = kl.RationalMatrix(rows)
+        r = kl.locus_dichotomy_test(kl.CurveFamily(n=C.dim + 1, C=C), y0, t0, trials=trials, seed=seed)
+        out["dichotomy"].append({"name": name, "omega_one_param": r.omega_one_param, "y_one_param": r.y_one_param,
+                                 "max_line_residual": r.max_line_residual,
+                                 "omega_offline_witness": r.omega_offline_witness, "samples": r.samples})
+    for name, (rows, y0, t0, u, s, t) in _locus_float_cases().items():
+        C = kl.RationalMatrix(rows)
+        f = kl.CurveFamily(n=C.dim + 1, C=C)
+        rec = {"name": name}
+        try:
+            y, omega = kl.locus_curve_params(f, y0, t0, u, s)
+            rec.update(y=[float(v) for v in y], omega=[float(v) for v in omega])
+        except Exception as e:
+            rec["params"] = _error(e)
+        if t is not None:
+            try:
+                rec["point"] = [float(v) for v in kl.locus_point(f, y0, t0, u, s, t)]
+            except Exception as e:
+                rec["point"] = _error(e)
+        out["float_inputs"].append(rec)
+    return out
+
+
+def _near(got, want) -> bool:
+    if isinstance(want, float) and isinstance(got, float):
+        return (math.isclose(got, want, rel_tol=REL, abs_tol=0.0)
+                or max(abs(got), abs(want)) <= NOISE)
+    if isinstance(want, list) and isinstance(got, list):
+        return len(got) == len(want) and all(_near(g, w) for g, w in zip(got, want))
+    if isinstance(want, dict) and isinstance(got, dict):
+        return got.keys() == want.keys() and all(_near(got[k], w) for k, w in want.items())
+    return type(got) is type(want) and got == want
+
+
+LOCUS = json.loads(LOCUS_RECORD.read_text()) if LOCUS_RECORD.exists() else {"dichotomy": [], "float_inputs": []}
+
+
+def test_locus_record_covers_every_case():
+    assert [r["name"] for r in LOCUS["dichotomy"]] == list(_locus_cases())
+    assert [r["name"] for r in LOCUS["float_inputs"]] == list(_locus_float_cases())
+
+
+def test_locus_outputs_match_the_record():
+    got = _locus_records()
+    for part in ("dichotomy", "float_inputs"):
+        bad = [w["name"] for g, w in zip(got[part], LOCUS[part]) if not _near(g, w)]
+        assert not bad, (part, bad)
+
+
+# ------------------------------------------- hairbrush, union counts, CLI bodies
+
+HAIRBRUSH_FAMILIES = {
+    3: [[F(1, 3), F(-2, 5)], [F(3, 7), F(1, 5)]],
+    4: kl.companion([F(1, 3), F(-1, 5), F(2, 7)]).rows,
+    5: [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+}
+
+
+def _clustered(rng, family, count, deltas, hubs):
+    """Tubes whose curves pass within a few deltas of one of the hub points (x, t)."""
+    Cf, d = family.C.to_float(), family.n - 1
+    tubes = []
+    for i in range(count):
+        x, t = hubs[i % len(hubs)]
+        delta = deltas[i % len(deltas)]
+        y = rng.uniform(-0.6, 0.6, d)
+        om = x + rng.uniform(-3 * delta, 3 * delta, d) + t * y + t * t * (Cf @ y)
+        tubes.append(kl.TubeSpec(params=kl.CurveParams(y=tuple(y), omega=tuple(om)), delta=delta))
+    return tubes
+
+
+def _hairbrush_records() -> list:
+    out = []
+    for k, N in ((3, 16), (4, 64), (5, 256)):
+        dec = kl.hairbrush_decompose(kl.build_worstcase_kakeya(kl.companion([0, 0]), k), N)
+        out.append([f"worst k={k} N={N}", dec.brushes, dec.bad, dec.centrals])
+    for n, rows in HAIRBRUSH_FAMILIES.items():
+        rng = np.random.default_rng(100 + n)
+        fam = kl.CurveFamily(n=n, C=kl.RationalMatrix(rows))
+        hubs = [(rng.uniform(-0.4, 0.4, n - 1), t) for t in (-0.5, 0.2, 0.6)]
+        tubes = _clustered(rng, fam, 60, [2.0**-5, 2.0**-7, 2.0**-6], hubs)
+        cands = _clustered(rng, fam, 12, [2.0**-6, 2.0**-5], hubs)
+        spec = kl.TubeFamilySpec(family=fam, tubes=tubes)
+        for label, c in (("self", None), ("candidates", cands)):
+            dec = kl.hairbrush_decompose(spec, 4, c)
+            out.append([f"n={n} {label}", dec.brushes, dec.bad, dec.centrals])
+    return out
+
+
+def _union_records() -> list:
+    C = kl.RationalMatrix(HAIRBRUSH_FAMILIES[5])
+    return [[k, *kl.union_volume(kl.build_worstcase_kakeya(C, k, directions=reduced_ball_net(k, {1, 3}, 4)), k)]
+            for k in (2, 3, 4, 5)]
+
+
+CLI_RUNS = {
+    "exponents": [["exponents", "--n", str(n), "--k", str(k), *flags]
+                  for n in (3, 4, 5) for k in range(n - 1)
+                  for flags in ([[], ["--tr-adj-zero"], ["--det-zero"], ["--tr-adj-zero", "--det-zero"]]
+                                if k == 0 else [[]])],
+    "iterate-eps": [["iterate-eps", "--start", "1/6", "--steps", "50"],
+                    ["iterate-eps", "--start", "0.3", "--steps", "20"]],
+    "counterexample line": [
+        ["counterexample", "--mode", "line", "--matrix", json.dumps(kl.RationalMatrix(X).to_json()), "--M", M]
+        for X, M in (([[1, 1], [0, 1]], "5"), ([[2, 1], [1, 1]], "7"))],
+    "counterexample secular": [["counterexample", "--mode", "secular", "--fracs", "1/1,2/1", "--M", "5"],
+                               ["counterexample", "--mode", "secular", "--fracs", "1/2,2/1",
+                                "--v", "1,1", "--w", "1,-1", "--M", "6"]],
+}
+
+
+def _cli_body(argv) -> list:
+    """[argv, exit code, stdout without its timestamped metadata line]"""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    lines = [ln for ln in buf.getvalue().splitlines() if not ln.startswith("# config:")]
+    return [argv, code, lines]
+
+
+def _digest_groups() -> dict:
+    return {"hairbrush": _hairbrush_records(), "union n=5 two blocks": _union_records(),
+            **{f"cli {cmd}": [_cli_body(argv) for argv in runs] for cmd, runs in CLI_RUNS.items()}}
+
+
+def test_hairbrush_union_and_cli_outputs_match_the_record():
+    want = json.loads(DIGEST_RECORD.read_text())
+    got = _digests(_digest_groups())
+    assert got == want, [name for name in want if got.get(name) != want[name]]
+
+
 if __name__ == "__main__":
     RECORD.write_text(json.dumps(_record(), indent=1) + "\n")
     SUMSET_RECORD.write_text(json.dumps(_digests(_sumset_records()), indent=1) + "\n")
+    LOCUS_RECORD.write_text(json.dumps(_locus_records(), indent=1) + "\n")
+    DIGEST_RECORD.write_text(json.dumps(_digests(_digest_groups()), indent=1) + "\n")
