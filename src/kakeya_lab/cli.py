@@ -237,7 +237,7 @@ def cmd_claim_check(args) -> int:
 def cmd_locus(args) -> int:
     C = _load_matrix(args.matrix)
     family = CurveFamily(n=C.dim + 1, C=C)
-    rep = locus_dichotomy_test(family, _parse_vec(args.y0), float(Fraction(args.t0)),
+    rep = locus_dichotomy_test(family, _parse_vec(args.y0), Fraction(args.t0),
                                trials=args.trials, seed=args.seed)
     write_json(args.out, _config(args), {
         "omega_one_param": rep.omega_one_param,

@@ -5,7 +5,10 @@ direction y and centre omega is t -> (omega - t*y - t^2*C*y, t) for t in
 [-1, 1].  Tubes thicken curves by a radius delta in every horizontal slice.
 
 Operations accept exact rational data (ints / Fractions) or floats; exact
-inputs stay exact wherever the result is rational.
+inputs stay exact wherever the result is rational.  Intersection heights and
+the locus are computed exactly for any input, a float taken as the dyadic
+rational it is, and rounded to floats only for float input; the locus
+dichotomy decides its flags exactly, with no tolerance.
 """
 
 from __future__ import annotations
@@ -40,6 +43,15 @@ def _is_exact(*values) -> bool:
         elif not isinstance(v, (int, Fraction)):
             return False
     return True
+
+
+def _fraction(x) -> Fraction:
+    """An int, Fraction or float as the exact rational it is (a float is a dyadic rational)."""
+    return x if isinstance(x, Fraction) else Fraction(x if isinstance(x, int) else float(x))
+
+
+def _floats(v: Sequence) -> tuple:
+    return tuple(float(x) for x in v)
 
 
 def _as_float_vec(v: Sequence) -> np.ndarray:
@@ -202,12 +214,8 @@ def intersect_curves(family: CurveFamily, p1: CurveParams, p2: CurveParams) -> l
     if p1 == p2:
         raise IdenticalCurves("curve parameters coincide")
     exact = _is_exact(p1.y, p1.omega, p2.y, p2.omega)
-
-    def q(x):
-        return x if isinstance(x, Fraction) else Fraction(x if isinstance(x, int) else float(x))
-
-    dy = [q(a) - q(b) for a, b in zip(p1.y, p2.y)]
-    dw = [q(a) - q(b) for a, b in zip(p1.omega, p2.omega)]
+    dy = [_fraction(a) - _fraction(b) for a, b in zip(p1.y, p2.y)]
+    dw = [_fraction(a) - _fraction(b) for a, b in zip(p1.omega, p2.omega)]
     cdy = family.C.mat_vec(dy)
     comp = next((i for i in range(len(dy)) if dy[i] != 0 or cdy[i] != 0), None)
     if comp is None:
@@ -290,85 +298,68 @@ def intersection_diameter(
 
 # ----------------------------------------------------------------------- locus
 
-def _one_plus(C: RationalMatrix, s) -> RationalMatrix:
-    return RationalMatrix.identity(C.dim) + rat(s) * C
+def _one_plus(C: RationalMatrix, x: Fraction, v: Sequence) -> list:
+    """(I + x*C) v"""
+    return [a + x * c for a, c in zip(v, C.mat_vec(v))]
+
+
+def _locus_core(C: RationalMatrix, y0: Sequence, t0, u, s) -> tuple[list, Fraction]:
+    """w = (I + (s+u)C)^-1 (I + (t0+u)C) y0 and (t0 - u)/(s - u), exactly: the locus curve
+    through (u, s) has direction (t0 - u)/(s - u) * w."""
+    if s == u:
+        raise SingularConfiguration("s = u")
+    w = (RationalMatrix.identity(C.dim) + (s + u) * C).inverse().mat_vec(_one_plus(C, t0 + u, y0))
+    return w, (t0 - u) / (s - u)
 
 
 def locus_curve_params(family: CurveFamily, y0: Sequence, t0, u, s) -> tuple[tuple, tuple]:
     """Direction and centre of the curve meeting the axis curve at s and the
-    (y0, t0)-curve at u, as functions of the free parameters (u, s)."""
-    if _is_exact(tuple(y0), t0, u, s):
-        t0, u, s = rat(t0), rat(u), rat(s)
-        if s == u:
-            raise SingularConfiguration("s = u")
-        C = family.C
-        core = _one_plus(C, s + u).inverse() * _one_plus(C, t0 + u)
-        y0v = [rat(v) for v in y0]
-        y = tuple(((t0 - u) / (s - u)) * x for x in core.mat_vec(y0v))
-        omega_mat = _one_plus(C, s) * core
-        omega = tuple((s * (t0 - u) / (s - u)) * x for x in omega_mat.mat_vec(y0v))
-        return y, omega
-    t0f, uf, sf = float(t0), float(u), float(s)
-    if sf == uf:
-        raise SingularConfiguration("s = u")
-    Cf = family._cf
-    I = np.eye(Cf.shape[0])
-    core = np.linalg.solve(I + (sf + uf) * Cf, I + (t0f + uf) * Cf)
-    y0f = _as_float_vec(y0)
-    y = ((t0f - uf) / (sf - uf)) * (core @ y0f)
-    omega = (sf * (t0f - uf) / (sf - uf)) * ((I + sf * Cf) @ core @ y0f)
-    return tuple(y), tuple(omega)
+    (y0, t0)-curve at u, as functions of the free parameters (u, s).
+
+    Computed exactly, a float input taken as the dyadic rational it is; any
+    float input gives the exact results rounded to floats."""
+    exact = _is_exact(tuple(y0), t0, u, s)
+    t0, u, s = _fraction(t0), _fraction(u), _fraction(s)
+    w, a = _locus_core(family.C, [_fraction(v) for v in y0], t0, u, s)
+    y = tuple(a * x for x in w)
+    omega = tuple(s * a * x for x in _one_plus(family.C, s, w))
+    return (y, omega) if exact else (_floats(y), _floats(omega))
 
 
 def locus_point(family: CurveFamily, y0: Sequence, t0, u, s, t) -> tuple:
-    """Point of the locus of curves meeting both base curves, at height t."""
-    if _is_exact(tuple(y0), t0, u, s, t):
-        t0, u, s, t = rat(t0), rat(u), rat(s), rat(t)
-        if s == u:
-            raise SingularConfiguration("s = u")
-        C = family.C
-        mat = _one_plus(C, s + t) * _one_plus(C, s + u).inverse() * _one_plus(C, t0 + u)
-        fac = (s - t) * (t0 - u) / (s - u)
-        sp = tuple(fac * x for x in mat.mat_vec([rat(v) for v in y0]))
-        return sp + (t,)
-    t0f, uf, sf, tf = float(t0), float(u), float(s), float(t)
-    if sf == uf:
-        raise SingularConfiguration("s = u")
-    Cf = family._cf
-    I = np.eye(Cf.shape[0])
-    mat = (I + (sf + tf) * Cf) @ np.linalg.solve(I + (sf + uf) * Cf, I + (t0f + uf) * Cf)
-    fac = (sf - tf) * (t0f - uf) / (sf - uf)
-    sp = fac * (mat @ _as_float_vec(y0))
-    return tuple(sp) + (tf,)
+    """Point of the locus of curves meeting both base curves, at height t;
+    exact as :func:`locus_curve_params` is."""
+    exact = _is_exact(tuple(y0), t0, u, s, t)
+    t0, u, s, t = _fraction(t0), _fraction(u), _fraction(s), _fraction(t)
+    w, a = _locus_core(family.C, [_fraction(v) for v in y0], t0, u, s)
+    pt = tuple((s - t) * a * x for x in _one_plus(family.C, s + t, w)) + (t,)
+    return pt if exact else _floats(pt)
 
 
 def _rel_residual_to_line(points: np.ndarray, direction: np.ndarray) -> np.ndarray:
     u = direction / np.linalg.norm(direction)
-    proj = points @ u
-    res = points - proj[:, None] * u[None, :]
-    norms = np.linalg.norm(points, axis=1)
-    safe = np.maximum(norms, 1e-300)
-    return np.linalg.norm(res, axis=1) / safe
-
-
-def _best_fit_direction(points: np.ndarray) -> np.ndarray:
-    _, _, vt = np.linalg.svd(points, full_matrices=False)
-    return vt[0]
+    res = points - np.outer(points @ u, u)
+    return np.linalg.norm(res, axis=1) / np.maximum(np.linalg.norm(points, axis=1), 1e-300)
 
 
 def _minimax_line_residual(points: np.ndarray) -> float:
-    """min over lines through 0 of the max relative distance of the points (2-d exact
-    grid search; best-fit direction elsewhere)."""
+    """min over lines through 0 of the max relative distance of the nonzero points.
+
+    Exact in 2-d: a point at angle a lies |sin(a - b)| (relative) from the line
+    at angle b, so the best line bisects the shortest arc mod pi holding every
+    angle, of length w = pi less the largest gap between the sorted angles mod
+    pi, and the value is sin(w/2).  Above 2-d the best-fit (SVD) direction
+    gives an upper bound."""
     if points.shape[1] == 2:
-        angles = np.linspace(0.0, math.pi, 20001)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        norms = np.maximum(np.linalg.norm(points, axis=1), 1e-300)
-        # distance of p to span{d} is |p x d| in 2-d
-        cross = np.abs(points[:, 0][:, None] * dirs[:, 1][None, :]
-                       - points[:, 1][:, None] * dirs[:, 0][None, :])
-        rel = cross / norms[:, None]
-        return float(rel.max(axis=0).min())
-    return float(_rel_residual_to_line(points, _best_fit_direction(points)).max())
+        a = np.sort(np.mod(np.arctan2(points[:, 1], points[:, 0]), math.pi))
+        gap = max(float(np.diff(a).max(initial=0.0)), a[0] + math.pi - a[-1])
+        return math.sin((math.pi - gap) / 2)
+    return float(_rel_residual_to_line(points, np.linalg.svd(points, full_matrices=False)[2][0]).max())
+
+
+def _parallel(a: Sequence, b: Sequence) -> bool:
+    """Whether every 2x2 minor of the rows a and b is zero."""
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i + 1, len(a)))
 
 
 @dataclass(frozen=True)
@@ -376,29 +367,32 @@ class LocusDichotomy:
     omega_one_param: bool
     y_one_param: bool
     max_line_residual: float
-    omega_offline_witness: float  # min over all lines of the max relative residual
+    omega_offline_witness: float  # min over all lines of the max relative residual (an upper bound above 2-d)
     samples: int
 
 
 def locus_dichotomy_test(
     family: CurveFamily,
     y0: Sequence,
-    t0: float,
+    t0,
     trials: int = 200,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> LocusDichotomy:
-    """Sample (u, s) pairs and test whether locus centres / directions are
-    confined to one line.
+    """Sample (u, s) pairs and decide whether the locus centres and directions
+    are confined to one line.
 
-    Centres are tested against the predicted line span{(I + t0*C) y0};
-    directions against their own best-fit line through the origin.
+    Each sample, y0 and t0 are taken as the exact rationals they are (a float
+    is dyadic), and both flags are decided exactly: the centres lie on the
+    predicted line span{(I + t0*C) y0} when every 2x2 minor of each omega
+    against it is zero, and the directions lie on one line when every y is
+    parallel to the first.  ``max_line_residual`` is the largest relative
+    distance of the float centres from the predicted line, and
+    ``omega_offline_witness`` their :func:`_minimax_line_residual`.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
     rng = np.random.default_rng(seed)
-    Cf = family._cf
-    y0f = _as_float_vec(y0)
+    y0, t0 = [_fraction(v) for v in y0], _fraction(t0)
     t0f = float(t0)
     omegas, ys = [], []
     attempts = 0
@@ -407,20 +401,17 @@ def locus_dichotomy_test(
         u, s = rng.uniform(-1.0, 1.0, size=2)
         if abs(s - u) < 0.05 or abs(s - t0f) < 0.05 or abs(u - t0f) < 0.05 or abs(s) < 0.025:
             continue
-        y, omega = locus_curve_params(family, tuple(y0f), t0f, u, s)
-        if np.linalg.norm(omega) < 1e-9 or np.linalg.norm(y) < 1e-9:
+        y, omega = locus_curve_params(family, y0, t0, Fraction(u), Fraction(s))
+        if math.hypot(*_floats(omega)) < 1e-9 or math.hypot(*_floats(y)) < 1e-9:
             continue
         omegas.append(omega)
         ys.append(y)
-    O = np.array(omegas)
-    Y = np.array(ys)
-    line = (np.eye(Cf.shape[0]) + t0f * Cf) @ y0f
-    omega_res = _rel_residual_to_line(O, line)
-    y_res = _rel_residual_to_line(Y, _best_fit_direction(Y))
+    line = _one_plus(family.C, t0, y0)
+    O = np.array(omegas, dtype=float)
     return LocusDichotomy(
-        omega_one_param=bool(omega_res.max() <= tol),
-        y_one_param=bool(y_res.max() <= tol),
-        max_line_residual=float(omega_res.max()),
+        omega_one_param=any(line) and all(_parallel(w, line) for w in omegas),
+        y_one_param=all(_parallel(y, ys[0]) for y in ys),
+        max_line_residual=float(_rel_residual_to_line(O, np.array(line, dtype=float)).max()),
         omega_offline_witness=_minimax_line_residual(O),
         samples=len(omegas),
     )

@@ -103,6 +103,16 @@ def test_locus_command(tmp_path, capsys):
     assert doc["omega_one_param"] is True and doc["y_one_param"] is False
 
 
+def test_locus_command_takes_t0_and_y0_exactly(capsys):
+    # centres off the predicted line by about 1e-12, and centres exactly on one line
+    for entries, on_line in (([[0, 1], ["1/1000000000000", 0]], False), ([[0, 1], [0, 0]], True)):
+        matrix = json.dumps({"dim": 2, "entries": entries})
+        code, out, _ = run(capsys, "locus", "--matrix", matrix, "--y0", "0,1", "--t0", "1/2", "--seed", "1")
+        doc = json.loads(out)["result"]
+        assert code == 0 and doc["omega_one_param"] is on_line
+    assert doc["omega_offline_witness"] <= 1e-15
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["solve-heights"]) == 2  # missing --matrix
     assert main(["no-such-command"]) == 2

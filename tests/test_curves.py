@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kakeya_lab as kl
+from kakeya_lab.curves import _minimax_line_residual
 
 from conftest import crossing_tube_pair, diameter_oracle
 
@@ -304,6 +305,60 @@ class TestLocus:
         second = kl.curve_point(f, kl.CurveParams(y=y0, omega=omega0), u)
         assert pt == second
 
+    @pytest.mark.parametrize("C", [WORST, kl.RationalMatrix([[F(1, 3), F(-2, 5)], [F(3, 7), F(1, 5)]]),
+                                   kl.companion([F(1, 3), F(-1, 5), F(2, 7)])])
+    def test_float_inputs_give_the_exact_results_rounded(self, C):
+        f = fam(C)
+        rng = np.random.default_rng(C.dim)
+        for _ in range(20):
+            y0 = tuple(rng.uniform(-1, 1, C.dim))
+            t0, u, s, t = rng.uniform(-1, 1, 4)
+            exact = [F(v) for v in (t0, u, s, t)]
+            y, omega = kl.locus_curve_params(f, y0, t0, u, s)
+            ye, omegae = kl.locus_curve_params(f, tuple(map(F, y0)), *exact[:3])
+            assert y == tuple(map(float, ye)) and omega == tuple(map(float, omegae))
+            pt = kl.locus_point(f, y0, t0, u, s, t)
+            assert pt == tuple(map(float, kl.locus_point(f, tuple(map(F, y0)), *exact)))
+            # one float among exact inputs is enough for float results
+            assert kl.locus_point(f, tuple(map(F, y0)), *exact[:3], float(t)) == pt
+
+    def test_singular_float_inputs_raise(self):
+        # I + (s + u) C = 0 for C = I, u = -1/4, s = -3/4
+        f = fam(kl.RationalMatrix.identity(2))
+        with pytest.raises(kl.SingularMatrix):
+            kl.locus_curve_params(f, (0.5, 0.5), 0.5, -0.25, -0.75)
+        with pytest.raises(kl.SingularMatrix):
+            kl.locus_point(f, (0.5, 0.5), 0.5, -0.25, -0.75, 0.5)
+
+
+class TestMinimaxLineResidual:
+    @staticmethod
+    def _grid(points, m=100_001):
+        """min over m evenly spaced line angles in [0, pi] of the max relative distance."""
+        phi = np.linspace(0.0, math.pi, m)
+        norms = np.linalg.norm(points, axis=1)[:, None]
+        rel = np.abs(points[:, :1] * np.sin(phi) - points[:, 1:] * np.cos(phi)) / norms
+        return float(rel.max(axis=0).min()), math.pi / (m - 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_brute_force_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        if seed % 3 == 0:  # all over the plane
+            points = rng.normal(size=(n, 2))
+        else:  # in a narrow cone about a line, straddling the angle 0 = pi when seed % 3 == 2
+            ang = (0.0 if seed % 3 == 2 else rng.uniform(0, math.pi)) + rng.uniform(-0.2, 0.2, n)
+            points = np.stack([np.cos(ang), np.sin(ang)], axis=1) * rng.choice([-1, 1], (n, 1)) * rng.uniform(0.1, 2, (n, 1))
+        got = _minimax_line_residual(points)
+        grid, step = self._grid(points)
+        # the closed form is the minimum; a grid angle lies within step/2 of the best one
+        assert got - 1e-12 <= grid <= got + step / 2 + 1e-12
+
+    @pytest.mark.parametrize("d", [(1, 0), (0, 1), (3, -7), (-5, 2), (1, 1)])
+    def test_collinear_points_read_zero(self, d):
+        points = np.array([[k * d[0], k * d[1]] for k in (-9, -2, -1, 1, 3, 8)], dtype=float)
+        assert _minimax_line_residual(points) <= 4 * 2.0**-52
+
 
 class TestLocusDichotomy:
     @pytest.mark.parametrize("y0,t0", [((0.0, 1.0), 0.5), ((0.7, 0.3), -0.25), ((0.2, -0.6), 0.75)])
@@ -332,6 +387,15 @@ class TestLocusDichotomy:
         rep = kl.locus_dichotomy_test(f, (0.3, 0.8, 0.4), 0.5, trials=200, seed=6)
         assert rep.omega_one_param and not rep.y_one_param
         assert rep.max_line_residual <= 1e-9
+
+    def test_centres_off_the_line_by_1e_12(self):
+        f = fam(kl.RationalMatrix([[0, 1], [F(1, 10**12), 0]]))
+        rep = kl.locus_dichotomy_test(f, (0, 1), F(1, 2), seed=1)
+        assert not rep.omega_one_param and 0 < rep.max_line_residual < 1e-11
+
+    def test_collinear_centres_give_a_zero_witness(self):
+        rep = kl.locus_dichotomy_test(fam(WORST), (0, 1), F(1, 2), seed=1)
+        assert rep.omega_one_param and rep.omega_offline_witness <= 1e-15
 
 
 class TestHairbrushClaim:

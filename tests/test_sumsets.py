@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kakeya_lab as kl
-from kakeya_lab.sumsets import _discard_to_distinct_differences, _keys, _sums, instance_from_json, instance_to_json
+from kakeya_lab.sumsets import (_discard_to_distinct_differences, _keys, _sums, _trapezia, instance_from_json,
+                               instance_to_json)
 
 from conftest import sumset_oracle, trapezium_oracle
 
@@ -709,3 +710,17 @@ class TestTrapeziumBound:
         rep = kl.count_trapezia(A, B, G, self.X, Y)
         count, kept = _plain_trapezia(pairs, Y)
         assert (rep.count, rep.g_size) == (count, len(kept)) and rep.identity_verified
+
+    def test_wrong_inverse_with_error_a_multiple_of_2_64_fails(self):
+        # X^-1 + E with E = 2^62 e_12: the identity's error on a tuple is E X (b0 - b0'), which is a multiple
+        # of 2^64 when every b's second coordinate is a multiple of 4.  The row sums of D X^-1 put the true
+        # bound past 2^63, so the values are Python ints and the error shows; a bound that missed X^-1's
+        # row sums would take int64, where every value wraps alike and the identity would pass.
+        X = kl.RationalMatrix([[1, 1], [0, 1]])
+        wrong = X.inverse() + kl.RationalMatrix([[0, 2**62], [0, 0]])
+        pairs = [((a0, a1), (b0, 4 * b1)) for a0 in range(-1, 2) for a1 in range(2)
+                 for b0 in range(-1, 2) for b1 in range(-1, 2) if (a0 + 2 * a1 + b0 + b1) % 3]
+        G = kl.Incidence(pairs=pairs)
+        count, ok = _trapezia(G, X, X + kl.RationalMatrix.identity(2), wrong)
+        assert count == _trapezia(G, X, X + kl.RationalMatrix.identity(2), X.inverse())[0] > 0
+        assert not ok
