@@ -402,7 +402,7 @@ def locus_dichotomy_test(
         if abs(s - u) < 0.05 or abs(s - t0f) < 0.05 or abs(u - t0f) < 0.05 or abs(s) < 0.025:
             continue
         y, omega = locus_curve_params(family, y0, t0, Fraction(u), Fraction(s))
-        if math.hypot(*_floats(omega)) < 1e-9 or math.hypot(*_floats(y)) < 1e-9:
+        if math.hypot(*omega) < 1e-9 or math.hypot(*y) < 1e-9:
             continue
         omegas.append(omega)
         ys.append(y)

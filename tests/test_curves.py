@@ -397,6 +397,13 @@ class TestLocusDichotomy:
         rep = kl.locus_dichotomy_test(fam(WORST), (0, 1), F(1, 2), seed=1)
         assert rep.omega_one_param and rep.omega_offline_witness <= 1e-15
 
+    def test_zero_predicted_line_holds_no_centre(self):
+        # (I + t0 C) y0 = 0 for C = 2I and t0 = -1/2: every minor against it is zero, but the centres,
+        # all on span{y0}, are not on it (their residual is 0/0)
+        with np.errstate(invalid="ignore"):
+            rep = kl.locus_dichotomy_test(fam(kl.RationalMatrix.diagonal([2, 2])), (1, 0), F(-1, 2), seed=1)
+        assert not rep.omega_one_param and rep.y_one_param
+
 
 class TestHairbrushClaim:
     @staticmethod
