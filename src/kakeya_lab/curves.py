@@ -386,13 +386,17 @@ def locus_dichotomy_test(
     predicted line span{(I + t0*C) y0} when every 2x2 minor of each omega
     against it is zero, and the directions lie on one line when every y is
     parallel to the first.  ``max_line_residual`` is the largest relative
-    distance of the float centres from the predicted line, and
-    ``omega_offline_witness`` their :func:`_minimax_line_residual`.
+    distance of the float centres from the predicted line (1.0 when that line
+    is {0}), and ``omega_offline_witness`` their :func:`_minimax_line_residual`.
+    Raises :class:`PreconditionViolation` for y0 = 0, and when no sample has a
+    centre and a direction of norm at least 1e-9.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
     rng = np.random.default_rng(seed)
     y0, t0 = [_fraction(v) for v in y0], _fraction(t0)
+    if not any(y0):
+        raise PreconditionViolation("y0 = 0: every locus centre and direction is 0")
     t0f = float(t0)
     omegas, ys = [], []
     attempts = 0
@@ -406,12 +410,15 @@ def locus_dichotomy_test(
             continue
         omegas.append(omega)
         ys.append(y)
+    if not omegas:
+        raise PreconditionViolation(f"no sample in {attempts} attempts has a centre and direction of norm >= 1e-9")
     line = _one_plus(family.C, t0, y0)
     O = np.array(omegas, dtype=float)
     return LocusDichotomy(
         omega_one_param=any(line) and all(_parallel(w, line) for w in omegas),
         y_one_param=all(_parallel(y, ys[0]) for y in ys),
-        max_line_residual=float(_rel_residual_to_line(O, np.array(line, dtype=float)).max()),
+        # a kept centre is nonzero, so it lies at relative distance 1 from the line {0}
+        max_line_residual=float(_rel_residual_to_line(O, np.array(line, dtype=float)).max()) if any(line) else 1.0,
         omega_offline_witness=_minimax_line_residual(O),
         samples=len(omegas),
     )

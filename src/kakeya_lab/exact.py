@@ -483,15 +483,17 @@ def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
         raise ValueError("need a nonzero polynomial and lo < hi")
     sf = _squarefree_part(p)
     chain = _sturm_chain(sf)
-    count = lambda a, b: _sign_changes(chain, a) - _sign_changes(chain, b) - (_scaled_at(chain[0], b) == 0)
-    roots, todo = [], [(lo, hi, count(lo, hi))]  # (a, b, number of roots in the open interval (a, b))
+    # V(x) - V(y) counts the roots in (x, y]; each interval carries V at its left end
+    v_lo = _sign_changes(chain, lo)
+    roots, todo = [], [(lo, hi, v_lo, v_lo - _sign_changes(chain, hi) - (_scaled_at(chain[0], hi) == 0))]
     while todo:
-        a, b, n = todo.pop()
+        a, b, v_a, n = todo.pop()  # n: the number of roots in the open interval (a, b)
         m = _float_between(a, b) if n else None
         if n and m is None:  # n roots between two adjacent floats
             roots += [min([x for x in (a, b) if lo < x < hi] or [a, b], key=lambda x: abs(sf(Fraction(x))))] * n
         elif n:
-            hit, left = _scaled_at(chain[0], m) == 0, count(a, m)
+            v_m, hit = _sign_changes(chain, m), _scaled_at(chain[0], m) == 0
+            left = v_a - v_m - hit
             roots += [m] * hit
-            todo += [(a, m, left), (m, b, n - left - hit)]
+            todo += [(a, m, v_a, left), (m, b, v_m, n - left - hit)]
     return sorted(roots)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NoSolution, NotCompanionForm, SingularConfiguration, SingularMatrix
+from .errors import NoSolution, NotCompanionForm, PreconditionViolation, SingularConfiguration, SingularMatrix
 from .exact import (
     Polynomial,
     RationalMatrix,
@@ -167,53 +167,25 @@ def _valid_heights(*ts: float) -> bool:
     return all(abs(a - b) > 1e-12 for i, a in enumerate(ts) for b in ts[i + 1:])
 
 
-def _product_identity(t0: float, t1: float, t2: float):
-    """(c/a, (d/dt1, d/dt2) of c/a) for the product identity at fixed t0; None when |a| < 1e-14.
+def _nikodym_range(C, S: Fraction, p: Fraction, t0: float, t1: float) -> Optional[tuple[float, float]]:
+    """(t0 - RANGE_PROBE, t0 + RANGE_PROBE) when heights persist at both ends, else None.
 
-    a = t0^2 t2^2 + t1^2 t2^2 - 2 t0^2 t1^2 and c = t0 t2 + t1 t2 - 2 t0 t1,
-    so the gradient is (a grad c - c grad a) / a^2 in closed form.
+    At each end t0' (a float, so an exact rational) the heights obey t0' + t1 + t2 = -S and
+    c = p a, with c = t0' t2 + t1 t2 - 2 t0' t1 and a = t0'^2 t2^2 + t1^2 t2^2 - 2 t0'^2 t1^2;
+    with t2 = -S - t0' - t1 that is a rational quartic in t1.  Its root in (-1, 1) nearest t1
+    is kept and certified by the exact gap.
     """
-    a = t0 * t0 * t2 * t2 + t1 * t1 * t2 * t2 - 2 * t0 * t0 * t1 * t1
-    if not abs(a) >= 1e-14:  # NaN lands here too
-        return None
-    c = t0 * t2 + t1 * t2 - 2 * t0 * t1
-    dc = (t2 - 2 * t0, t0 + t1)
-    da = (2 * t1 * (t2 * t2 - 2 * t0 * t0), 2 * t2 * (t0 * t0 + t1 * t1))
-    return c / a, tuple((a * gc - c * ga) / (a * a) for gc, ga in zip(dc, da))
-
-
-def _newton_heights(S: float, P: float, t0: float, t1: float, t2: float):
-    """Solve t0+t1+t2 = -S and product identity = P for (t1, t2) at fixed t0.
-
-    Python floats throughout, so a diverging iterate overflows to inf or NaN
-    without a warning and stops the iteration with None.
-    """
-    t0, t1, t2 = float(t0), float(t1), float(t2)
-    for _ in range(60):
-        got = math.isfinite(t1) and math.isfinite(t2) and _product_identity(t0, t1, t2)
-        if not got:
+    for t0p in (t0 - RANGE_PROBE, t0 + RANGE_PROBE):
+        T = Fraction(t0p)
+        t2 = Polynomial([-S - T, -1])  # polynomials in t1
+        c = Polynomial([T, 1]) * t2 - Polynomial([0, 2 * T])
+        a = Polynomial([T * T, 0, 1]) * t2 * t2 - Polynomial([0, 0, 2 * T * T])
+        roots = real_roots(c - p * a, -1.0, 1.0)  # degree 4: a has the term t1^4, and p != 0
+        if not roots:
             return None
-        g, (g1, g2) = got
-        f0, f1 = t0 + t1 + t2 + S, g - P
-        if max(abs(f0), abs(f1)) < 1e-12:
-            return t1, t2
-        det = g2 - g1  # the Jacobian is [[1, 1], [g1, g2]]
-        if det == 0 or not math.isfinite(det):
-            return None
-        d1, d2 = (g2 * f0 - f1) / det, (f1 - g1 * f0) / det
-        if abs(d1) <= 4 * math.ulp(t1) and abs(d2) <= 4 * math.ulp(t2):
-            return t1, t2  # converged to rounding: |f1| can stall above 1e-12 when |grad| ulp(t) does
-        t1, t2 = t1 - d1, t2 - d2
-    return None
-
-
-def _nikodym_range(C, S, P, t0, t1, t2) -> Optional[tuple[float, float]]:
-    for sgn in (-1.0, 1.0):
-        t0p = t0 + sgn * RANGE_PROBE
-        sol = _newton_heights(S, P, t0p, t1, t2)
-        if sol is None or not _valid_heights(t0p, *sol):
-            return None
-        if _nikodym_gap(C, t0p, sol[0], (t0p - sol[1]) / (t0p - sol[0])) > RESIDUAL_TOL:
+        u1 = min(roots, key=lambda r: abs(r - t1))
+        u2 = float(-S - T - Fraction(u1))
+        if not _valid_heights(t0p, u1, u2) or _nikodym_gap(C, t0p, u1, (t0p - u2) / (t0p - u1)) > RESIDUAL_TOL:
             return None
     return (t0 - RANGE_PROBE, t0 + RANGE_PROBE)
 
@@ -341,7 +313,7 @@ def solve_nikodym_three_slice(C: RationalMatrix) -> HeightsSolution:
         heights=(t0, t1, t2),
         lam=lam,
         residual=residual,
-        t0_range=_nikodym_range(C, float(S), float(p), t0, t1, t2),
+        t0_range=_nikodym_range(C, S, p, t0, t1),
         regime=regime,
     )
 
@@ -349,22 +321,20 @@ def solve_nikodym_three_slice(C: RationalMatrix) -> HeightsSolution:
 def quartic_q(mu, l, m):
     """The root-compatibility function q(mu, l, m): quartic in mu, quadratic in l.
 
-    Exact (``Fraction``) when all inputs are rational; otherwise evaluated in
-    complex arithmetic and returned as a real number (the imaginary part
-    cancels for conjugate or real pairs l, m).
+    Evaluated through s = l + m and p = lm: exact (``Fraction``) when all
+    inputs are rational, a float otherwise.  A real or conjugate pair (l, m)
+    gives real s and p exactly; any other complex input raises
+    :class:`PreconditionViolation`.
     """
-    exact = all(isinstance(v, (int, Fraction)) for v in (mu, l, m))
-    if exact:
+    if all(isinstance(v, (int, Fraction)) for v in (mu, l, m)):
         mu, l, m = rat(mu), rat(l), rat(m)
-    u = (mu * mu * m - mu * m + mu - 2) * (mu * m - mu + 2)
-    val = -(mu * mu * (1 - mu) * (mu * m + 1)) * l * l + mu * u * l + u
-    if exact:
-        return val
-    val = complex(val)
-    scale = max(1.0, abs(val))
-    if abs(val.imag) > 1e-7 * scale:
-        raise ValueError("q(mu, l, m) is only real for real or conjugate pairs (l, m)")
-    return val.real
+    s, p = l + m, l * m
+    if any(isinstance(v, complex) and v.imag for v in (mu, s, p)):
+        raise PreconditionViolation("q(mu, l, m) is only real for real mu and a real or conjugate pair (l, m)")
+    val = 0
+    for c in _quartic_coeffs(s.real, p.real):
+        val = val * mu.real + c
+    return val
 
 
 def _quartic_coeffs(s, p) -> list:

@@ -283,20 +283,23 @@ class RatioReport:
 
 def check_ratio(A: LatticeSet, B: LatticeSet, G: Incidence, Xs: Sequence[RationalMatrix],
                 eps) -> RatioReport:
-    """Test #(A-B) <= max(#A, #B, max_j #(A + X_j B))^(2 - eps), exactly for rational eps."""
+    """Test #(A-B) <= max(#A, #B, max_j #(A + X_j B))^(2 - eps), exactly.
+
+    ``eps`` is an int, ``Fraction`` or ``"p/q"`` string; a float raises :class:`PreconditionViolation`.
+    """
+    try:
+        e = rat(eps)
+    except TypeError as err:
+        raise PreconditionViolation(f"eps must be rational, not {eps!r}") from err
     _check(A, B, *Xs)
     sum_sizes = tuple(_count(*_sums(G, X, A.dim)) for X in Xs)
     n_diff = _count(*_differences(G, A.dim))
     mx = max((A.size, B.size) + sum_sizes)
     if mx <= 1 and n_diff > 1:
         raise DegenerateInstance("max side is 1 but the difference set is larger")
-    e = rat(eps) if isinstance(eps, (int, Fraction, str)) else None
-    if e is not None:
-        # n_diff <= mx^(2 - p/q)  <=>  n_diff^q <= mx^(2q - p)
-        p, q = e.numerator, e.denominator
-        holds = n_diff**q <= mx ** (2 * q - p)
-    else:
-        holds = n_diff <= mx ** (2.0 - float(eps)) * (1 + 1e-12)
+    # n_diff <= mx^(2 - p/q)  <=>  n_diff^q <= mx^(2q - p)
+    p, q = e.numerator, e.denominator
+    holds = n_diff**q <= mx ** (2 * q - p)
     exponent = math.log(n_diff) / math.log(mx) if mx >= 2 and n_diff >= 1 else None
     return RatioReport(
         holds=bool(holds),
@@ -424,8 +427,8 @@ def _trapezia(G: Incidence, X: RationalMatrix, Y: RationalMatrix, Z: RationalMat
     a, b = _exact((D + 2 * top) * U + D * D * (G.peak_b + 1), G.a, G.b)
     XD, YD, ZD = (np.array(m, dtype=a.dtype) for m in (XD, YD, ZD))
     u = D * a + b @ XD.T            # D (a + X b)
-    P = D * u + u @ ZD.T            # D^2 (I + X^-1)(a + X b)
     Q = u @ ZD.T                    # D^2 X^-1 (a + X b)
+    P = D * u + Q                   # D^2 (I + X^-1)(a + X b)
     R = D * D * a + D * (b @ YD.T)  # D^2 (a + Y b)
     S = D * D * b
 

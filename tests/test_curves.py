@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -399,10 +400,20 @@ class TestLocusDichotomy:
 
     def test_zero_predicted_line_holds_no_centre(self):
         # (I + t0 C) y0 = 0 for C = 2I and t0 = -1/2: every minor against it is zero, but the centres,
-        # all on span{y0}, are not on it (their residual is 0/0)
-        with np.errstate(invalid="ignore"):
+        # all on span{y0} and nonzero, are not on it: each lies at relative distance 1 from {0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rep = kl.locus_dichotomy_test(fam(kl.RationalMatrix.diagonal([2, 2])), (1, 0), F(-1, 2), seed=1)
-        assert not rep.omega_one_param and rep.y_one_param
+        assert not rep.omega_one_param and rep.y_one_param and rep.max_line_residual == 1.0
+
+    def test_zero_y0_refused_up_front(self):
+        with pytest.raises(kl.PreconditionViolation, match="y0 = 0"):
+            kl.locus_dichotomy_test(fam(WORST), (0, 0), 0.5, seed=1)
+
+    def test_no_surviving_sample_raises_a_typed_error(self):
+        # every centre and direction has norm about 1e-12, under the 1e-9 filter
+        with pytest.raises(kl.PreconditionViolation, match="no sample"):
+            kl.locus_dichotomy_test(fam(WORST), (0, F(1, 10**12)), 0.5, trials=100, seed=1)
 
 
 class TestHairbrushClaim:

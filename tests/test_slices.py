@@ -9,8 +9,6 @@ import kakeya_lab as kl
 from kakeya_lab.exact import _squarefree_part, char_poly
 from kakeya_lab.slices import (
     _lambda_of_mu,
-    _newton_heights,
-    _product_identity,
     _quartic_coeffs,
     _sum_product,
     aux_matrix,
@@ -211,45 +209,40 @@ class TestCertifiedResiduals:
         X_lam, X_mu = exact_X(C, t0, t1, F(sol.lam)), exact_X(C, t0, t1, F(sol.mu))
         assert sol.residual == max_gap(X_lam - X_mu, kl.RationalMatrix.identity(C.dim)) <= 1e-9
 
-    def test_product_identity_gradient_against_central_difference(self):
-        rng = np.random.default_rng(3)
-        h, checked = F(1, 10**9), 0
-        for t0, t1, t2 in rng.uniform(-0.9, 0.9, (400, 3)):
-            got = _product_identity(t0, t1, t2)
-            a = t0 * t0 * t2 * t2 + t1 * t1 * t2 * t2 - 2 * t0 * t0 * t1 * t1
-            if abs(a) < 1e-2:
-                continue
-            T0, T1, T2 = F(t0), F(t1), F(t2)
-            g = lambda u, v: (T0 * v + u * v - 2 * T0 * u) / (T0**2 * v**2 + u**2 * v**2 - 2 * T0**2 * u**2)
-            fd = ((g(T1 + h, T2) - g(T1 - h, T2)) / (2 * h), (g(T1, T2 + h) - g(T1, T2 - h)) / (2 * h))
-            assert got[0] == pytest.approx(float(g(T1, T2)), rel=1e-12)
-            for closed, diff in zip(got[1], fd):
-                assert closed == pytest.approx(float(diff), rel=1e-7, abs=1e-9)
-            checked += 1
-        assert checked > 200
-        assert _product_identity(0.5, 0.5, 0.5) is None  # a = 0
-
     def test_diverging_range_probe_stops_without_warnings(self):
-        # the t0 - 1e-3 probe's Newton iterates reach about 1e83 and then NaN
+        # float Newton steps from (t1, t2) overflow at t0 - 1e-3; the quartic's root next to t1 is certified
+        C = kl.RationalMatrix([[F(-3, 4), 0], [F(5, 4), F(7, 4)]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = kl.solve_nikodym_three_slice(kl.RationalMatrix([[F(-3, 4), 0], [F(5, 4), F(7, 4)]]))
-            assert sol.t0_range is None and sol.residual <= 1e-9
-            assert _newton_heights(0.0, 1.0, 0.5, float("inf"), 0.25) is None
+            sol = kl.solve_nikodym_three_slice(C)
+        t0 = sol.heights[0]
+        assert sol.t0_range == (t0 - 1e-3, t0 + 1e-3) and sol.residual <= 1e-9
+        assert_probes_certified(C, sol)
 
-    @pytest.mark.parametrize("C", NIKODYM_CASES[-2:])
-    def test_range_probes_stop_at_rounding(self, C):
-        # |grad| ulp(t) exceeds 1e-12 at these heights, so |f1| stalls above it; the probes stop once
-        # the Newton step is a few ulps, and their heights are certified exactly here
+    @pytest.mark.parametrize("C", NIKODYM_CASES[1:])
+    def test_range_probes_are_certified(self, C):
         sol = kl.solve_nikodym_three_slice(C)
         assert sol.t0_range is not None
-        tr, det = C[0, 0] + C[1, 1], C.det()
-        t0, t1, t2 = sol.heights
-        for t0p in (t0 - 1e-3, t0 + 1e-3):
-            u1, u2 = _newton_heights(float(tr / det), float(det), t0p, t1, t2)
-            assert abs(t0p + u1 + u2 + float(tr / det)) < 1e-12
-            lam = (t0p - u2) / (t0p - u1)
-            assert max_gap(exact_X(C, F(t0p), F(u1), F(lam)), exact_T(C, F(t0p), F(u1))) <= 1e-9
+        assert_probes_certified(C, sol)
+
+
+def assert_probes_certified(C, sol):
+    """At t0 -/+ 1e-3, heights summing to -S and solving the product identity pass the exact gap.
+
+    The quartic in t1 is rebuilt in floats with numpy, apart from the library's exact one.
+    """
+    s, p = sum_product(C)
+    S, P = float(s / p), float(p)
+    t0, t1, _ = sol.heights
+    t = np.polynomial.Polynomial([0, 1])
+    for t0p in (t0 - 1e-3, t0 + 1e-3):
+        t2 = -S - t0p - t
+        c = t0p * t2 + t * t2 - 2 * t0p * t
+        a = t0p**2 * t2**2 + t**2 * t2**2 - 2 * t0p**2 * t**2
+        roots = [r.real for r in (c - P * a).roots() if abs(r.imag) < 1e-9 and -1 < r.real < 1]
+        u1 = min(roots, key=lambda r: abs(r - t1))
+        lam = (t0p - (-S - t0p - u1)) / (t0p - u1)
+        assert max_gap(exact_X(C, F(t0p), F(u1), F(lam)), exact_T(C, F(t0p), F(u1))) <= 1e-9
 
 
 def sum_product(C):
@@ -434,6 +427,17 @@ class TestQuarticQ:
     def test_conjugate_pair_is_real(self):
         val = kl.quartic_q(0.3, complex(-8.6, 10.5), complex(-8.6, -10.5))
         assert isinstance(val, float)
+
+    @pytest.mark.parametrize("mu, l, m", [
+        (0.3, complex(-8.6, 10.5), complex(-8.6, -10.4)), (0.3, complex(1, 2), 3.0), (complex(0.3, 1), 0.5, 0.25),
+    ])
+    def test_complex_input_that_is_not_real_refused(self, mu, l, m):
+        with pytest.raises(kl.PreconditionViolation):
+            kl.quartic_q(mu, l, m)
+
+    def test_float_input_matches_the_exact_value(self):
+        mu, l, m = 0.3, -8.6, 1.25
+        assert kl.quartic_q(mu, l, m) == pytest.approx(float(kl.quartic_q(F(mu), F(l), F(m))), rel=1e-12)
 
     def test_solver_coefficients_match_q_exactly(self):
         # the root-finding polynomial written in (s, p) = (l+m, lm) is the same

@@ -141,6 +141,16 @@ class TestCheckRatio:
         assert rep.size_diff == 4 and rep.max_side == 2
         assert not rep.holds
 
+    @pytest.mark.parametrize("eps", [1 / 6, 0.0, float("nan")])
+    def test_float_eps_refused(self, eps):
+        A = kl.LatticeSet.of([(0, 0)])
+        with pytest.raises(kl.PreconditionViolation, match="eps must be rational"):
+            kl.check_ratio(A, A, full(A, A), [I2], eps)
+
+    def test_string_eps_is_exact(self):
+        A, B = kl.LatticeSet.of([(0, 0), (7, 3)]), kl.LatticeSet.of([(0, 0), (1, 0)])
+        assert kl.check_ratio(A, B, full(A, B), [], "1/6") == kl.check_ratio(A, B, full(A, B), [], F(1, 6))
+
     @pytest.mark.parametrize("seed", range(200))
     def test_sixth_power_inequality_smoke(self, seed):
         A, B, G = kl.random_instance(seed)
