@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import NoSolution, NotCompanionForm, PreconditionViolation, SingularConfiguration, SingularMatrix
 from .exact import (
@@ -167,92 +167,73 @@ def _valid_heights(*ts: float) -> bool:
     return all(abs(a - b) > 1e-12 for i, a in enumerate(ts) for b in ts[i + 1:])
 
 
+_X = Polynomial([0, 1])  # x, the parameter along a line of heights
+
+
+def _heights_on(S: Fraction, p: Fraction, t0: Polynomial, t1: Polynomial) -> Iterator[tuple[float, float, float]]:
+    """Float heights (t0, t1, t2) at each root in (-1, 1) of the product identity along a line x -> (t0(x), t1(x)).
+
+    The heights sum to -S, so t2 = -S - t0 - t1, and they obey c = p a with
+    c = (t0 + t1) t2 - 2 t0 t1 and a = (t0^2 + t1^2) t2^2 - 2 t0^2 t1^2: a rational
+    polynomial in x.  At each root t0 and t1 are rounded once, and t2 is the exact
+    -S - t0 - t1 of those floats, rounded once.
+    """
+    t2 = Polynomial([-S]) - t0 - t1
+    c = (t0 + t1) * t2 - 2 * t0 * t1
+    a = (t0 * t0 + t1 * t1) * t2 * t2 - 2 * t0 * t0 * t1 * t1
+    for x in real_roots(c - p * a, -1.0, 1.0):
+        u0, u1 = float(t0(Fraction(x))), float(t1(Fraction(x)))
+        yield u0, u1, float(-S - Fraction(u0) - Fraction(u1))
+
+
+def _certified(C, t0: float, t1: float, t2: float) -> bool:
+    """Valid float heights whose exact gap, with lam = (t0 - t2)/(t0 - t1), is at most RESIDUAL_TOL."""
+    return _valid_heights(t0, t1, t2) and _nikodym_gap(C, t0, t1, (t0 - t2) / (t0 - t1)) <= RESIDUAL_TOL
+
+
 def _nikodym_range(C, S: Fraction, p: Fraction, t0: float, t1: float) -> Optional[tuple[float, float]]:
     """(t0 - RANGE_PROBE, t0 + RANGE_PROBE) when heights persist at both ends, else None.
 
-    At each end t0' (a float, so an exact rational) the heights obey t0' + t1 + t2 = -S and
-    c = p a, with c = t0' t2 + t1 t2 - 2 t0' t1 and a = t0'^2 t2^2 + t1^2 t2^2 - 2 t0'^2 t1^2;
-    with t2 = -S - t0' - t1 that is a rational quartic in t1.  Its root in (-1, 1) nearest t1
-    is kept and certified by the exact gap.
+    None too when the range contains 0, where T is undefined.  At each end t0' (a float, so an
+    exact rational) the heights on the line (t0', x) nearest t1, at a root of a quartic (its
+    x^4 term is -p x^4, and p != 0), are kept and certified by the exact gap.
     """
+    if abs(t0) <= RANGE_PROBE:
+        return None
     for t0p in (t0 - RANGE_PROBE, t0 + RANGE_PROBE):
-        T = Fraction(t0p)
-        t2 = Polynomial([-S - T, -1])  # polynomials in t1
-        c = Polynomial([T, 1]) * t2 - Polynomial([0, 2 * T])
-        a = Polynomial([T * T, 0, 1]) * t2 * t2 - Polynomial([0, 0, 2 * T * T])
-        roots = real_roots(c - p * a, -1.0, 1.0)  # degree 4: a has the term t1^4, and p != 0
-        if not roots:
-            return None
-        u1 = min(roots, key=lambda r: abs(r - t1))
-        u2 = float(-S - T - Fraction(u1))
-        if not _valid_heights(t0p, u1, u2) or _nikodym_gap(C, t0p, u1, (t0p - u2) / (t0p - u1)) > RESIDUAL_TOL:
+        near = min(_heights_on(S, p, Polynomial([Fraction(t0p)]), _X), key=lambda h: abs(h[1] - t1), default=None)
+        if near is None or not _certified(C, *near):
             return None
     return (t0 - RANGE_PROBE, t0 + RANGE_PROBE)
 
 
-# Region walk for the real-spectrum case.  With t1 = b*t0, t2 = c*t0 the height
-# quadratic becomes Q(x) = A x^2 + B x + D in x = (eigenvalue)*t0, and the walk
-# looks for (b, c) with -(b+c+1) * x_plus(b, c) equal to 1 + h/k.
+def _in_region(b: Fraction, c: Fraction) -> bool:
+    """lo(b) < c < 2b/(1 + b), the real-pair region of c = t2/t0 on the line t1 = b t0, decided exactly.
 
-def _region_x_plus(b: float, c: float) -> Optional[float]:
-    D = 2 * b - b * c - c
-    A, B = 2 * b * b - b * b * c * c - c * c, (b + c + 1) * D
-    disc = B * B - 4 * A * D
-    if disc < 0 or A == 0:
-        return None
-    return (-B + math.sqrt(disc)) / (2 * A)
+    lo(b) = -1 + sqrt((7b^2 + 14b + 3)/(b^2 + 2b + 3)), so c > lo(b) is c > -1 and
+    (c + 1)^2 (b^2 + 2b + 3) > 7b^2 + 14b + 3.
+    """
+    return c * (1 + b) < 2 * b and c > -1 and (c + 1) ** 2 * (b * b + 2 * b + 3) > 7 * b * b + 14 * b + 3
 
 
-def _region_c_bounds(b: float) -> tuple[float, float]:
-    lo = (-6 - 4 * b - 2 * b * b
-          + 2 * math.sqrt(7 * b**4 + 28 * b**3 + 52 * b**2 + 48 * b + 9)) / (2 * (b * b + 2 * b + 3))
-    return lo, 2 * b / (1 + b)
-
-
-def _solve_real_pair(h: float, k: float):
-    """Heights for a real eigenvalue pair; requires 0 < 1 + h/k < 3/5."""
-    if abs(h) > abs(k):
-        h, k = k, h
-    tau = 1.0 + h / k
-    if not (0.0 < tau < 0.6):
-        return None
-    for j in range(1, 45):
-        b = 1.0 - 0.5**j
-        lo, up = _region_c_bounds(b)
-        if not lo < up:
-            continue
-        eps = (up - lo) * 1e-7
-        f = lambda c: (lambda xp: None if xp is None else -(b + c + 1) * xp)(_region_x_plus(b, c))
-        flo, fup = f(lo + eps), f(up - eps)
-        if flo is None or fup is None or (flo - tau) * (fup - tau) > 0:
-            continue
-        a_, b_, fa = lo + eps, up - eps, flo - tau
-        for _ in range(200):
-            mid = 0.5 * (a_ + b_)
-            fm = f(mid) - tau
-            if fa * fm <= 0:
-                b_ = mid
-            else:
-                a_, fa = mid, fm
-        c0 = 0.5 * (a_ + b_)
-        xp = _region_x_plus(b, c0)
-        if xp is None:
-            continue
-        t0 = xp / h
-        t1, t2 = b * t0, c0 * t0
-        if _valid_heights(t0, t1, t2):
-            return t0, t1, t2
+def _real_pair_heights(C, S: Fraction, p: Fraction) -> Optional[tuple[float, float, float]]:
+    """The first certified heights on the lines t1 = b t0, b = 1 - 2^-j (j = 1..44), with t2/t0 in the region."""
+    for b in (1 - Fraction(1, 2**j) for j in range(1, 45)):
+        for t0, t1, t2 in _heights_on(S, p, _X, b * _X):
+            # x = 0 is always a root; there t0 = 0
+            if t0 and _in_region(b, Fraction(t2) / Fraction(t0)) and _certified(C, t0, t1, t2):
+                return t0, t1, t2
     return None
 
 
 def solve_nikodym_three_slice(C: RationalMatrix) -> HeightsSolution:
     """Find heights (t0, t1, t2) making X(lam) equal to T, with lam = (t0-t2)/(t0-t1).
 
-    Supported inputs: C with C^2 = 0 (exact branch), and diagonal or invertible C
-    whose spectrum consists of at most two values.  Raises :class:`NoSolution`
-    with a reason code otherwise.  The branch and every reason code are decided
-    exactly from s = h + k and p = hk of the distinct eigenvalues h, k; only the
-    heights are floats.
+    Supported inputs: C with C^2 = 0 (exact branch), and diagonal or invertible C whose
+    spectrum consists of at most two values.  Raises :class:`NoSolution` with a reason code
+    otherwise.  The branch and every reason code are decided exactly from s = h + k and
+    p = hk of the distinct eigenvalues h, k.  Only the heights are floats: roots of rational
+    polynomials (``_heights_on``), or sqrt(s^2 - p)/p for the symmetric complex heights.
     """
     if (C * C).is_zero():
         # X(lam) and T are parallel; lam/(1-lam) = t0/t1 makes them equal.
@@ -288,17 +269,14 @@ def solve_nikodym_three_slice(C: RationalMatrix) -> HeightsSolution:
             if _valid_heights(t0, -t0, third):
                 heights, regime = (t0, -t0, third), "complex_symmetric"
         if heights is None:
-            # fallback branch with t2 = -t0: the cubic p^2 t^3 + (p - s^2) t - 3s in t0
-            for r in real_roots(Polynomial([-3 * s, p - s * s, 0, p * p]), -1.0, 1.0):
-                if _valid_heights(r, third, -r):
-                    heights, regime = (r, third, -r), "complex_antisymmetric"
-                    break
+            # fallback branch on the line (x, -S), where t2 = -x
+            heights = next((hs for hs in _heights_on(S, p, _X, Polynomial([-S])) if _valid_heights(*hs)), None)
+            regime = "complex_antisymmetric"
         if heights is None:
             raise NoSolution("complex_region_empty", "no admissible heights for this (alpha, beta)")
     else:
-        # h, k = s/2 +- sqrt(s^2/4 - p): the larger |root| without cancellation, the other as p over it
-        h = float(s / 2) + math.copysign(math.sqrt(s * s / 4 - p), s)
-        heights = _solve_real_pair(h, float(p) / h)
+        # 0 < 1 + h/k < 3/5 with |h| <= |k| is h/k in (-1, -2/5), so s^2/p = h/k + 2 + k/h in (-9/10, 0)
+        heights = _real_pair_heights(C, S, p) if p < 0 and 0 < 10 * s * s < -9 * p else None
         if heights is None:
             raise NoSolution("real_region_empty", "1 + h/k outside (0, 3/5) or walk failed")
         regime = "real_pair"
@@ -442,21 +420,9 @@ def iterate_epsilon(eps: float) -> float:
     return (2 - e * e) / (8 - 7 * e + e * e)
 
 
-def iteration_fixed_point(tol: float = 1e-12) -> float:
-    """Fixed point of the improvement map in (0, 1), located by bisection."""
-    f = lambda e: iterate_epsilon(e) - e
-    a, b = 0.0, 0.99
-    fa = f(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fa * fm <= 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-        if b - a < tol:
-            break
-    return 0.5 * (a + b)
+def iteration_fixed_point() -> float:
+    """Fixed point of the improvement map in (0, 1): the root there of e^3 - 6e^2 + 8e - 2, as a float."""
+    return real_roots(Polynomial([-2, 8, -6, 1]), 0.0, 1.0)[0]  # its other roots lie in (1, 2) and (4, 5)
 
 
 def dimension_lower_bound(n: int, eps, has_range: bool):

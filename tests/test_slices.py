@@ -8,6 +8,7 @@ import pytest
 import kakeya_lab as kl
 from kakeya_lab.exact import _squarefree_part, char_poly
 from kakeya_lab.slices import (
+    _in_region,
     _lambda_of_mu,
     _quartic_coeffs,
     _sum_product,
@@ -123,6 +124,10 @@ class TestNikodymSolver:
     @pytest.mark.parametrize("h,k", [
         (F(1, 4), F(-2, 5)), (F(2, 5), F(-1, 4)), (F(9, 20), F(-7, 20)),
         (F(-2, 5), F(3, 10)), (F(3, 10), F(-9, 20)), (F(1, 3), F(-5, 12)),
+        # 1 + h/k = 3/5 - 10^-17: the exact gate takes it, while 1 + h/k in floats rounds to 0.6
+        (F(-2, 5) - F(1, 10**17), F(1)),
+        # the first heights in the region (j = 22) have the gap 1.009e-9; certified ones follow at j = 24
+        (-2 - F(1, 10**12), F(5)),
     ])
     def test_real_pair_sweep(self, h, k):
         # opposite-sign pairs with |1/h + 1/k| < 3, swept across the region
@@ -130,9 +135,23 @@ class TestNikodymSolver:
         tau = 1 + min(h, k, key=abs) / max(h, k, key=abs)
         assert 0 < tau < F(3, 5)
         sol = kl.solve_nikodym_three_slice(kl.RationalMatrix.diagonal([h, k]))
-        assert sol.residual <= 1e-9
+        assert sol.regime == "real_pair" and sol.residual <= 1e-9
         t0, t1, t2 = (float(x) for x in sol.heights)
         assert abs((1 / float(h) + 1 / float(k)) + (t0 + t1 + t2)) < 1e-8
+        assert_in_reference_region(sol)
+
+    @pytest.mark.parametrize("h,k", [(F(-2), F(5)), (F(-1), F(1))])
+    def test_real_pair_gate_ends_refused(self, h, k):
+        # 1 + h/k = 3/5 and 1 + h/k = 0: the ends of the open interval (0, 3/5)
+        with pytest.raises(kl.NoSolution) as e:
+            kl.solve_nikodym_three_slice(kl.RationalMatrix.diagonal([h, k]))
+        assert e.value.reason == "real_region_empty"
+
+    def test_range_containing_zero_refused(self):
+        # t0 = 7.8e-4 < RANGE_PROBE: T is undefined at t0 = 0, so no range is reported
+        sol = kl.solve_nikodym_three_slice(kl.RationalMatrix([[F(7, 3), F(-11, 3)], [-12, F(-9, 4)]]))
+        assert sol.regime == "real_pair" and sol.residual <= 1e-9
+        assert 0 < sol.heights[0] < 1e-3 and sol.t0_range is None
 
     def test_diagonal_three_by_three(self):
         # repeated eigenvalue is fine as long as only two distinct values occur
@@ -247,6 +266,50 @@ def assert_probes_certified(C, sol):
 
 def sum_product(C):
     return _sum_product(_squarefree_part(char_poly(C)))
+
+
+def region_c_bounds(b: float) -> tuple[float, float]:
+    """The real-pair region (lo, up) of c = t2/t0 on the line t1 = b t0, in floats from its closed form."""
+    lo = (-6 - 4 * b - 2 * b * b
+          + 2 * math.sqrt(7 * b**4 + 28 * b**3 + 52 * b**2 + 48 * b + 9)) / (2 * (b * b + 2 * b + 3))
+    return lo, 2 * b / (1 + b)
+
+
+GRID = [1 - 0.5**j for j in range(1, 45)]
+
+
+def assert_in_reference_region(sol):
+    """t1/t0 is a grid value b, up to the rounding of t1, and t2/t0 lies in the float region for b.
+
+    The closed form is good to a few 1e-16 on the grid, and near b = 1 the region narrows below
+    that: the heights of a pair with 1 + h/k just under 3/5 lie within 1e-15 of lo(b).
+    """
+    t0, t1, t2 = (F(t) for t in sol.heights)
+    b = min(GRID, key=lambda g: abs(t1 / t0 - F(g)))
+    assert abs(t1 / t0 - F(b)) <= F(1, 2**52)
+    lo, up = region_c_bounds(b)
+    assert F(lo) - F(1e-15) < t2 / t0 < F(up) + F(1e-15)
+
+
+class TestRealPairRegion:
+    """The exact region test against the float closed form of its bounds."""
+
+    @pytest.mark.parametrize("b", GRID)
+    def test_exact_region_matches_the_closed_form(self, b):
+        lo, up = region_c_bounds(b)
+        # samples stay away from the ends by far more than the closed form's rounding, a few 1e-16
+        margin = max((up - lo) / 10, 1e-9)
+        outside = [lo - margin, up + margin, -3.0, -1.0, 0.0, 1.0]
+        inside = [lo + f * (up - lo) for f in (0.1, 0.25, 0.5, 0.75, 0.9)] if up - lo > 1e-9 else []
+        assert not any(_in_region(F(b), F(c)) for c in outside)
+        assert all(_in_region(F(b), F(c)) for c in inside)
+
+    def test_real_pair_heights_lie_in_the_region(self):
+        sols = [kl.solve_nikodym_three_slice(C) for C in NIKODYM_CASES]
+        real = [sol for sol in sols if sol.regime == "real_pair"]
+        assert len(real) == 3
+        for sol in real:
+            assert_in_reference_region(sol)
 
 
 class TestEigenvalueCount:
@@ -475,6 +538,10 @@ class TestIteration:
     def test_fixed_point_residual(self):
         p = kl.iteration_fixed_point()
         assert abs(kl.iterate_epsilon(p) - p) <= 1e-10
+        assert kl.iterate_epsilon(p) == p
+        # e = (2 - e^2)/(8 - 7e + e^2) is e^3 - 6e^2 + 8e - 2 = 0, which changes sign between p's float neighbours
+        cubic = kl.Polynomial([-2, 8, -6, 1])
+        assert cubic(F(math.nextafter(p, 0.0))) < 0 < cubic(F(math.nextafter(p, 1.0)))
 
     def test_domain(self):
         with pytest.raises(ValueError):
