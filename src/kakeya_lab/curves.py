@@ -122,14 +122,18 @@ def _param_arrays(params: Sequence[CurveParams]) -> tuple[np.ndarray, np.ndarray
     return Y, W
 
 
-def _centres(family: CurveFamily, Y: np.ndarray, W: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _centres(family: CurveFamily, Y: np.ndarray, W: np.ndarray, ts: np.ndarray,
+             CY: Optional[np.ndarray] = None) -> np.ndarray:
     """omega - t*y - t^2*C*y for direction rows Y and centre rows W at finite
     heights ts, axis-major: shape (n-1, curves, heights), one contiguous plane
-    per axis.  The one float copy of the curve formula.  Each plane is built in
-    place; its t^2*C*y term is formed a cache-sized slab of rows at a time, and
-    skipped on an axis whose C y row is all +0.0, where it would change no bit
-    (t^2 * +0.0 is +0.0, and x - +0.0 is x for every x, -0.0 included)."""
-    CY = family._cf @ Y.T  # (n-1, curves), C-contiguous rows
+    per axis.  The one float copy of the curve formula.  CY holds the products
+    C y as (n-1, curves) rows, ``family._cf @ Y.T`` when not given.  Each plane
+    is built in place; its t^2*C*y term is formed a cache-sized slab of rows at
+    a time, and skipped on an axis whose C y row is all +0.0, where it would
+    change no bit (t^2 * +0.0 is +0.0, and x - +0.0 is x for every x, -0.0
+    included)."""
+    if CY is None:
+        CY = family._cf @ Y.T
     out = np.empty((Y.shape[1], len(Y), len(ts)))
     tt = ts * ts
     rows = max(1, _SLAB // max(1, len(ts)))

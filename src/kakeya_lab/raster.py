@@ -9,6 +9,7 @@ constants are not chased.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -151,20 +152,48 @@ def _band_indices(k: int, t_range) -> np.ndarray:
     return bands[(centres >= lo) & (centres <= hi)]
 
 
-def _stamp(spec: TubeFamilySpec, k: int):
-    """Yield (first band, occupied cell keys in increasing order, tubes occupying
-    each) for consecutive blocks of whole height bands.
+def _symmetries(C: RationalMatrix, YR: np.ndarray, WR: np.ndarray, CY: np.ndarray, bands: np.ndarray):
+    """(tubes, paired, flip): stamp the tubes ``tubes`` (indices, or all); the first ``paired``
+    of them stand also for their central mirrors (-y, -omega, -C y).  ``flip`` lists the axes
+    with D_a = -1 when C D = -D C for a sign vector D, the bands are symmetric and the tubes
+    are invariant under (y, omega, C y) -> (-D y, D omega, D C y); only bands b >= 0 are then
+    stamped.  Both checks compare the arrays the kernel stamps from exactly, a column at a time;
+    delta is not among them, as every tube is stamped at 2^-k."""
+    cols, tubes, paired, flip = [*YR.T, *WR.T, *CY], slice(None), 0, None
+    order = np.lexsort(cols)  # negating every column reverses a lexicographic order: pair by rank
+    if all(np.array_equal(c := col[order], np.negative(c[::-1])) for col in cols):
+        tubes, paired = order[:(len(YR) + 1) // 2], len(YR) // 2  # an odd middle tube is its own mirror
+    # D_i = -D_j for every nonzero C_ij (a 2-colouring of C's nonzero rationals), the first in (+1, -1) order
+    D = next((np.array(D) for D in itertools.product((1, -1), repeat=len(CY)) if all(
+        D[i] == -D[j] for i, row in enumerate(C.rows) for j, c in enumerate(row) if c)), None)
+    if D is not None and np.array_equal(bands, -1 - bands[::-1]):
+        for a, s in ((YR, -D), (WR, D), (CY.T, D)):  # the images, in place on _stamp's own copies
+            a *= s
+        image = np.lexsort(cols)  # the images (-D y, D omega, D C y) of the tubes, sorted
+        for a, s in ((YR, -D), (WR, D), (CY.T, D)):  # and back, bit for bit
+            a *= s
+        if all(np.array_equal(col[order], col[image] * s) for col, s in zip(cols, np.concatenate([-D, D, D]))):
+            flip = np.flatnonzero(D < 0).tolist()
+    return tubes, paired, flip
 
-    A block holds about _BLOCK_ROWS (tube, band) rows: several bands when
-    tubes are few, one band when they are many.  A point at u (in cell units)
-    can only occupy, per axis, the cells floor(u-1/2) and floor(u-1/2)+1.  A
-    key packs (band - first band, j_1 + R + 3, ..., j_d + R + 3) in base
-    K = 2^(k+1) + 6.  Floors are clipped to [-R-3, R+1], so every digit lies in
-    [0, K) and both candidates of a clipped floor lie outside the box [-R-1, R].
-    A block with at most 2^d key slots per row adds its hit tests into a dense
-    count; others gather their hit keys (int32 below 2^31) for _distinct.  No
-    row is range-tested: when some floor leaves [-R-1, R-1], out-of-box cells
-    are dropped from the block's distinct keys.
+
+def _stamp(spec: TubeFamilySpec, k: int):
+    """Yield (first band, occupied cell keys, tubes occupying each) for blocks of
+    whole height bands; each block's keys are distinct, and blocks come in any order.
+
+    A block holds about _BLOCK_ROWS (tube, band) rows: several bands when tubes
+    are few, one band when they are many.  A key packs (band - first band,
+    j_1 + R + 3, ..., j_d + R + 3) in base K = 2^(k+1) + 6.  A block with at most
+    2^d key slots per row adds its hit tests into a dense count; others gather
+    their hit keys (int32 below 2^31) for _distinct.  A point at u (in cell
+    units) can only occupy, per axis, the cells j0 = rint(u) - 1 and j0 + 1, and
+    rint(u) is clipped to [-R-2, R+2], so every digit lies in [0, K) and both
+    cells of a clipped window lie outside the box [-R-1, R].  No row is
+    range-tested: when some window leaves the box, out-of-box cells are dropped
+    from the block's distinct keys.
+
+    Symmetric families stamp a quarter of their rows (see _symmetries): a central mirror's cells are
+    j -> -1 - j in the same band; bands -1 - b hold bands b, band offsets and flipped axes reversed.
     """
     Y, W = spec.Y, spec.W
     m, d = len(Y), spec.family.n - 1
@@ -176,55 +205,89 @@ def _stamp(spec: TubeFamilySpec, k: int):
         raise ValueError("tube delta must equal 2^-k")
     R = 2**k
     K = 2 * R + 6
-    if K**d >= 2**63:
+    Kd = K**d
+    if Kd >= 2**63:
         raise ResolutionTooFine(
             f"cell keys exceed int64: (2^{k + 1} + 6)^{d} >= 2^63 at n = {d + 1}, k = {k}")
     bands = _band_indices(k, spec.t_range)
-    per_block = min(max(1, _BLOCK_ROWS // m), 2**63 // K**d)  # band offset * K^d stays in int64
+    per_block = min(max(1, _BLOCK_ROWS // m), 2**63 // Kd)  # band offset * K^d stays in int64
     bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1  # candidate -> which axes take j0+1
     step = [K**e for e in range(d - 1, -1, -1)]  # Python ints, so int32 keys stay int32
     cand_off = (bits @ step).tolist()
     # exact (R = 2^k) centres in cell units; column-major, so _centres reads each axis contiguously
     YR, WR = (np.multiply(a, float(R), order="F") for a in (Y, W))
+    CY = spec.family._cf @ YR.T
+    tubes, paired, flip = _symmetries(spec.family.C, YR, WR, CY, bands)
+    YR, WR, CY = YR.T[:, tubes].T, WR.T[:, tubes].T, CY[:, tubes]
+    bands = bands if flip is None else bands[bands >= 0]
+    # Per axis the window is j0 = rint(u) - 1 (it holds every cell within one cell of u, as
+    # |u - rint(u)| <= 1/2) and the terms are ((j0 + 1/2) - u)^2 and ((j0 + 3/2) - u)^2, as in
+    # stamp_oracle: rint and j0 +- 1/2 are exact and each difference and square rounds once, to
+    # nearest, which is odd.  So a centre -u gets the window {-2 - j0, -1 - j0} with the two terms
+    # swapped and hits the mirrored cells bit for bit; _centres is odd too (each operation rounds
+    # once; band -1 - b has height -t exactly).  Keys pack r = j0 + 1 in place of j0.
     for first in range(0, bands.size, per_block):
         block = bands[first:first + per_block]
-        u = _centres(spec.family, YR, WR, (block + 0.5) * 2.0**-k).reshape(d, -1)  # rows run tube-major
-        space = block.size * K**d
-        counted = space <= 2**d * u.shape[1]  # decided from the rows, before stamping
+        u = _centres(spec.family, YR, WR, (block + 0.5) * 2.0**-k, CY).reshape(d, -1)  # rows run tube-major
+        space = block.size * Kd
+        counted = space <= 2**d * m * block.size  # decided from all the tubes' rows, before stamping
         itype = np.int64 if counted or space >= 2**31 else np.int32
-        band_key = np.tile((np.arange(block.size) * K**d + (R + 3) * sum(step)).astype(itype), m)
+        band_key = np.tile((np.arange(block.size) * Kd + (R + 2) * sum(step)).astype(itype), len(YR))
         if counted:
             counts, hits = np.zeros(space, dtype=np.int64), np.empty(min(u.shape[1], _BLOCK_ROWS), dtype=np.int64)
         else:
-            keys, used = np.empty(2**d * u.shape[1], dtype=itype), 0
-        for s in range(0, u.shape[1], _BLOCK_ROWS):
-            us = u[:, s:s + _BLOCK_ROWS]
-            j0f = np.floor(us - 0.5)
-            w0 = j0f + 0.5 - us  # in (-1, 0]
-            sq = (w0 * w0, np.square(w0 + 1.0))  # squared axis terms of the candidates j0 and j0+1
-            j0 = np.clip(j0f, -R - 3, R + 1, out=j0f).astype(itype)
-            base = reduce(lambda b, j: np.add(np.multiply(b, K, out=b), j, out=b), j0)  # Horner, in j0[0]
-            base += band_key[s:s + _BLOCK_ROWS]  # every |partial sum| is below (R+3) sum(step) < space
-            for c, off in zip(bits, cand_off):
-                near = reduce(np.add, (sq[b][axis] for axis, b in enumerate(c)))  # axes summed in order
-                hit = np.less(near, 1.0, out=hits[:near.size] if counted else None)
-                if counted:
-                    np.add.at(counts[off:], base, hit)
-                    continue
-                out = keys[used:used + np.count_nonzero(hit)]
-                np.add(np.compress(hit, base, out=out), off, out=out)
-                used += out.size
-        del j0f, w0, sq, j0, base  # free the last rows' temporaries before deduplicating
+            keys, used = np.empty(2**d * m * block.size, dtype=itype), 0
+        split = paired * block.size  # the rows of paired tubes come first
+        for lo, hi, mirrored in ((0, split, True), (split, u.shape[1], False)):
+            for s in range(lo, hi, _BLOCK_ROWS):
+                us = u[:, s:min(s + _BLOCK_ROWS, hi)]
+                r = np.rint(us)
+                sq = [np.square(np.subtract(a, us, out=a), out=a) for a in (r - 0.5, r + 0.5)]  # at j0 and j0 + 1
+                r = np.clip(r, -R - 2, R + 2, out=r).astype(itype)
+                base = reduce(lambda b, j: np.add(np.multiply(b, K, out=b), j, out=b), r)  # Horner, in r[0]
+                base += band_key[s:s + base.size]  # every |partial sum| is below (R+2) sum(step) < space
+                for c, off in zip(bits, cand_off):
+                    near = reduce(np.add, (sq[b][axis] for axis, b in enumerate(c)))  # axes summed in order
+                    hit = np.less(near, 1.0, out=hits[:near.size] if counted else None)
+                    if counted:
+                        np.add.at(counts[off:], base, hit)
+                        continue
+                    out = keys[used:used + np.count_nonzero(hit)]
+                    np.add(np.compress(hit, base, out=out), off, out=out)
+                    used += out.size
+            if mirrored and split:  # add the central mirrors of the paired tubes
+                if counted:  # the axis digits of a key's mirror are K^d - 1 less its own
+                    rows = counts.reshape(block.size, Kd)
+                    rows[:, :Kd // 2] += rows[:, :Kd // 2 - 1:-1]
+                    rows[:, :Kd // 2 - 1:-1] = rows[:, :Kd // 2]
+                else:
+                    _reverse_digit(keys[:used], 1, Kd, out=keys[used:2 * used])
+                    used *= 2
+        del r, sq, base  # free the last rows' temporaries before deduplicating
         if counted:
             keys = np.flatnonzero(counts != 0)  # a bool scan is about 4x faster than an int64 one
             counts = counts[keys]
         else:
             keys, counts = _distinct(keys[:used])
-        if not (np.floor(u.min() - 0.5) >= -R - 1 and np.floor(u.max() - 0.5) <= R - 1):  # NaN lands here too
+        if not (-R - 0.5 < u.min() and u.max() < R + 0.5):  # some window leaves the box; NaN lands here too
             axes = _digits(keys, K, d)[1:]
             inside = ((axes >= 2) & (axes < K - 2)).all(axis=0)
             keys, counts = keys[inside], counts[inside]
         yield int(block[0]), keys, counts
+        if flip is not None:  # a block of one band has no band offset to reverse
+            keys = keys.copy()
+            for w, radix in [(step[a], K) for a in flip] + [(Kd, block.size)] * (block.size > 1):
+                _reverse_digit(keys, w, radix, out=keys)
+            yield -1 - int(block[-1]), keys, counts
+
+
+def _reverse_digit(keys: np.ndarray, w: int, radix: int, out: np.ndarray) -> None:
+    """keys with their base-radix digit of weight w reversed, into out; every step stays in the key space.
+    Floor division by a scalar runs about 8x faster than remainder (numpy 2.4), so the digit is found by two."""
+    t = np.subtract(keys // w * w if w > 1 else keys, keys // (w * radix) * (w * radix))  # digit * w
+    np.subtract(keys, t, out=out)
+    out -= t
+    out += (radix - 1) * w
 
 
 def _digits(keys: np.ndarray, K: int, d: int) -> np.ndarray:
@@ -382,12 +445,13 @@ def covering_norm(spec: TubeFamilySpec, p_prime: float, k: int) -> float:
     (delta^n * sum_cells count^{p'})^{1/p'}.
 
     A tube occupies a cell at most once per band, so a key's multiplicity in a
-    band block is its overlap count."""
+    band block is its overlap count.  The block totals are added with
+    ``math.fsum``, so the result does not depend on the order in which the
+    kernel yields its blocks (and is exact for p' = 2, whose totals are
+    integers)."""
     if p_prime < 1:
         raise ValueError("p_prime must be at least 1")
-    total = 0.0
-    for *_, counts in _stamp(spec, k):
-        total += float(np.sum(counts.astype(float) ** p_prime))
+    total = math.fsum(float(np.sum(counts.astype(float) ** p_prime)) for *_, counts in _stamp(spec, k))
     return float(((2.0**-k) ** spec.family.n * total) ** (1.0 / p_prime))
 
 
@@ -422,8 +486,10 @@ def _meets(spec: TubeFamilySpec, cands: TubeFamilySpec) -> np.ndarray:
     meets tube j.  cands is spec itself when there are no explicit candidates."""
     m, nc = len(spec.Y), len(cands.Y)
     ts, idx = _meet_heights(spec, cands)
-    tube_tr = _centres(spec.family, spec.Y, spec.W, ts)  # (n-1, curves, H): a contiguous plane per axis
-    cand_tr = tube_tr if cands is spec else _centres(spec.family, cands.Y, cands.W, ts)
+    cand_y, tube_y = cands.Y.T, spec.Y.T
+    cand_cy, tube_cy = spec.family._cf @ cand_y, spec.family._cf @ tube_y
+    tube_tr = _centres(spec.family, spec.Y, spec.W, ts, tube_cy)  # (n-1, curves, H): a contiguous plane per axis
+    cand_tr = tube_tr if cands is spec else _centres(spec.family, cands.Y, cands.W, ts, cand_cy)
     d, H, samples = len(tube_tr), len(ts), len(idx)
 
     # Coarse pass: the same squared distances at the samples only.  A sample within reach is a
@@ -442,8 +508,6 @@ def _meets(spec: TubeFamilySpec, cands: TubeFamilySpec) -> np.ndarray:
     # of non-negative terms), the coarse square root and the fine one carry at most
     # (n-1)/2 + 11 roundings of relative error u, which the factor `grow` covers twice over.
     T = np.abs(ts).max()
-    cand_y, tube_y = cands.Y.T, spec.Y.T
-    cand_cy, tube_cy = spec.family._cf @ cand_y, spec.family._cf @ tube_y
     S = max(float((np.abs(W.T) + T * np.abs(Y) + T * T * np.abs(CY)).max())
             for W, Y, CY in ((spec.W, tube_y, tube_cy), (cands.W, cand_y, cand_cy)))
     u = 2.0**-53

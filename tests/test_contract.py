@@ -19,9 +19,10 @@ at most 1e-15 in size (rounding noise of unit-size float data) match.
 
 Hairbrush decompositions of the worst case at k = 3..5 and of seeded n = 3, 4
 and 5 families, with and without candidates, the union counts of the n = 5
-two-block nets at k = 2..5 and the bodies of the ``exponents``,
-``iterate-eps`` and ``counterexample`` commands are hashed per group;
-``contract_digests.json`` holds the digests.
+two-block nets at k = 2..6, the worst case's union count and p' = 2 overlap
+norm at k = 7 and the bodies of the ``exponents``, ``iterate-eps`` and
+``counterexample`` commands are hashed per group; ``contract_digests.json``
+holds the digests.
 
 Running this file as a script re-records every file; a recorded float whose
 new value passes the check above keeps its recorded value, so the re-record
@@ -442,8 +443,18 @@ def _cli_body(argv) -> list:
     return [argv, code, lines]
 
 
+def _stamp_records() -> dict:
+    """The worst-case union count and overlap norm at k = 7 and the n = 5 two-block union at k = 6."""
+    worst = kl.build_worstcase_kakeya(kl.companion([0, 0]), 7)
+    net = kl.build_worstcase_kakeya(kl.RationalMatrix(HAIRBRUSH_FAMILIES[5]), 6,
+                                    directions=reduced_ball_net(6, {1, 3}, 4))
+    return {"union worst case k=7": [[7, *kl.union_volume(worst, 7)]],
+            "covering norm worst case k=7 p'=2": [[7, kl.covering_norm(worst, 2.0, 7)]],
+            "union n=5 two blocks k=6": [[6, *kl.union_volume(net, 6)]]}
+
+
 def _digest_groups() -> dict:
-    return {"hairbrush": _hairbrush_records(), "union n=5 two blocks": _union_records(),
+    return {"hairbrush": _hairbrush_records(), "union n=5 two blocks": _union_records(), **_stamp_records(),
             **{f"cli {cmd}": [_cli_body(argv) for argv in runs] for cmd, runs in CLI_RUNS.items()}}
 
 

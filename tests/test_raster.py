@@ -124,14 +124,25 @@ def three_tubes(n, k, seed=0):
     return kl.TubeFamilySpec(family=kl.CurveFamily(n=n, C=kl.companion([0] * d)), tubes=tubes)
 
 
+def assert_stamps_match_oracle(spec, k):
+    """Cells, union count and covering norms at p' = 2 (bit for bit) and 1.5 agree with stamp_oracle."""
+    want = stamp_oracle(spec, k)
+    assert kl.rasterize(spec, k).occupied == frozenset(want)
+    assert kl.union_volume(spec, k)[0] == len(want)
+    for p in (2.0, 1.5):
+        norm = ((2.0**-k) ** spec.family.n * sum(c**p for c in want.values())) ** (1 / p)
+        got = kl.covering_norm(spec, p, k)
+        assert got == norm if p == 2.0 else math.isclose(got, norm, rel_tol=1e-12)
+    return want
+
+
 class TestKeyRange:
     """Packed cell keys at the edges of int64, against the brute-force oracle."""
 
     @staticmethod
     def _assert_matches_oracle(spec, k, monkeypatch):
-        """Cells, union count and covering norms at p' = 2 and 1.5 agree with
-        stamp_oracle; returns the dedupe branches that ran: "counted" in place,
-        or the key dtype ("int32" or "int64") that _distinct sorted."""
+        """assert_stamps_match_oracle, returning the dedupe branches that ran: "counted"
+        in place, or the key dtype ("int32" or "int64") that _distinct sorted."""
         ran, sorted_keys = set(), []
         distinct, stamp = raster._distinct, raster._stamp
 
@@ -146,13 +157,7 @@ class TestKeyRange:
 
         monkeypatch.setattr(raster, "_distinct", distinct_spy)
         monkeypatch.setattr(raster, "_stamp", stamp_spy)
-        n = spec.family.n
-        want = stamp_oracle(spec, k)
-        assert kl.rasterize(spec, k).occupied == frozenset(want)
-        assert kl.union_volume(spec, k)[0] == len(want)
-        for p in (2.0, 1.5):
-            norm = ((2.0**-k) ** n * sum(c**p for c in want.values())) ** (1 / p)
-            assert math.isclose(kl.covering_norm(spec, p, k), norm, rel_tol=1e-12)
+        assert_stamps_match_oracle(spec, k)
         return ran
 
     @pytest.mark.parametrize("n,k", [(5, 11), (9, 6), (3, 12)])
@@ -218,6 +223,79 @@ class TestKeyRange:
         for stamp in (kl.rasterize, kl.union_volume, lambda s, k: kl.covering_norm(s, 2.0, k)):
             with pytest.raises(kl.ResolutionTooFine, match="stamp budget"):
                 stamp(spec, 3)
+
+
+def symmetries(spec, k):
+    """(paired tubes, flipped axes or None) that _stamp finds for spec at resolution k."""
+    YR, WR = (np.multiply(a, 2.0**k, order="F") for a in (spec.Y, spec.W))
+    bands = raster._band_indices(k, spec.t_range)
+    _, paired, flip = raster._symmetries(spec.family.C, YR, WR, spec.family._cf @ YR.T, bands)
+    return paired, flip
+
+
+def symmetric_family(seed, k, half, d_symmetric, C=None):
+    """A shuffled family of 2 * half + 1 tubes with non-dyadic y and omega: pairs (y, omega) and
+    (-y, -omega), the zero tube, and with d_symmetric also the images (-D y, D omega) for
+    D = (1, -1), under which C = [[0, a], [b, 0]] anticommutes."""
+    rng = np.random.default_rng(seed)
+    if C is None:
+        C = kl.RationalMatrix([[0, F(int(rng.integers(1, 9)), 7)], [F(int(rng.integers(-9, 9)), 5), 0]])
+    Y, W = rng.uniform(-0.5, 0.5, (half, 2)), rng.uniform(-1.2, 1.2, (half, 2))
+    if d_symmetric:
+        Y, W = Y[:half // 2], W[:half // 2]
+        Y, W = np.vstack([Y, Y * [-1, 1]]), np.vstack([W, W * [1, -1]])
+    Y, W = np.vstack([Y, -Y, [[0.0, 0.0]]]), np.vstack([W, -W, [[0.0, 0.0]]])
+    perm = rng.permutation(len(Y))
+    return kl.TubeFamilySpec(kl.CurveFamily(n=3, C=C), Y=Y[perm], W=W[perm], delta=2.0**-k)
+
+
+class TestStamping:
+    """The stamping kernel's candidate window and its symmetric shortcuts, against stamp_oracle."""
+
+    @pytest.mark.parametrize("u", [-1.5 - 2.0**-52, 1.5 + 2.0**-52])
+    def test_window_holds_cells_at_just_under_one_cell(self, u):
+        # u - 1/2 rounds to -2 at u = -1.5 - 2^-52, whose floor missed cell -3 (at distance 1 - 2^-52)
+        spec = kl.TubeFamilySpec(straight_family(), Y=[[0.0, 0.0]], W=[[u / 8, 0.5 / 8]], delta=2.0**-3)
+        want = assert_stamps_match_oracle(spec, 3)
+        assert len(want) == 32 and {c[0] for c in want} == ({-3, -2} if u < 0 else {1, 2})
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("half", [10, 60])
+    @pytest.mark.parametrize("d_symmetric", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_symmetric_families_match_oracle(self, seed, d_symmetric, half, k):
+        # 21 tubes sort their keys; 121 count them in place at k = 2 and 3
+        spec = symmetric_family(seed, k, half, d_symmetric)
+        assert symmetries(spec, k) == (half, [1] if d_symmetric else None)
+        assert_stamps_match_oracle(spec, k)
+
+    def test_symmetry_switch_off(self):
+        k = 3
+        spec = symmetric_family(7, k, 12, True)
+        assert symmetries(spec, k) == (12, [1])
+        W = spec.W.copy()
+        W[0, 1] = np.nextafter(W[0, 1], 2.0)
+        cases = {
+            "one ulp": (kl.TubeFamilySpec(spec.family, Y=spec.Y, W=W, delta=spec.delta), (0, None)),
+            "asymmetric t_range": (kl.TubeFamilySpec(spec.family, Y=spec.Y, W=spec.W, delta=spec.delta,
+                                                     t_range=(-1.0, 0.7)), (12, None)),
+            "nonzero diagonal": (symmetric_family(7, k, 12, True, kl.RationalMatrix([[0, 1], [F(1, 3), F(1, 9)]])),
+                                 (12, None)),
+            "duplicate tube": (kl.TubeFamilySpec(spec.family, Y=np.vstack([spec.Y, spec.Y[:1]]),
+                                                 W=np.vstack([spec.W, spec.W[:1]]), delta=2.0**-k), (0, None)),
+        }
+        for name, (case, found) in cases.items():
+            assert symmetries(case, k) == found, name
+            assert_stamps_match_oracle(case, k)
+
+    def test_two_block_net_finds_both_symmetries(self):
+        k = 3
+        C = kl.RationalMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+        spec = kl.build_worstcase_kakeya(C, k, directions=reduced_ball_net(k, {1, 3}, 4))
+        assert symmetries(spec, k) == (len(spec.Y) // 2, [1, 3])
+        want = stamp_oracle(spec, k)
+        assert kl.union_volume(spec, k)[0] == len(want)
+        assert kl.covering_norm(spec, 2.0, k) == ((2.0**-k) ** 5 * sum(c * c for c in want.values())) ** 0.5
 
 
 @settings(max_examples=200, deadline=None)
