@@ -35,7 +35,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import re
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -45,11 +48,13 @@ import pytest
 import kakeya_lab as kl
 from conftest import reduced_ball_net
 from kakeya_lab.cli import main
+from kakeya_lab.sumsets import instance_to_json
 
 RECORD = Path(__file__).with_name("contract_solvers.json")
 SUMSET_RECORD = Path(__file__).with_name("contract_sumsets.json")
 LOCUS_RECORD = Path(__file__).with_name("contract_locus.json")
 DIGEST_RECORD = Path(__file__).with_name("contract_digests.json")
+CLI_RECORD = Path(__file__).with_name("contract_cli.json")
 REL = 1e-9
 
 
@@ -418,6 +423,26 @@ def _union_records() -> list:
             for k in (2, 3, 4, 5)]
 
 
+def _tube(y, omega, delta=0.25):
+    return {"y": y, "omega": omega, "delta": delta}
+
+
+# input files of the CLI runs, written to the runs' working directory so argv and the config echo stay fixed
+CLI_FILES = {
+    "fam.json": {"n": 3, "C": kl.RationalMatrix.zero(2).to_json()},
+    "companion.json": {"n": 3, "C": kl.companion([0, 0]).to_json()},
+    "tubes.json": [_tube([0.2, 0.1], [0.0, 0.0]), _tube([-0.3, 0.2], [0.1, -0.1]), _tube([0.1, 0.4], [-0.2, 0.3])],
+    "brush.json": [_tube([x, y], [0.0, 0.0], 2.0**-6) for x, y in
+                   ((0.4, 0), (0, 0.4), (-0.4, 0), (0, -0.4), (0.28, 0.28), (-0.28, 0.28), (0.28, -0.28),
+                    (0.3, 0.1), (0.1, 0.3), (-0.3, 0.1), (0.5, 0.5), (-0.1, 0.2))],
+    "triple.json": [_tube([0, 0], [0, 0], 2.0**-8), _tube([0.1125, 0], [0.045, 0], 2.0**-8),
+                    _tube([0.0723, 0.0862], [0.042712, 0.03448], 2.0**-8)],
+    "inst.json": instance_to_json(*kl.random_instance(5)),
+}
+SQUARE_ZERO = json.dumps(kl.companion([0, 0]).to_json())
+ROTATION = '{"dim": 2, "entries": [[0, -10], [10, 0]]}'
+REAL_PAIR = '{"dim": 2, "entries": [["1/4", 0], [0, "-2/5"]]}'
+
 CLI_RUNS = {
     "exponents": [["exponents", "--n", str(n), "--k", str(k), *flags]
                   for n in (3, 4, 5) for k in range(n - 1)
@@ -432,6 +457,27 @@ CLI_RUNS = {
                                ["counterexample", "--mode", "secular", "--fracs", "1/2,2/1",
                                 "--v", "1,1", "--w", "1,-1", "--M", "6"]],
 }
+# every other command; their bodies hold fitted and float-geometry values, so they are kept as text in
+# contract_cli.json and a float in them matches within REL
+CLI_BODY_RUNS = {
+    "worstcase": [["worstcase", "--n", "3", "--ks", "3,4,5"], ["worstcase", "--n", "4", "--ks", "2,3,4"],
+                  ["worstcase", "--matrix", json.dumps(kl.companion([0, F(1, 2)]).to_json()), "--ks", "2,3,4"]],
+    "dimension": [["dimension", "--family", fam, "--tubes", "tubes.json", "--ks", "3,4,5"]
+                  for fam in ("fam.json", "companion.json")],
+    "hairbrush": [["hairbrush", "--family", "fam.json", "--tubes", tubes, "--threshold", threshold]
+                  for tubes, threshold in (("brush.json", "6"), ("brush.json", "20"), ("tubes.json", "1"))],
+    "claim-check": [["claim-check", "--family", "companion.json", "--tubes", "triple.json",
+                     "--k", "3", "--l", "3", "--m", m, *K] for m in ("0", "1") for K in ([], ["--K", "0.25"])],
+    "sumset": [["sumset", "--instance", "inst.json", *xs] for xs in
+               ([], ["--xs", '{"dim": 2, "entries": [[1, 0], [0, 1]]}'],
+                ["--xs", '{"dim": 2, "entries": [[2, 0], [0, 2]]};{"dim": 2, "entries": [[1, 1], [0, 1]]}',
+                 "--eps", "1/4"])],
+    "solve-heights": [["solve-heights", "--matrix", m, *mode] for m in (SQUARE_ZERO, ROTATION, REAL_PAIR)
+                      for mode in ([], ["--mode", "kakeya4"])],
+    "locus": [["locus", "--matrix", SQUARE_ZERO, "--y0", "0,1", "--t0", "1/2", "--trials", "150", "--seed", "4"],
+              ["locus", "--matrix", '{"dim": 2, "entries": [[0, 1], ["1/1000000000000", 0]]}',
+               "--y0", "0,1", "--t0", "1/2", "--seed", "1"]],
+}
 
 
 def _cli_body(argv) -> list:
@@ -441,6 +487,19 @@ def _cli_body(argv) -> list:
         code = main(list(argv))
     lines = [ln for ln in buf.getvalue().splitlines() if not ln.startswith("# config:")]
     return [argv, code, lines]
+
+
+def _cli_bodies(runs: dict) -> dict:
+    """{"cli <command>": [_cli_body(argv), ...]}, run in a directory holding ``CLI_FILES``."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in CLI_FILES.items():
+            Path(tmp, name).write_text(json.dumps(doc))
+        os.chdir(tmp)
+        try:
+            return {f"cli {cmd}": [_cli_body(argv) for argv in argvs] for cmd, argvs in runs.items()}
+        finally:
+            os.chdir(cwd)
 
 
 def _stamp_records() -> dict:
@@ -455,13 +514,33 @@ def _stamp_records() -> dict:
 
 def _digest_groups() -> dict:
     return {"hairbrush": _hairbrush_records(), "union n=5 two blocks": _union_records(), **_stamp_records(),
-            **{f"cli {cmd}": [_cli_body(argv) for argv in runs] for cmd, runs in CLI_RUNS.items()}}
+            **_cli_bodies(CLI_RUNS)}
 
 
 def test_hairbrush_union_and_cli_outputs_match_the_record():
     want = json.loads(DIGEST_RECORD.read_text())
     got = _digests(_digest_groups())
     assert got == want, [name for name in want if got.get(name) != want[name]]
+
+
+FLOAT_TEXT = re.compile(r"(-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+)")
+
+
+def _same_line(got: str, want: str) -> bool:
+    """The same text, but that a float literal matches as ``_near`` matches floats."""
+    g, w = FLOAT_TEXT.split(got), FLOAT_TEXT.split(want)
+    return len(g) == len(w) and all(a == b if i % 2 == 0 else _near(float(a), float(b))
+                                    for i, (a, b) in enumerate(zip(g, w)))
+
+
+def test_cli_bodies_match_the_record():
+    want = json.loads(CLI_RECORD.read_text())
+    got = _cli_bodies(CLI_BODY_RUNS)
+    assert got.keys() == want.keys()
+    bad = [argv for name in want for (argv, code, lines), (_, want_code, want_lines) in zip(got[name], want[name])
+           if code != want_code or len(lines) != len(want_lines)
+           or not all(map(_same_line, lines, want_lines))]
+    assert not bad and [len(r) for r in got.values()] == [len(r) for r in want.values()], bad
 
 
 def _settled(new, old, same, key=None):
@@ -493,3 +572,4 @@ if __name__ == "__main__":
     _rerecord(SUMSET_RECORD, _digests(_sumset_records()))
     _rerecord(LOCUS_RECORD, _locus_records())
     _rerecord(DIGEST_RECORD, _digests(_digest_groups()))
+    _rerecord(CLI_RECORD, _cli_bodies(CLI_BODY_RUNS))
