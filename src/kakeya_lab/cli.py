@@ -9,6 +9,7 @@ outcomes, 2 input/usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -19,13 +20,11 @@ import numpy as np
 
 from . import raster, slices, sumsets
 from .curves import CurveFamily, hairbrush_claim_check, locus_dichotomy_test, tubes_from_json
-from .errors import KakeyaLabError, NoSolution
+from .errors import KakeyaLabError, NoSolution, PreconditionViolation
 from .exact import RationalMatrix
 
 
 def fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, float):
         return format(x, ".12g")
     return str(x)
@@ -36,30 +35,34 @@ def _meta_line(config: dict) -> str:
     return f"# config: {cfg} generated: {time.strftime('%Y-%m-%dT%H:%M:%S')}"
 
 
+def _write(path: str | None, text: str):
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def write_csv(path: str | None, config: dict, header: list[str], rows: list[list]):
     lines = [_meta_line(config), ",".join(header)]
     lines += [",".join(fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: str | None, config: dict, payload: dict):
-    doc = {"config": config, "result": payload}
-    text = json.dumps(doc, indent=2, default=str) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(path, json.dumps({"config": config, "result": payload}, indent=2, default=str) + "\n")
+
+
+def _read_json(path: str):
+    return json.loads(Path(path).read_text())
 
 
 def _load_matrix(arg: str) -> RationalMatrix:
-    p = Path(arg)
-    if p.exists():
-        return RationalMatrix.from_json(json.loads(p.read_text()))
-    return RationalMatrix.from_json(json.loads(arg))
+    """A matrix JSON given as a file path or inline."""
+    return RationalMatrix.from_json(_read_json(arg) if Path(arg).exists() else json.loads(arg))
+
+
+def _family_and_tubes(args) -> tuple:
+    return CurveFamily.from_json(_read_json(args.family)), tubes_from_json(_read_json(args.tubes))
 
 
 def _parse_ks(arg: str) -> list[int]:
@@ -121,8 +124,8 @@ def cmd_worstcase(args) -> int:
 
 
 def cmd_dimension(args) -> int:
-    family = CurveFamily.from_json(json.loads(Path(args.family).read_text()))
-    raw = raster.TubeFamilySpec(family, tubes_from_json(json.loads(Path(args.tubes).read_text())))
+    family, tubes = _family_and_tubes(args)
+    raw = raster.TubeFamilySpec(family, tubes)
     ks = _parse_ks(args.ks)
     sizes = {k: raster.union_volume(raster.TubeFamilySpec(family, Y=raw.Y, W=raw.W, delta=2.0**-k), k)
              for k in ks}
@@ -144,6 +147,9 @@ def cmd_sumset(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    flag = {"line": "matrix", "secular": "fracs"}[args.mode]
+    if getattr(args, flag) is None:
+        raise PreconditionViolation(f"--mode {args.mode} needs --{flag}")
     cfg = _config(args)
     if args.mode == "line":
         X = _load_matrix(args.matrix)
@@ -157,39 +163,28 @@ def cmd_counterexample(args) -> int:
         write_json(args.out, cfg, {"sizes": sizes, "expected_sum": 2 * args.M - 1,
                                    "expected_diff": args.M**2})
         return 0
-    if args.mode == "secular":
-        fracs = [Fraction(s) for s in args.fracs.split(",")]
-        v = tuple(int(c) for c in args.v.split(","))
-        w = tuple(int(c) for c in args.w.split(","))
-        A, B, G, predicted = sumsets.gen_secular_counterexample(v, w, fracs, args.M)
-        measured = []
-        d = len(v)
-        for f in fracs:
-            X = RationalMatrix([[f * w[i] * v[j] for j in range(d)] for i in range(d)])
-            # X v = (sum v_j^2) f w; rescale so X v = f w exactly
-            vv = sum(c * c for c in v)
-            X = Fraction(1, vv) * X
-            measured.append(sumsets.x_sumset(A, B, G, X).size)
-        write_json(args.out, cfg, {
-            "predicted": predicted,
-            "measured": measured,
-            "diff": sumsets.difference_set(A, B, G).size,
-        })
-        return 0
-    raise KakeyaLabError(f"unknown counterexample mode {args.mode}")
+    fracs = [Fraction(s) for s in args.fracs.split(",")]
+    v = tuple(int(c) for c in args.v.split(","))
+    w = tuple(int(c) for c in args.w.split(","))
+    A, B, G, predicted = sumsets.gen_secular_counterexample(v, w, fracs, args.M)
+    vv = sum(c * c for c in v)
+    # X = f w v^T / |v|^2, so X v = f w exactly
+    measured = [sumsets.x_sumset(A, B, G, RationalMatrix([[f * wi * vj / vv for vj in v] for wi in w])).size
+                for f in fracs]
+    write_json(args.out, cfg, {
+        "predicted": predicted,
+        "measured": measured,
+        "diff": sumsets.difference_set(A, B, G).size,
+    })
+    return 0
 
 
 def cmd_solve_heights(args) -> int:
+    solve = {"nikodym3": slices.solve_nikodym_three_slice, "kakeya4": slices.solve_kakeya_four_slice}[args.mode]
     C = _load_matrix(args.matrix)
     cfg = _config(args)
     try:
-        if args.mode == "nikodym3":
-            sol = slices.solve_nikodym_three_slice(C)
-        elif args.mode == "kakeya4":
-            sol = slices.solve_kakeya_four_slice(C)
-        else:
-            print(f"unknown mode {args.mode}", file=sys.stderr)
-            return 2
+        sol = solve(C)
     except NoSolution as e:
         write_json(args.out, cfg, {"solution": None, "reason": e.reason, "detail": e.detail})
         return 1
@@ -204,24 +199,16 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_hairbrush(args) -> int:
-    family = CurveFamily.from_json(json.loads(Path(args.family).read_text()))
-    tubes = tubes_from_json(json.loads(Path(args.tubes).read_text()))
-    spec = raster.TubeFamilySpec(family=family, tubes=tubes)
-    dec = raster.hairbrush_decompose(spec, args.threshold)
-    write_json(args.out, _config(args), {
-        "brushes": [list(b) for b in dec.brushes],
-        "bad": list(dec.bad),
-        "centrals": list(dec.centrals),
-    })
+    family, tubes = _family_and_tubes(args)
+    dec = raster.hairbrush_decompose(raster.TubeFamilySpec(family=family, tubes=tubes), args.threshold)
+    write_json(args.out, _config(args), dataclasses.asdict(dec))
     return 0
 
 
 def cmd_claim_check(args) -> int:
-    family = CurveFamily.from_json(json.loads(Path(args.family).read_text()))
-    tubes = tubes_from_json(json.loads(Path(args.tubes).read_text()))
+    family, tubes = _family_and_tubes(args)
     if len(tubes) != 3:
-        print("claim-check expects exactly three tubes (central, j, i)", file=sys.stderr)
-        return 2
+        raise PreconditionViolation("claim-check expects exactly three tubes (central, j, i)")
     rep = hairbrush_claim_check(family, tubes[0], tubes[1], tubes[2],
                                 args.k, args.l, args.m, K=args.K)
     write_json(args.out, _config(args), {
@@ -239,13 +226,7 @@ def cmd_locus(args) -> int:
     family = CurveFamily(n=C.dim + 1, C=C)
     rep = locus_dichotomy_test(family, _parse_vec(args.y0), Fraction(args.t0),
                                trials=args.trials, seed=args.seed)
-    write_json(args.out, _config(args), {
-        "omega_one_param": rep.omega_one_param,
-        "y_one_param": rep.y_one_param,
-        "max_line_residual": rep.max_line_residual,
-        "omega_offline_witness": rep.omega_offline_witness,
-        "samples": rep.samples,
-    })
+    write_json(args.out, _config(args), dataclasses.asdict(rep))
     return 0
 
 
@@ -265,82 +246,74 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="kakeya-lab",
                                 description="desk-scale experiments on curved Kakeya/Nikodym sets")
     sub = p.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
 
-    sp = sub.add_parser("worstcase", help="small-volume construction and its box dimension")
+    sp = sub.add_parser("worstcase", parents=[out], help="small-volume construction and its box dimension")
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--matrix", help="companion-block matrix JSON (path or inline)")
     sp.add_argument("--ks", type=_ks_text, required=True, help="comma-separated resolutions, e.g. 5,6,7,8")
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_worstcase)
 
-    sp = sub.add_parser("dimension", help="box dimension of an explicit tube family")
+    sp = sub.add_parser("dimension", parents=[out], help="box dimension of an explicit tube family")
     sp.add_argument("--family", required=True)
     sp.add_argument("--tubes", required=True)
     sp.add_argument("--ks", type=_ks_text, required=True)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_dimension)
 
-    sp = sub.add_parser("sumset", help="sum/difference cardinality ratio check")
+    sp = sub.add_parser("sumset", parents=[out], help="sum/difference cardinality ratio check")
     sp.add_argument("--instance", required=True)
     sp.add_argument("--xs", help="semicolon-separated matrix JSONs")
     sp.add_argument("--eps", default="1/6")
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_sumset)
 
-    sp = sub.add_parser("counterexample", help="near-extremal sumset instances")
+    sp = sub.add_parser("counterexample", parents=[out], help="near-extremal sumset instances")
     sp.add_argument("--mode", choices=["line", "secular"], required=True)
     sp.add_argument("--matrix")
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--fracs", help="comma-separated p/q list (secular)")
     sp.add_argument("--v", default="1,0")
     sp.add_argument("--w", default="0,1")
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_counterexample)
 
-    sp = sub.add_parser("solve-heights", help="three- or four-slice height solver")
+    sp = sub.add_parser("solve-heights", parents=[out], help="three- or four-slice height solver")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--mode", choices=["nikodym3", "kakeya4"], default="nikodym3")
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_solve_heights)
 
-    sp = sub.add_parser("exponents", help="exponent thresholds of the small-set construction")
+    sp = sub.add_parser("exponents", parents=[out], help="exponent thresholds of the small-set construction")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--tr-adj-zero", action="store_true")
     sp.add_argument("--det-zero", action="store_true")
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_exponents)
 
-    sp = sub.add_parser("hairbrush", help="greedy hairbrush decomposition")
+    sp = sub.add_parser("hairbrush", parents=[out], help="greedy hairbrush decomposition")
     sp.add_argument("--family", required=True)
     sp.add_argument("--tubes", required=True)
     sp.add_argument("--threshold", type=_positive_int, required=True)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_hairbrush)
 
-    sp = sub.add_parser("claim-check", help="quantitative hairbrush distance bounds")
+    sp = sub.add_parser("claim-check", parents=[out], help="quantitative hairbrush distance bounds")
     sp.add_argument("--family", required=True)
     sp.add_argument("--tubes", required=True, help="JSON with [central, tube_j, tube_i]")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--K", type=float, default=16.0)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_claim_check)
 
-    sp = sub.add_parser("locus", help="one-parameter dichotomy of the two-curve locus")
+    sp = sub.add_parser("locus", parents=[out], help="one-parameter dichotomy of the two-curve locus")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--y0", required=True, help="comma-separated direction, e.g. 0,1")
     sp.add_argument("--t0", required=True)
     sp.add_argument("--trials", type=int, default=300)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_locus)
 
-    sp = sub.add_parser("iterate-eps", help="iterate the improvement map")
+    sp = sub.add_parser("iterate-eps", parents=[out], help="iterate the improvement map")
     sp.add_argument("--start", required=True)
     sp.add_argument("--steps", type=int, default=50)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_iterate_eps)
 
     return p
