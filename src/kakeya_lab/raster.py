@@ -377,8 +377,8 @@ def box_dimension(builder: Callable, ks: Sequence[int], n: Optional[int] = None)
             v = out.volume()
         else:
             v = float(out)
-        if v <= 0:
-            raise ValueError(f"empty set at k={k}; cannot fit a slope")
+        if not 0 < v < math.inf:
+            raise ValueError(f"volume {v} at k={k} is not positive and finite; cannot fit a slope")
         vols.append(v)
     if n is None:
         raise ValueError("ambient dimension n is required when the builder returns volumes")
@@ -448,9 +448,10 @@ def covering_norm(spec: TubeFamilySpec, p_prime: float, k: int) -> float:
     band block is its overlap count.  The block totals are added with
     ``math.fsum``, so the result does not depend on the order in which the
     kernel yields its blocks (and is exact for p' = 2, whose totals are
-    integers)."""
-    if p_prime < 1:
-        raise ValueError("p_prime must be at least 1")
+    integers).  ``p_prime`` must be finite and at least 1: the L^inf norm, the
+    largest overlap count, is not a limit this sum can reach in floats."""
+    if not 1 <= p_prime < math.inf:
+        raise ValueError(f"p_prime must be finite and at least 1, got {p_prime}")
     total = math.fsum(float(np.sum(counts.astype(float) ** p_prime)) for *_, counts in _stamp(spec, k))
     return float(((2.0**-k) ** spec.family.n * total) ** (1.0 / p_prime))
 

@@ -287,3 +287,19 @@ def test_sweep_bodies_match_cell_sets(tmp_path, capsys, sweep):
 def test_malformed_matrix_exit_code(capsys, matrix):
     code, _, err = run(capsys, "solve-heights", "--matrix", matrix)
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode, flag", [("line", "--matrix"), ("secular", "--fracs")])
+def test_counterexample_mode_without_its_flag_is_a_usage_error(capsys, mode, flag):
+    code, out, err = run(capsys, "counterexample", "--mode", mode, "--M", "3")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == f"error: --mode {mode} needs {flag}\n"
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_claim_check_needs_three_tubes(tmp_path, capsys, count):
+    (tmp_path / "fam.json").write_text(json.dumps(GOOD_FAMILY))
+    (tmp_path / "tubes.json").write_text(json.dumps((SWEEP_TUBES * 2)[:count]))
+    code, out, err = run(capsys, "claim-check", "--family", str(tmp_path / "fam.json"),
+                         "--tubes", str(tmp_path / "tubes.json"), "--k", "3", "--l", "3", "--m", "0")
+    assert code == 2 and out == "" and err.startswith("error:") and "three tubes" in err

@@ -571,3 +571,48 @@ class TestCentres:
         got, want = kl.curves._centres(f, Y, W, ts), _centres_full_plane(f, Y, W, ts)
         assert np.array_equal(got, want)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _claim_tube(y, omega, delta=2.0**-8):
+    return kl.TubeSpec(params=kl.CurveParams(y=y, omega=omega), delta=delta)
+
+
+CLAIM_FAMILY = kl.CurveFamily(n=3, C=kl.companion([0, 0]))
+CLAIM_CENTRAL = _claim_tube((0, 0), (0, 0))
+# both meet the central tube at t = 0.4, |y_j| and |y_i| in the 2^-3 shell and |y_j - y_i| in the 2^-3 shell too
+CLAIM_J = _claim_tube((0.1125, 0), (0.045, 0))
+CLAIM_I = _claim_tube((0.0723, 0.0862), (0.042712, 0.03448))
+
+
+def test_claim_triple_passes():
+    assert kl.hairbrush_claim_check(CLAIM_FAMILY, CLAIM_CENTRAL, CLAIM_J, CLAIM_I, 3, 3, 0).passed
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: kl.CurveParams(y=(0.1, 0.2), omega=(0.0,)), ValueError, "equal length"),
+    (lambda: kl.TubeSpec(params=kl.CurveParams(y=(0.1,), omega=(0.0,)), delta=0.0), ValueError, "delta"),
+    (lambda: kl.TubeSpec(params=kl.CurveParams(y=(0.1,), omega=(0.0,)), delta=1.0), ValueError, "delta"),
+    (lambda: kl.CurveFamily(n=2, C=kl.RationalMatrix.zero(1)), ValueError, "between 3 and 9"),
+    (lambda: kl.CurveFamily(n=10, C=kl.RationalMatrix.zero(8)), ValueError, "between 3 and 9"),
+    (lambda: kl.CurveFamily(n=4, C=kl.RationalMatrix.zero(2)), ValueError, "size n-1"),
+    (lambda: kl.intersection_diameter(CLAIM_FAMILY, CLAIM_J, _claim_tube((0.0723, 0.0862), (0.042712, 0.03448),
+                                                                          2.0**-7)),
+     kl.ConfigurationViolation, "share delta"),
+    (lambda: kl.locus_dichotomy_test(CLAIM_FAMILY, (0, 1), F(1, 2), trials=99), ValueError, "100 trials"),
+    (lambda: kl.hairbrush_claim_check(CLAIM_FAMILY, CLAIM_CENTRAL, CLAIM_J,
+                                      _claim_tube((0.0723, 0.0862), (0.042712, 0.03448), 2.0**-7), 3, 3, 0),
+     kl.ConfigurationViolation, "share delta"),
+    # |y_j - y_i| <= 2 * 2^-k bounds l from below by k - 1, so l < k - 2 fails a dyadic shell first
+    (lambda: kl.hairbrush_claim_check(CLAIM_FAMILY, CLAIM_CENTRAL, CLAIM_J, CLAIM_I, 3, 0, 0),
+     kl.ConfigurationViolation, "dyadic shell"),
+    (lambda: kl.hairbrush_claim_check(CLAIM_FAMILY, CLAIM_CENTRAL, _claim_tube((0.1125, 0), (0.045, 0.5)),
+                                      CLAIM_I, 3, 3, 0),
+     kl.ConfigurationViolation, "meet the central tube"),
+    # at |s - t_j| >= 2^-2 the curves of i and j are about |y_j - y_i| / 4 > 2 delta apart
+    (lambda: kl.hairbrush_claim_check(CLAIM_FAMILY, CLAIM_CENTRAL, CLAIM_J, CLAIM_I, 3, 3, 3),
+     kl.ConfigurationViolation, "do not meet"),
+], ids=["params length", "delta 0", "delta 1", "n=2", "n=10", "C size", "diameter deltas", "trials",
+        "claim deltas", "l < k-2", "misses central", "no i-j meeting"])
+def test_curves_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -233,3 +233,27 @@ def test_poly_combination_matches_manual():
     # entry (0,0) = 1 + 2t, entry (0,1) = 4t
     assert pm.rows[0][0] == Polynomial([1, 2])
     assert pm.rows[0][1] == Polynomial([0, 4])
+
+
+ONE = Polynomial([1])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: kl.RationalMatrix([[1, "x"], [0, 1]]), ValueError, "Invalid literal"),
+    (lambda: kl.RationalMatrix([[1, None], [0, 1]]), TypeError, "as a rational"),
+    (lambda: kl.RationalMatrix([[1, 0.5], [0, 1]]), TypeError, "float"),
+    (lambda: kl.RationalMatrix([[1, 2]]), ValueError, "square"),
+    (lambda: kl.RationalMatrix([]), ValueError, "square"),
+    (lambda: kl.RationalMatrix.identity(2).mat_vec((1, 2, 3)), ValueError, "dimension mismatch"),
+    (lambda: kl.RationalMatrix.from_json({"dim": 3, "entries": [[1, 0], [0, 1]]}), ValueError, "declared dimension"),
+    (lambda: PolyMatrix([[ONE, ONE]]), ValueError, "square"),
+    (lambda: PolyMatrix([[ONE] * 9 for _ in range(9)]), ValueError, "maximum 8"),
+    (lambda: PolyMatrix([[ONE, 1], [ONE, ONE]]), TypeError, "Polynomial"),
+    (lambda: Polynomial([1, 1]).divmod(Polynomial([])), ZeroDivisionError, "by zero"),
+    (lambda: kl.count_real_roots(Polynomial([0]), F(0), F(1)), ValueError, "zero polynomial"),
+    (lambda: kl.count_real_roots(Polynomial([-1, 1]), F(1), F(0)), ValueError, "empty interval"),
+], ids=["rat text", "rat None", "rat float", "not square", "empty", "mat_vec", "from_json dim",
+        "poly not square", "poly too big", "poly entry", "divmod zero", "count zero", "count empty"])
+def test_exact_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

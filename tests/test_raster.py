@@ -737,3 +737,37 @@ class TestColumnarSpec:
         bad = kl.TubeSpec(params=kl.CurveParams(y=(0.25, 0.0), omega=(math.nan, 0.0)), delta=2.0**-4)
         with pytest.raises(ValueError):
             kl.hairbrush_decompose(spec, 1, candidates=[tube, bad])
+
+
+def _worst4():
+    return kl.build_worstcase_kakeya(kl.companion([0, 0]), 4)
+
+
+ZERO_FAMILY = kl.CurveFamily(n=3, C=kl.RationalMatrix.zero(2))
+ONE_TUBE = [kl.TubeSpec(params=kl.CurveParams(y=(0.2, 0.1), omega=(0.0, 0.0)), delta=0.25)]
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: kl.covering_norm(_worst4(), 0.5, 4), ValueError, "at least 1"),
+    # the L^inf norm is the largest overlap count, not the 1.0 that (sum count^p')^(1/p') gives in floats
+    (lambda: kl.covering_norm(_worst4(), math.inf, 4), ValueError, "finite"),
+    (lambda: kl.covering_norm(_worst4(), math.nan, 4), ValueError, "finite"),
+    (lambda: kl.box_dimension(lambda k: kl.CellSet(3 if k < 5 else 4, k, [(0,) * (3 if k < 5 else 4)]),
+                              [3, 4, 5]), ValueError, "ambient dimension"),
+    (lambda: kl.box_dimension(lambda k: kl.CellSet(3, k, [] if k == 4 else [(0, 0, 0)]), [3, 4, 5]),
+     ValueError, "k=4"),
+    (lambda: kl.box_dimension(lambda k: math.nan if k == 4 else 0.5, [3, 4, 5], n=3), ValueError, "k=4"),
+    (lambda: kl.box_dimension(lambda k: math.inf, [3, 4, 5], n=3), ValueError, "k=3"),
+    (lambda: kl.build_worstcase_kakeya(kl.companion([0, 0, 0]), 7), kl.ResolutionTooFine, "explicit directions"),
+    (lambda: kl.TubeFamilySpec(ZERO_FAMILY, ONE_TUBE, t_range=(-1.5, 1.0)), ValueError, "t_range"),
+    (lambda: kl.TubeFamilySpec(ZERO_FAMILY, ONE_TUBE, t_range=(0.5, 0.5)), ValueError, "t_range"),
+    (lambda: kl.TubeFamilySpec(ZERO_FAMILY, ONE_TUBE, Y=[[0.2, 0.1]], W=[[0.0, 0.0]], delta=0.25),
+     ValueError, "either tubes or"),
+    (lambda: kl.TubeFamilySpec(ZERO_FAMILY), ValueError, "either tubes or"),
+    (lambda: kl.hairbrush_decompose(kl.TubeFamilySpec(ZERO_FAMILY, ONE_TUBE), 1, candidates=[]),
+     ValueError, "candidate"),
+], ids=["p'<1", "p'=inf", "p'=nan", "mixed n", "empty at k", "nan volume", "inf volume", "net too large",
+        "t_range outside", "t_range empty", "tubes and arrays", "neither", "no candidates"])
+def test_raster_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

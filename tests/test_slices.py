@@ -679,3 +679,16 @@ def test_heights_solution_json():
     assert j["heights"] == ["1/3", "2/3", "4/9"]
     assert j["lambda"] == "1/3"
     assert j["range"] is not None
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: kl.solve_nikodym_three_slice(kl.RationalMatrix([[1, 1], [0, 0]])), kl.NoSolution,
+     "unsupported_matrix_shape"),
+    (lambda: kl.centre_matrix(kl.companion([0, 0]), 0, F(1, 2)), kl.SingularConfiguration, "t0, t1 != 0"),
+    (lambda: kl.aux_matrix(-kl.RationalMatrix.identity(2), F(1, 4), F(3, 4)), kl.SingularConfiguration,
+     "singular at t0\\+t1=1"),
+    (lambda: kl.dimension_lower_bound(2, F(1, 6), False), ValueError, "at least 3"),
+], ids=["nikodym3 shape", "centre t=0", "aux singular", "n < 3"])
+def test_slices_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -734,3 +734,29 @@ class TestTrapeziumBound:
         count, ok = _trapezia(G, X, X + kl.RationalMatrix.identity(2), wrong)
         assert count == _trapezia(G, X, X + kl.RationalMatrix.identity(2), X.inverse())[0] > 0
         assert not ok
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: kl.difference_set(kl.LatticeSet.of([(0, 0)]), kl.LatticeSet.of([(0, 0, 0)]),
+                               kl.Incidence([((0, 0), (0, 0))])), kl.PreconditionViolation, "dimension"),
+    (lambda: kl.x_sumset(kl.LatticeSet.of([(0, 0)]), kl.LatticeSet.of([(0, 0)]), kl.Incidence([((0, 0), (0, 0))]),
+                         kl.RationalMatrix.identity(3)), kl.PreconditionViolation, "dimension"),
+    (lambda: kl.difference_set(kl.LatticeSet.of([(0, 0)]), kl.LatticeSet.of([(0, 0)], scale=2),
+                               kl.Incidence([((0, 0), (0, 0))])), kl.PreconditionViolation, "scale"),
+    (lambda: kl.gen_line_counterexample(kl.RationalMatrix([[1, 1], [0, 1]]), 0), kl.PreconditionViolation,
+     "positive"),
+    (lambda: kl.gen_secular_counterexample((1, 0), (0, 1, 0), [F(1)], 5), kl.PreconditionViolation,
+     "equal dimension"),
+    (lambda: kl.gen_secular_counterexample((1, 0), (0, 1), [F(1), F(0)], 5), kl.PreconditionViolation, "non-zero"),
+    (lambda: kl.slices_from_construction(kl.CurveFamily(n=3, C=kl.companion([0, 0])), [(F(1, 4), 0)],
+                                         kl.RationalMatrix.zero(2), F(1, 2), F(1, 2), F(1, 8)),
+     kl.PreconditionViolation, "differ"),
+    (lambda: kl.slices_from_construction(kl.CurveFamily(n=3, C=kl.companion([0, 0])), [(F(1, 4), 0)],
+                                         kl.RationalMatrix.zero(2), F(1, 4), F(1, 2), F(2, 5)),
+     kl.PreconditionViolation, "reciprocal of an integer"),
+    (lambda: kl.LatticeSet.of([]), ValueError, "empty set"),
+], ids=["dimension A/B", "dimension X", "scale", "line M < 1", "secular v/w", "zero fraction", "t0 = t1",
+        "delta not 1/integer", "empty without dim"])
+def test_sumsets_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
