@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -21,13 +22,11 @@ import numpy as np
 from . import raster, slices, sumsets
 from .curves import CurveFamily, hairbrush_claim_check, locus_dichotomy_test, tubes_from_json
 from .errors import KakeyaLabError, NoSolution, PreconditionViolation
-from .exact import RationalMatrix
+from .exact import RationalMatrix, companion, rat
 
 
 def fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
+    return format(x, ".12g") if isinstance(x, float) else str(x)
 
 
 def _meta_line(config: dict) -> str:
@@ -77,13 +76,6 @@ def _parse_ks(arg: str) -> list[int]:
     return ks
 
 
-def _ks_text(arg: str) -> str:
-    """The --ks text once it parses, so a bad value is a usage error before any
-    rasterization; the config line keeps the text as given."""
-    _parse_ks(arg)
-    return arg
-
-
 def _positive_int(arg: str) -> int:
     try:
         v = int(arg)
@@ -94,20 +86,50 @@ def _positive_int(arg: str) -> int:
     return v
 
 
-def _parse_vec(arg: str) -> tuple:
-    return tuple(Fraction(s) for s in arg.split(","))
+def _float(arg: str) -> float:
+    """A finite float: ``p/q`` rounded once from the exact rational, any other text by float()."""
+    try:
+        x = float(rat(arg)) if "/" in arg else float(arg)
+    except (ValueError, OverflowError, PreconditionViolation) as e:  # malformed, past the float range, p/0
+        raise argparse.ArgumentTypeError(str(e)) from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite float: {arg!r}")
+    return x
+
+
+def _rational(arg: str) -> Fraction:
+    """An integer, decimal or ``p/q`` as the exact rational it is, refused where :func:`_float` refuses it."""
+    _float(arg)
+    return rat(arg)
+
+
+def _rationals(arg: str) -> tuple:
+    return tuple(_rational(s) for s in arg.split(","))
+
+
+def _checked(parse):
+    """argparse ``type=``: ``parse`` refuses a bad value before any work runs; the text is kept as given,
+    for the config line, and the command parses it again."""
+    def text(arg: str) -> str:
+        parse(arg)
+        return arg
+    return text
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise PreconditionViolation(message)  # main reports it on one error: line, exit 2
 
 
 def _config(args: argparse.Namespace) -> dict:
-    skip = {"func", "out"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
 
 
 # ------------------------------------------------------------------ commands
 
-def _sweep_output(args, ks: list[int], sizes: dict, n: int) -> int:
+def _sweep_output(args, sizes: dict, n: int) -> int:
     rows = [[k, count, vol, -k, np.log2(vol)] for k, (count, vol) in sizes.items()]
-    fit = raster.box_dimension(lambda k: sizes[k][1], ks, n=n)
+    fit = raster.box_dimension(lambda k: sizes[k][1], list(sizes), n=n)
     cfg = _config(args)
     write_csv(args.out, cfg, ["k", "cell_count", "volume", "log2_delta", "log2_volume"], rows)
     write_json(None, cfg, {"slope": fit.slope, "fit_residual": fit.fit_residual})
@@ -115,27 +137,23 @@ def _sweep_output(args, ks: list[int], sizes: dict, n: int) -> int:
 
 
 def cmd_worstcase(args) -> int:
-    from .exact import companion
-
     C = _load_matrix(args.matrix) if args.matrix else companion([0] * (args.n - 1))
-    ks = _parse_ks(args.ks)
-    sizes = {k: raster.union_volume(raster.build_worstcase_kakeya(C, k), k) for k in ks}
-    return _sweep_output(args, ks, sizes, C.dim + 1)
+    sizes = {k: raster.union_volume(raster.build_worstcase_kakeya(C, k), k) for k in _parse_ks(args.ks)}
+    return _sweep_output(args, sizes, C.dim + 1)
 
 
 def cmd_dimension(args) -> int:
     family, tubes = _family_and_tubes(args)
     raw = raster.TubeFamilySpec(family, tubes)
-    ks = _parse_ks(args.ks)
     sizes = {k: raster.union_volume(raster.TubeFamilySpec(family, Y=raw.Y, W=raw.W, delta=2.0**-k), k)
-             for k in ks}
-    return _sweep_output(args, ks, sizes, family.n)
+             for k in _parse_ks(args.ks)}
+    return _sweep_output(args, sizes, family.n)
 
 
 def cmd_sumset(args) -> int:
     A, B, G = sumsets.load_instance(args.instance)
     Xs = [_load_matrix(s) for s in args.xs.split(";")] if args.xs else []
-    rep = sumsets.check_ratio(A, B, G, Xs, Fraction(args.eps))
+    rep = sumsets.check_ratio(A, B, G, Xs, _rational(args.eps))
     cfg = _config(args)
     write_csv(
         args.out, cfg,
@@ -160,12 +178,9 @@ def cmd_counterexample(args) -> int:
             "sum": sumsets.x_sumset(A, B, G, X).size,
             "diff": sumsets.difference_set(A, B, G).size,
         }
-        write_json(args.out, cfg, {"sizes": sizes, "expected_sum": 2 * args.M - 1,
-                                   "expected_diff": args.M**2})
+        write_json(args.out, cfg, {"sizes": sizes, "expected_sum": 2 * args.M - 1, "expected_diff": args.M**2})
         return 0
-    fracs = [Fraction(s) for s in args.fracs.split(",")]
-    v = tuple(int(c) for c in args.v.split(","))
-    w = tuple(int(c) for c in args.w.split(","))
+    fracs, v, w = (_rationals(a) for a in (args.fracs, args.v, args.w))
     A, B, G, predicted = sumsets.gen_secular_counterexample(v, w, fracs, args.M)
     vv = sum(c * c for c in v)
     # X = f w v^T / |v|^2, so X v = f w exactly
@@ -209,8 +224,7 @@ def cmd_claim_check(args) -> int:
     family, tubes = _family_and_tubes(args)
     if len(tubes) != 3:
         raise PreconditionViolation("claim-check expects exactly three tubes (central, j, i)")
-    rep = hairbrush_claim_check(family, tubes[0], tubes[1], tubes[2],
-                                args.k, args.l, args.m, K=args.K)
+    rep = hairbrush_claim_check(family, *tubes, args.k, args.l, args.m, K=args.K)
     write_json(args.out, _config(args), {
         "dist_centres": rep.dist_centres,
         "dist_to_line": rep.dist_to_line,
@@ -224,14 +238,13 @@ def cmd_claim_check(args) -> int:
 def cmd_locus(args) -> int:
     C = _load_matrix(args.matrix)
     family = CurveFamily(n=C.dim + 1, C=C)
-    rep = locus_dichotomy_test(family, _parse_vec(args.y0), Fraction(args.t0),
-                               trials=args.trials, seed=args.seed)
+    rep = locus_dichotomy_test(family, _rationals(args.y0), _rational(args.t0), trials=args.trials, seed=args.seed)
     write_json(args.out, _config(args), dataclasses.asdict(rep))
     return 0
 
 
 def cmd_iterate_eps(args) -> int:
-    e = float(Fraction(args.start)) if "/" in args.start else float(args.start)
+    e = _float(args.start)
     rows = [[0, e]]
     for i in range(1, args.steps + 1):
         e = slices.iterate_epsilon(e)
@@ -243,90 +256,79 @@ def cmd_iterate_eps(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="kakeya-lab",
-                                description="desk-scale experiments on curved Kakeya/Nikodym sets")
+    p = _Parser(prog="kakeya-lab", description="desk-scale experiments on curved Kakeya/Nikodym sets")
     sub = p.add_subparsers(dest="command", required=True)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out")
+    tube_files = argparse.ArgumentParser(add_help=False, parents=[out])
+    tube_files.add_argument("--family", required=True)
+    tube_files.add_argument("--tubes", required=True)
 
-    sp = sub.add_parser("worstcase", parents=[out], help="small-volume construction and its box dimension")
+    def command(name: str, func, summary: str, parent=out) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, parents=[parent], help=summary, description=summary)
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = command("worstcase", cmd_worstcase, "small-volume construction and its box dimension")
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--matrix", help="companion-block matrix JSON (path or inline)")
-    sp.add_argument("--ks", type=_ks_text, required=True, help="comma-separated resolutions, e.g. 5,6,7,8")
-    sp.set_defaults(func=cmd_worstcase)
+    sp.add_argument("--ks", type=_checked(_parse_ks), required=True, help="comma-separated resolutions, e.g. 5,6,7,8")
 
-    sp = sub.add_parser("dimension", parents=[out], help="box dimension of an explicit tube family")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--tubes", required=True)
-    sp.add_argument("--ks", type=_ks_text, required=True)
-    sp.set_defaults(func=cmd_dimension)
+    sp = command("dimension", cmd_dimension, "box dimension of an explicit tube family", tube_files)
+    sp.add_argument("--ks", type=_checked(_parse_ks), required=True)
 
-    sp = sub.add_parser("sumset", parents=[out], help="sum/difference cardinality ratio check")
+    sp = command("sumset", cmd_sumset, "sum/difference cardinality ratio check")
     sp.add_argument("--instance", required=True)
     sp.add_argument("--xs", help="semicolon-separated matrix JSONs")
-    sp.add_argument("--eps", default="1/6")
-    sp.set_defaults(func=cmd_sumset)
+    sp.add_argument("--eps", type=_checked(_rational), default="1/6")
 
-    sp = sub.add_parser("counterexample", parents=[out], help="near-extremal sumset instances")
+    sp = command("counterexample", cmd_counterexample, "near-extremal sumset instances")
     sp.add_argument("--mode", choices=["line", "secular"], required=True)
     sp.add_argument("--matrix")
     sp.add_argument("--M", type=int, required=True)
-    sp.add_argument("--fracs", help="comma-separated p/q list (secular)")
-    sp.add_argument("--v", default="1,0")
-    sp.add_argument("--w", default="0,1")
-    sp.set_defaults(func=cmd_counterexample)
+    sp.add_argument("--fracs", type=_checked(_rationals), help="comma-separated p/q list (secular)")
+    sp.add_argument("--v", type=_checked(_rationals), default="1,0")
+    sp.add_argument("--w", type=_checked(_rationals), default="0,1")
 
-    sp = sub.add_parser("solve-heights", parents=[out], help="three- or four-slice height solver")
+    sp = command("solve-heights", cmd_solve_heights, "three- or four-slice height solver")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--mode", choices=["nikodym3", "kakeya4"], default="nikodym3")
-    sp.set_defaults(func=cmd_solve_heights)
 
-    sp = sub.add_parser("exponents", parents=[out], help="exponent thresholds of the small-set construction")
+    sp = command("exponents", cmd_exponents, "exponent thresholds of the small-set construction")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--tr-adj-zero", action="store_true")
     sp.add_argument("--det-zero", action="store_true")
-    sp.set_defaults(func=cmd_exponents)
 
-    sp = sub.add_parser("hairbrush", parents=[out], help="greedy hairbrush decomposition")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--tubes", required=True)
+    sp = command("hairbrush", cmd_hairbrush, "greedy hairbrush decomposition", tube_files)
     sp.add_argument("--threshold", type=_positive_int, required=True)
-    sp.set_defaults(func=cmd_hairbrush)
 
-    sp = sub.add_parser("claim-check", parents=[out], help="quantitative hairbrush distance bounds")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--tubes", required=True, help="JSON with [central, tube_j, tube_i]")
+    sp = command("claim-check", cmd_claim_check,
+                 "quantitative hairbrush distance bounds; --tubes holds [central, tube_j, tube_i]", tube_files)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--K", type=float, default=16.0)
-    sp.set_defaults(func=cmd_claim_check)
+    sp.add_argument("--K", type=_float, default=16.0)
 
-    sp = sub.add_parser("locus", parents=[out], help="one-parameter dichotomy of the two-curve locus")
+    sp = command("locus", cmd_locus, "one-parameter dichotomy of the two-curve locus")
     sp.add_argument("--matrix", required=True)
-    sp.add_argument("--y0", required=True, help="comma-separated direction, e.g. 0,1")
-    sp.add_argument("--t0", required=True)
+    sp.add_argument("--y0", type=_checked(_rationals), required=True, help="comma-separated direction, e.g. 0,1")
+    sp.add_argument("--t0", type=_checked(_rational), required=True)
     sp.add_argument("--trials", type=int, default=300)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_locus)
 
-    sp = sub.add_parser("iterate-eps", parents=[out], help="iterate the improvement map")
-    sp.add_argument("--start", required=True)
+    sp = command("iterate-eps", cmd_iterate_eps, "iterate the improvement map")
+    sp.add_argument("--start", type=_checked(_float), required=True)
     sp.add_argument("--steps", type=int, default=50)
-    sp.set_defaults(func=cmd_iterate_eps)
-
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # --help
+        return 0
     except NoSolution as e:
         print(f"no solution: {e}", file=sys.stderr)
         return 1

@@ -62,11 +62,13 @@ class ResolutionTooFine(KakeyaLabError):
 
 @contextmanager
 def reading_json(what: str):
-    """Raise :class:`PreconditionViolation` for a missing key or a wrongly typed
-    value met while reading ``what`` from parsed JSON."""
+    """Raise :class:`PreconditionViolation` for a missing key, a wrongly typed
+    value or a number past the float range met while reading ``what`` from parsed JSON."""
     try:
         yield
     except KeyError as e:
         raise PreconditionViolation(f"{what} JSON has no key {e}") from e
     except TypeError as e:
         raise PreconditionViolation(f"{what} JSON holds a value of the wrong type: {e}") from e
+    except OverflowError as e:
+        raise PreconditionViolation(f"{what} JSON holds a number past the float range: {e}") from e

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SingularMatrix, reading_json
+from .errors import PreconditionViolation, SingularMatrix, reading_json
 
 Rational = Fraction
 
@@ -23,14 +23,15 @@ MAX_DIM = 8
 
 
 def rat(x) -> Fraction:
-    """Coerce an int, Fraction or ``"p/q"`` string to an exact rational."""
+    """Coerce an int, Fraction or ``"p/q"`` string to an exact rational; ``"p/0"`` raises PreconditionViolation."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float):
-        raise TypeError("refusing to coerce a float to an exact rational; pass a Fraction")
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise PreconditionViolation(f"zero denominator in {x!r}") from None
+    raise TypeError(f"cannot interpret {x!r} ({type(x).__name__}) as a rational; pass an int, Fraction or \"p/q\"")
 
 
 def _rat_to_json(x: Fraction):
@@ -198,6 +199,7 @@ class RationalMatrix:
     def from_json(cls, obj: dict) -> "RationalMatrix":
         with reading_json("matrix"):
             m = cls(obj["entries"])
+            m.to_float()  # OverflowError for an entry past the float range
             dim = obj.get("dim", m.dim)
         if m.dim != dim:
             raise ValueError("declared dimension does not match entries")

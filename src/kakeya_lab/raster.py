@@ -201,7 +201,7 @@ def _stamp(spec: TubeFamilySpec, k: int):
         raise ResolutionTooFine(f"per-band stamp budget exceeded: {m} tubes x {2**d} candidates")
     if not m:
         return
-    if (np.abs(spec.delta - 2.0**-k) > 1e-15).any():
+    if (spec.delta != 2.0**-k).any():
         raise ValueError("tube delta must equal 2^-k")
     R = 2**k
     K = 2 * R + 6
@@ -400,8 +400,8 @@ def _ball_lattice(dim: int, k: int, radius: float = 1.0) -> np.ndarray:
     r = int(math.floor(radius / delta))
     axes = [np.arange(-r, r + 1, dtype=np.int64)] * dim
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    pts = grid * delta
-    return pts[(pts * pts).sum(axis=1) <= radius * radius + 1e-12]
+    p, q = radius.as_integer_ratio()  # |g delta| <= p/q  <=>  |g|^2 <= floor(p^2 4^k / q^2), exactly
+    return grid[(grid * grid).sum(axis=1) <= (p * p << 2 * k) // (q * q)] * delta
 
 
 def ball_lattice_directions(dim: int, k: int, radius: float = 1.0) -> list:

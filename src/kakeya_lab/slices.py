@@ -444,7 +444,7 @@ class ExponentThresholds:
         return {
             "p_max": str(self.p_max),
             "s_max": str(self.s_max),
-            "m": "inf" if math.isinf(self.m) else int(self.m),
+            "m": "inf" if self.m == math.inf else int(self.m),
         }
 
 

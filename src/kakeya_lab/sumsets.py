@@ -285,12 +285,14 @@ def check_ratio(A: LatticeSet, B: LatticeSet, G: Incidence, Xs: Sequence[Rationa
                 eps) -> RatioReport:
     """Test #(A-B) <= max(#A, #B, max_j #(A + X_j B))^(2 - eps), exactly.
 
-    ``eps`` is an int, ``Fraction`` or ``"p/q"`` string; a float raises :class:`PreconditionViolation`.
+    ``eps`` is an int, ``Fraction`` or ``"p/q"`` string in [0, 2]; anything else is a :class:`PreconditionViolation`.
     """
     try:
         e = rat(eps)
     except TypeError as err:
         raise PreconditionViolation(f"eps must be rational, not {eps!r}") from err
+    if not 0 <= e <= 2:
+        raise PreconditionViolation(f"eps must lie in [0, 2], got {e}")
     _check(A, B, *Xs)
     sum_sizes = tuple(_count(*_sums(G, X, A.dim)) for X in Xs)
     n_diff = _count(*_differences(G, A.dim))
@@ -345,10 +347,11 @@ def gen_secular_counterexample(
 
     Returns (A, B, G, predicted) with predicted[j] = Q_j (M-1) + M where
     Q_j = |q_j * prod_{i != j} p_i|.  Requires v, w linearly independent,
-    non-zero coprime p_j/q_j, and M > prod |p_i q_i|.
+    non-zero coprime p_j/q_j, M > prod |p_i q_i|, and integer coordinates in v and w.
     """
-    v = tuple(int(c) for c in v)
-    w = tuple(int(c) for c in w)
+    if any(c != int(c) for c in (*v, *w)):
+        raise PreconditionViolation("v and w must have integer coordinates")
+    v, w = tuple(map(int, v)), tuple(map(int, w))
     d = len(v)
     if len(w) != d:
         raise PreconditionViolation("v and w must have equal dimension")

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kakeya_lab as kl
 from kakeya_lab.cli import fmt, main
@@ -303,3 +307,98 @@ def test_claim_check_needs_three_tubes(tmp_path, capsys, count):
     code, out, err = run(capsys, "claim-check", "--family", str(tmp_path / "fam.json"),
                          "--tubes", str(tmp_path / "tubes.json"), "--k", "3", "--l", "3", "--m", "0")
     assert code == 2 and out == "" and err.startswith("error:") and "three tubes" in err
+
+
+HUGE = "1" + "0" * 400  # past the float range
+SQUARE_ZERO = '{"dim": 2, "entries": [[0, 1], [0, 0]]}'
+REPROS = [
+    ["iterate-eps", "--start", "3/0"],
+    ["iterate-eps", "--start", HUGE + "/1"],
+    ["locus", "--matrix", SQUARE_ZERO, "--y0", "0,1", "--t0", "1/0"],
+    ["locus", "--matrix", SQUARE_ZERO, "--y0", "1/0,1", "--t0", "1/2"],
+    ["locus", "--matrix", SQUARE_ZERO, "--y0", "0,1", "--t0", "1e400"],
+    ["sumset", "--instance", "INST", "--eps", "1/0"],
+    ["sumset", "--instance", "INST", "--xs", '{"dim": 2, "entries": [[1, 0], [0, "2/0"]]}'],
+    ["counterexample", "--mode", "secular", "--fracs", "1/0", "--M", "3"],
+    ["solve-heights", "--matrix", '{"dim": 2, "entries": [["1/0", 0], [0, 1]]}'],
+    ["claim-check", "--family", "FAM", "--tubes", "TUBES", "--k", "3", "--l", "3", "--m", "0", "--K", "nan"],
+]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Paths standing for these names in argv: a sumset instance, the square-zero family, a claim-check triple,
+    and files with a key missing or an entry past the float range."""
+    root = tmp_path_factory.mktemp("cli")
+    docs = {"INST": instance_to_json(*kl.random_instance(5)), "FAM": {"n": 3, "C": json.loads(SQUARE_ZERO)},
+            "TUBES": [{"y": y, "omega": w, "delta": 2.0**-8} for y, w in
+                      (([0, 0], [0, 0]), ([0.1125, 0], [0.045, 0]), ([0.0723, 0.0862], [0.042712, 0.03448]))],
+            "FAM_NO_C": {"n": 3}, "TUBES_NO_DELTA": [{"y": [0.2, 0.1], "omega": [0, 0]}],
+            "INST_NO_G": {"dim": 2, "A": [[0, 0]], "B": [[1, 1]]},
+            "MATRIX_PAST_FLOATS": {"dim": 2, "entries": [[int(HUGE), 1], [1, 0]]}}
+    for name, doc in docs.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    return {name: str(root / f"{name}.json") for name in docs}
+
+
+@pytest.mark.parametrize("argv", REPROS, ids=lambda argv: " ".join(a[:12] for a in argv))
+def test_bad_numbers_are_usage_errors(capsys, cli_files, argv):
+    # a zero denominator, a value past the float range or a non-finite float: one error line, exit 2
+    code, out, err = run(capsys, *(cli_files.get(a, a) for a in argv))
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_iterate_eps_start_keeps_its_float_parse(capsys):
+    # text without a slash goes through float(), which keeps the sign of -0; p/q is rounded once from the rational
+    for start, first in (("-0", "-0"), ("1/3", fmt(1 / 3))):
+        code, out, _ = run(capsys, "iterate-eps", "--start", start, "--steps", "1")
+        assert code == 0 and out.splitlines()[2] == f"0,{first}"
+        assert json.loads(out[out.index("\n{"):])["config"]["start"] == start
+
+
+# a small pool of hostile tokens: zero denominators, a huge numerator, non-finite and empty values, wrong arity,
+# JSON with missing keys or bad entries, and files whose JSON lacks a key
+HOSTILE = ["1/0", "0/0", HUGE + "/1", "1e400", "nan", "inf", "-inf", "", "x", "1,2,3", "1", "0", "-1", ",",
+           '{"dim": 2}', '{"entries": [[1, 0], [0, "2/0"]]}', '{"dim": 2, "entries": [["nan", 0], [0, 1]]}',
+           "FAM_NO_C", "TUBES_NO_DELTA", "INST_NO_G", "MATRIX_PAST_FLOATS"]
+# per command, each flag's good values (None leaves the flag out); --ks, --trials, --M and --steps stay tiny
+GOOD = {
+    "worstcase": {"--n": ["3"], "--matrix": [None, SQUARE_ZERO], "--ks": ["1,2,3"]},
+    "dimension": {"--family": ["FAM"], "--tubes": ["TUBES"], "--ks": ["1,2,3"]},
+    "sumset": {"--instance": ["INST"], "--xs": [None, '{"dim": 2, "entries": [[1, 0], [0, 1]]}'],
+               "--eps": [None, "1/6"]},
+    "counterexample": {"--mode": ["line", "secular"], "--matrix": [None, '{"dim": 2, "entries": [[1, 1], [0, 1]]}'],
+                       "--M": ["3"], "--fracs": [None, "1/1,2/1"], "--v": [None, "1,1"], "--w": [None, "1,-1"]},
+    "solve-heights": {"--matrix": [SQUARE_ZERO, '{"dim": 2, "entries": [[0, -10], [10, 0]]}'],
+                      "--mode": [None, "kakeya4"]},
+    "exponents": {"--n": ["3"], "--k": [None, "0"]},
+    "hairbrush": {"--family": ["FAM"], "--tubes": ["TUBES"], "--threshold": ["1"]},
+    "claim-check": {"--family": ["FAM"], "--tubes": ["TUBES"], "--k": ["3"], "--l": ["3"], "--m": ["0"],
+                    "--K": [None, "16"]},
+    "locus": {"--matrix": [SQUARE_ZERO], "--y0": ["0,1"], "--t0": ["1/2"], "--trials": ["100"],
+              "--seed": [None, "1"]},
+    "iterate-eps": {"--start": ["1/6"], "--steps": ["3"]},
+}
+
+
+@st.composite
+def hostile_argv(draw):
+    command = draw(st.sampled_from(sorted(GOOD)))
+    argv = [command]
+    for flag, good in GOOD[command].items():
+        value = draw(st.one_of(st.sampled_from(good), st.sampled_from(HOSTILE)))  # good about half the time
+        argv += [] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=hostile_argv())
+def test_hostile_argv_gets_an_exit_code_not_a_traceback(cli_files, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([cli_files.get(a, a) for a in argv])
+    err = err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert code != 2 or err.startswith("error:")
+    assert code != 1 or argv[0] in ("solve-heights", "claim-check")  # the commands with a no-solution outcome

@@ -410,10 +410,11 @@ class TestLocusDichotomy:
         with pytest.raises(kl.PreconditionViolation, match="y0 = 0"):
             kl.locus_dichotomy_test(fam(WORST), (0, 0), 0.5, seed=1)
 
-    def test_no_surviving_sample_raises_a_typed_error(self):
-        # every centre and direction has norm about 1e-12, under the 1e-9 filter
-        with pytest.raises(kl.PreconditionViolation, match="no sample"):
-            kl.locus_dichotomy_test(fam(WORST), (0, F(1, 10**12)), 0.5, trials=100, seed=1)
+    def test_flags_and_samples_do_not_depend_on_the_scale_of_y0(self):
+        # centres and directions of norm about 1e-12 are kept: only an exact zero drops a sample
+        for y in (F(1, 10**12), 1):
+            rep = kl.locus_dichotomy_test(fam(WORST), (0, y), 0.5, trials=100, seed=1)
+            assert (rep.omega_one_param, rep.y_one_param, rep.samples) == (True, False, 100)
 
 
 class TestHairbrushClaim:

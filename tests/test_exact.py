@@ -245,14 +245,18 @@ ONE = Polynomial([1])
     (lambda: kl.RationalMatrix([[1, 2]]), ValueError, "square"),
     (lambda: kl.RationalMatrix([]), ValueError, "square"),
     (lambda: kl.RationalMatrix.identity(2).mat_vec((1, 2, 3)), ValueError, "dimension mismatch"),
+    (lambda: kl.RationalMatrix([[1, "2/0"], [0, 1]]), kl.PreconditionViolation, "zero denominator"),
     (lambda: kl.RationalMatrix.from_json({"dim": 3, "entries": [[1, 0], [0, 1]]}), ValueError, "declared dimension"),
+    (lambda: kl.RationalMatrix.from_json({"dim": 2, "entries": [[10**400, 0], [0, 1]]}), kl.PreconditionViolation,
+     "past the float range"),
     (lambda: PolyMatrix([[ONE, ONE]]), ValueError, "square"),
     (lambda: PolyMatrix([[ONE] * 9 for _ in range(9)]), ValueError, "maximum 8"),
     (lambda: PolyMatrix([[ONE, 1], [ONE, ONE]]), TypeError, "Polynomial"),
     (lambda: Polynomial([1, 1]).divmod(Polynomial([])), ZeroDivisionError, "by zero"),
     (lambda: kl.count_real_roots(Polynomial([0]), F(0), F(1)), ValueError, "zero polynomial"),
     (lambda: kl.count_real_roots(Polynomial([-1, 1]), F(1), F(0)), ValueError, "empty interval"),
-], ids=["rat text", "rat None", "rat float", "not square", "empty", "mat_vec", "from_json dim",
+], ids=["rat text", "rat None", "rat float", "not square", "empty", "mat_vec", "rat p/0", "from_json dim",
+         "from_json past floats",
         "poly not square", "poly too big", "poly entry", "divmod zero", "count zero", "count empty"])
 def test_exact_typed_errors(call, error, match):
     with pytest.raises(error, match=match):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -766,8 +767,22 @@ ONE_TUBE = [kl.TubeSpec(params=kl.CurveParams(y=(0.2, 0.1), omega=(0.0, 0.0)), d
     (lambda: kl.TubeFamilySpec(ZERO_FAMILY), ValueError, "either tubes or"),
     (lambda: kl.hairbrush_decompose(kl.TubeFamilySpec(ZERO_FAMILY, ONE_TUBE), 1, candidates=[]),
      ValueError, "candidate"),
+    # one ulp off 2^-12: a 1e-15 slack (about 18,000 ulps at k = 12) stamped it at 2^-12
+    (lambda: kl.union_volume(kl.TubeFamilySpec(ZERO_FAMILY, Y=[[0.2, 0.1]], W=[[0.0, 0.0]],
+                                               delta=2.0**-12 * (1 + 2.0**-52)), 12), ValueError, "2\\^-k"),
 ], ids=["p'<1", "p'=inf", "p'=nan", "mixed n", "empty at k", "nan volume", "inf volume", "net too large",
-        "t_range outside", "t_range empty", "tubes and arrays", "neither", "no candidates"])
+        "t_range outside", "t_range empty", "tubes and arrays", "neither", "no candidates", "delta 1 ulp off"])
 def test_raster_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("dim, k, radius", [(2, 2, math.sqrt(1.125) - 1e-13), (2, 2, math.sqrt(1.125)), (3, 3, 1.0),
+                                            (2, 5, 1 / 3)])
+def test_ball_lattice_is_decided_exactly(dim, k, radius):
+    # (3/4, 3/4) has |p|^2 = 9/8, just past a radius of sqrt(9/8) - 1e-13; a 1e-12 slack on |p|^2 let it in
+    r = F(radius)
+    grid = itertools.product(range(-2**k, 2**k + 1), repeat=dim)
+    want = {tuple(g * 2.0**-k for g in p) for p in grid if sum(F(g, 2**k) ** 2 for g in p) <= r * r}
+    got = kl.ball_lattice_directions(dim, k, radius)
+    assert len(got) == len(set(got)) and set(got) == want

@@ -602,6 +602,10 @@ class TestGenfailExponents:
                 p = kl.genfail_exponents(n, k).p_max
                 assert (p == n) == (k == n - 2)
 
+    def test_huge_n_to_json(self):
+        # m is an int here; comparing it with math.inf, not math.isinf(m), takes any size
+        assert kl.genfail_exponents(10**400, 0).to_json()["m"] == 2 * 10**400 - 3
+
     def test_m_values(self):
         assert kl.genfail_exponents(3, 0).m == 3
         assert kl.genfail_exponents(3, 0, tr_adj_zero=True).m == 4

@@ -736,6 +736,9 @@ class TestTrapeziumBound:
         assert not ok
 
 
+LINE_3 = kl.gen_line_counterexample(SHEAR, 3)  # (A, B, G)
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: kl.difference_set(kl.LatticeSet.of([(0, 0)]), kl.LatticeSet.of([(0, 0, 0)]),
                                kl.Incidence([((0, 0), (0, 0))])), kl.PreconditionViolation, "dimension"),
@@ -748,6 +751,12 @@ class TestTrapeziumBound:
     (lambda: kl.gen_secular_counterexample((1, 0), (0, 1, 0), [F(1)], 5), kl.PreconditionViolation,
      "equal dimension"),
     (lambda: kl.gen_secular_counterexample((1, 0), (0, 1), [F(1), F(0)], 5), kl.PreconditionViolation, "non-zero"),
+    # int() would read 3/2 as 1 and build the instance for v = (1, 0)
+    (lambda: kl.gen_secular_counterexample((F(3, 2), 0), (0, 1), [F(1)], 5), kl.PreconditionViolation,
+     "integer coordinates"),
+    # 2 - eps < 0 made mx^(2 - eps) a float (OverflowError for a huge eps); eps < 0 asks less than #A #B
+    *((lambda eps=eps: kl.check_ratio(*LINE_3, [], eps), kl.PreconditionViolation, "\\[0, 2\\]")
+      for eps in (F(-1), F(3), 10**400)),
     (lambda: kl.slices_from_construction(kl.CurveFamily(n=3, C=kl.companion([0, 0])), [(F(1, 4), 0)],
                                          kl.RationalMatrix.zero(2), F(1, 2), F(1, 2), F(1, 8)),
      kl.PreconditionViolation, "differ"),
@@ -755,7 +764,8 @@ class TestTrapeziumBound:
                                          kl.RationalMatrix.zero(2), F(1, 4), F(1, 2), F(2, 5)),
      kl.PreconditionViolation, "reciprocal of an integer"),
     (lambda: kl.LatticeSet.of([]), ValueError, "empty set"),
-], ids=["dimension A/B", "dimension X", "scale", "line M < 1", "secular v/w", "zero fraction", "t0 = t1",
+], ids=["dimension A/B", "dimension X", "scale", "line M < 1", "secular v/w", "zero fraction",
+         "secular v not integer", "eps < 0", "eps > 2", "eps huge", "t0 = t1",
         "delta not 1/integer", "empty without dim"])
 def test_sumsets_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
