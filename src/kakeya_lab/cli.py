@@ -22,7 +22,7 @@ import numpy as np
 from . import raster, slices, sumsets
 from .curves import CurveFamily, hairbrush_claim_check, locus_dichotomy_test, tubes_from_json
 from .errors import KakeyaLabError, NoSolution, PreconditionViolation
-from .exact import RationalMatrix, companion, rat
+from .exact import MAX_DIM, RationalMatrix, companion, rat
 
 
 def fmt(x) -> str:
@@ -56,8 +56,8 @@ def _read_json(path: str):
 
 
 def _load_matrix(arg: str) -> RationalMatrix:
-    """A matrix JSON given as a file path or inline."""
-    return RationalMatrix.from_json(_read_json(arg) if Path(arg).exists() else json.loads(arg))
+    """A matrix JSON given inline (text whose first non-blank character is ``{`` or ``[``) or as a file path."""
+    return RationalMatrix.from_json(json.loads(arg) if arg.lstrip()[:1] in ("{", "[") else _read_json(arg))
 
 
 def _family_and_tubes(args) -> tuple:
@@ -76,14 +76,24 @@ def _parse_ks(arg: str) -> list[int]:
     return ks
 
 
-def _positive_int(arg: str) -> int:
-    try:
-        v = int(arg)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {arg!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
-    return v
+def _int_in(lo: int, hi: int | None = None):
+    """argparse ``type=``: an integer in [lo, hi] (no upper bound for None), refused before any work runs.
+    Each bound comes from what its command accepts; a count that only drives work stays within CELL_BUDGET."""
+    def parse(arg: str) -> int:
+        try:
+            v = int(arg)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {arg!r}") from None
+        if not lo <= v <= (v if hi is None else hi):
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {v}" if hi is None
+                                             else f"must lie in [{lo}, {hi}], got {v}")
+        return v
+    return parse
+
+
+# A dyadic index i of claim-check scales a quantity 2^-i below 2 (directions lie in the unit ball, heights in
+# [-1, 1]) and above 2^-1074, the least positive float.
+_DYADIC = _int_in(-1, 1074)
 
 
 def _float(arg: str) -> float:
@@ -270,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = command("worstcase", cmd_worstcase, "small-volume construction and its box dimension")
-    sp.add_argument("--n", type=int, default=3)
+    sp.add_argument("--n", type=_int_in(2, MAX_DIM + 1), default=3)  # companion([0] * (n - 1)) is a matrix
     sp.add_argument("--matrix", help="companion-block matrix JSON (path or inline)")
     sp.add_argument("--ks", type=_checked(_parse_ks), required=True, help="comma-separated resolutions, e.g. 5,6,7,8")
 
@@ -285,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("counterexample", cmd_counterexample, "near-extremal sumset instances")
     sp.add_argument("--mode", choices=["line", "secular"], required=True)
     sp.add_argument("--matrix")
-    sp.add_argument("--M", type=int, required=True)
+    sp.add_argument("--M", type=_int_in(1, math.isqrt(raster.CELL_BUDGET)), required=True)  # A x B: M^2 pairs
     sp.add_argument("--fracs", type=_checked(_rationals), help="comma-separated p/q list (secular)")
     sp.add_argument("--v", type=_checked(_rationals), default="1,0")
     sp.add_argument("--w", type=_checked(_rationals), default="0,1")
@@ -301,25 +311,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--det-zero", action="store_true")
 
     sp = command("hairbrush", cmd_hairbrush, "greedy hairbrush decomposition", tube_files)
-    sp.add_argument("--threshold", type=_positive_int, required=True)
+    sp.add_argument("--threshold", type=_int_in(1), required=True)
 
     sp = command("claim-check", cmd_claim_check,
                  "quantitative hairbrush distance bounds; --tubes holds [central, tube_j, tube_i]", tube_files)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--k", type=_DYADIC, required=True)
+    sp.add_argument("--l", type=_DYADIC, required=True)
+    sp.add_argument("--m", type=_DYADIC, required=True)
     sp.add_argument("--K", type=_float, default=16.0)
 
     sp = command("locus", cmd_locus, "one-parameter dichotomy of the two-curve locus")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--y0", type=_checked(_rationals), required=True, help="comma-separated direction, e.g. 0,1")
     sp.add_argument("--t0", type=_checked(_rational), required=True)
-    sp.add_argument("--trials", type=int, default=300)
+    sp.add_argument("--trials", type=_int_in(100, raster.CELL_BUDGET // 50), default=300)  # 50 draws a trial at most
     sp.add_argument("--seed", type=int, default=0)
 
     sp = command("iterate-eps", cmd_iterate_eps, "iterate the improvement map")
     sp.add_argument("--start", type=_checked(_float), required=True)
-    sp.add_argument("--steps", type=int, default=50)
+    sp.add_argument("--steps", type=_int_in(0, raster.CELL_BUDGET), default=50)  # one row a step
     return p
 
 

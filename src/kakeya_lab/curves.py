@@ -393,7 +393,10 @@ def locus_dichotomy_test(
     distance of the float centres from the predicted line (1.0 when that line
     is {0}), and ``omega_offline_witness`` their :func:`_minimax_line_residual`.
     A sample is dropped only when its centre or direction is exactly zero, so no sample
-    depends on the scale of y0.  Raises :class:`PreconditionViolation` for y0 = 0.
+    depends on the scale of y0.  The samples are linear in y0, which is first scaled by the
+    power of two that puts its largest |coordinate| in [1/2, 1): the flags and samples do not
+    move, and the float centres stay in range at any scale of y0.
+    Raises :class:`PreconditionViolation` for y0 = 0.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
@@ -401,6 +404,10 @@ def locus_dichotomy_test(
     y0, t0 = [_fraction(v) for v in y0], _fraction(t0)
     if not any(y0):
         raise PreconditionViolation("y0 = 0: every locus centre and direction is 0")
+    top = max(map(abs, y0))  # top = a/b lies in (2^(e-1), 2^(e+1)) for e = bitlen(a) - bitlen(b)
+    e = top.numerator.bit_length() - top.denominator.bit_length()
+    e += top >= Fraction(2) ** e  # now 2^(e-1) <= top < 2^e
+    y0 = [v / Fraction(2) ** e for v in y0]
     t0f = float(t0)
     omegas, ys = [], []
     attempts = 0
@@ -493,9 +500,12 @@ def hairbrush_claim_check(
     t_i, di = _nearest_approach(family, tube_i.params, central.params, delta)
     if max(dj, di) > 2.0 * delta:
         raise ConfigurationViolation("tube_j and tube_i must both meet the central tube")
-    # the i-j meeting is sought inside the prescribed dyadic distance window
-    window = (t_j, delta * 2.0 ** (l + m), delta * 2.0 ** (l + m + 1))
-    hit = _nearest_approach(family, tube_i.params, tube_j.params, delta, window=window)
+    # the i-j meeting is sought inside the prescribed dyadic distance window; heights in [-1, 1] are at
+    # most 2 apart, and delta 2^(l+m) > 2 once l + m > 2 - e for delta = f 2^e, f in [1/2, 1)
+    hit = None
+    if l + m <= 2 - math.frexp(delta)[1]:  # then delta 2^(l+m+1) < 8: no window end overflows
+        window = (t_j, math.ldexp(delta, l + m), math.ldexp(delta, l + m + 1))
+        hit = _nearest_approach(family, tube_i.params, tube_j.params, delta, window=window)
     if hit is None or hit[1] > 2.0 * delta:
         raise ConfigurationViolation(
             "tubes i and j do not meet at any height with |s - t_j| in "

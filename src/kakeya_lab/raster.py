@@ -178,8 +178,8 @@ def _symmetries(C: RationalMatrix, YR: np.ndarray, WR: np.ndarray, CY: np.ndarra
 
 
 def _stamp(spec: TubeFamilySpec, k: int):
-    """Yield (first band, occupied cell keys, tubes occupying each) for blocks of
-    whole height bands; each block's keys are distinct, and blocks come in any order.
+    """Yield (first band, occupied cell keys, tubes occupying each, flip) for blocks
+    of whole height bands; each block's keys are distinct, and blocks come in any order.
 
     A block holds about _BLOCK_ROWS (tube, band) rows: several bands when tubes
     are few, one band when they are many.  A key packs (band - first band,
@@ -193,7 +193,9 @@ def _stamp(spec: TubeFamilySpec, k: int):
     from the block's distinct keys.
 
     Symmetric families stamp a quarter of their rows (see _symmetries): a central mirror's cells are
-    j -> -1 - j in the same band; bands -1 - b hold bands b, band offsets and flipped axes reversed.
+    j -> -1 - j in the same band.  ``flip`` is None, or the flipped axes when the block stands also
+    for its band reflection, whose cells are j -> -1 - j on those axes and on the band; that block
+    is yielded once, and each reduction weights it.
     """
     Y, W = spec.Y, spec.W
     m, d = len(Y), spec.family.n - 1
@@ -260,8 +262,9 @@ def _stamp(spec: TubeFamilySpec, k: int):
                     rows = counts.reshape(block.size, Kd)
                     rows[:, :Kd // 2] += rows[:, :Kd // 2 - 1:-1]
                     rows[:, :Kd // 2 - 1:-1] = rows[:, :Kd // 2]
-                else:
-                    _reverse_digit(keys[:used], 1, Kd, out=keys[used:2 * used])
+                else:  # a key's axis digits q become K^d - 1 - q: twice its band offset * K^d, less it, plus K^d - 1
+                    mirror = np.multiply(keys[:used] // Kd, Kd, out=keys[used:2 * used])  # band offset * K^d
+                    mirror += (Kd - 1) + mirror - keys[:used]  # no partial sum leaves the key space
                     used *= 2
         del r, sq, base  # free the last rows' temporaries before deduplicating
         if counted:
@@ -273,21 +276,7 @@ def _stamp(spec: TubeFamilySpec, k: int):
             axes = _digits(keys, K, d)[1:]
             inside = ((axes >= 2) & (axes < K - 2)).all(axis=0)
             keys, counts = keys[inside], counts[inside]
-        yield int(block[0]), keys, counts
-        if flip is not None:  # a block of one band has no band offset to reverse
-            keys = keys.copy()
-            for w, radix in [(step[a], K) for a in flip] + [(Kd, block.size)] * (block.size > 1):
-                _reverse_digit(keys, w, radix, out=keys)
-            yield -1 - int(block[-1]), keys, counts
-
-
-def _reverse_digit(keys: np.ndarray, w: int, radix: int, out: np.ndarray) -> None:
-    """keys with their base-radix digit of weight w reversed, into out; every step stays in the key space.
-    Floor division by a scalar runs about 8x faster than remainder (numpy 2.4), so the digit is found by two."""
-    t = np.subtract(keys // w * w if w > 1 else keys, keys // (w * radix) * (w * radix))  # digit * w
-    np.subtract(keys, t, out=out)
-    out -= t
-    out += (radix - 1) * w
+        yield int(block[0]), keys, counts, flip
 
 
 def _digits(keys: np.ndarray, K: int, d: int) -> np.ndarray:
@@ -329,9 +318,11 @@ def rasterize(spec: TubeFamilySpec, k: int) -> CellSet:
     if m * nb * (2 ** (n - 1)) > CELL_BUDGET:
         raise ResolutionTooFine(f"stamp budget exceeded: {m} tubes x {nb} bands x {2 ** (n - 1)} candidates")
     blocks = [np.empty((0, n), dtype=np.int64)]
-    for b0, keys, _ in _stamp(spec, k):
+    for b0, keys, _, flip in _stamp(spec, k):
         digits = _digits(keys, 2 ** (k + 1) + 6, n - 1)
         blocks.append(np.column_stack([*(digits[1:] - (2**k + 3)), digits[0] + b0]))
+        if flip is not None:  # the band reflection: j -> -1 - j on the flipped axes and the band
+            blocks.append(np.where(np.isin(np.arange(n), [*flip, n - 1]), -1 - blocks[-1], blocks[-1]))
     cells = np.concatenate(blocks)  # distinct: blocks hold disjoint bands
     return CellSet._of_rows(n, k, cells[np.lexsort(cells.T[::-1])])
 
@@ -342,9 +333,10 @@ def union_volume(spec: TubeFamilySpec, k: int) -> tuple[int, float]:
 
     No :class:`CellSet` is built and nothing larger than one block's keys is
     held, so this handles unions too large for one; the sweep commands count
-    cells this way.  Blocks are deduplicated as in :func:`rasterize`.
+    cells this way.  Blocks are deduplicated as in :func:`rasterize`; a block
+    that stands also for its band reflection counts twice.
     """
-    total = sum(keys.size for _, keys, _ in _stamp(spec, k))
+    total = sum(keys.size * (1 if flip is None else 2) for _, keys, _, flip in _stamp(spec, k))
     return total, (2.0**-k) ** spec.family.n * total
 
 
@@ -448,11 +440,14 @@ def covering_norm(spec: TubeFamilySpec, p_prime: float, k: int) -> float:
     band block is its overlap count.  The block totals are added with
     ``math.fsum``, so the result does not depend on the order in which the
     kernel yields its blocks (and is exact for p' = 2, whose totals are
-    integers).  ``p_prime`` must be finite and at least 1: the L^inf norm, the
+    integers).  A block that stands also for its band reflection adds twice its
+    total, which ``fsum`` adds exactly as it would the two equal totals.
+    ``p_prime`` must be finite and at least 1: the L^inf norm, the
     largest overlap count, is not a limit this sum can reach in floats."""
     if not 1 <= p_prime < math.inf:
         raise ValueError(f"p_prime must be finite and at least 1, got {p_prime}")
-    total = math.fsum(float(np.sum(counts.astype(float) ** p_prime)) for *_, counts in _stamp(spec, k))
+    total = math.fsum(float(np.sum(counts.astype(float) ** p_prime)) * (1 if flip is None else 2)
+                      for _, _, counts, flip in _stamp(spec, k))
     return float(((2.0**-k) ** spec.family.n * total) ** (1.0 / p_prime))
 
 

@@ -20,6 +20,7 @@ each access and not kept.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from dataclasses import dataclass
@@ -281,6 +282,35 @@ class RatioReport:
     max_side: int
 
 
+def _ratio_holds(n_diff: int, mx: int, p: int, q: int) -> bool:
+    """n_diff <= mx^(2 - p/q), that is n_diff^q <= mx^r with r = 2q - p, decided exactly without building
+    powers of a huge q; p/q in [0, 2] is in lowest terms, and 2 <= mx and n_diff <= mx^2 when n_diff >= 2."""
+    r = 2 * q - p
+    if n_diff <= 1:  # n_diff^q is n_diff, and mx^r >= 1 unless mx = 0 < r
+        return n_diff <= min(mx, 1) ** r
+    if n_diff == mx * mx:  # mx^(2q) <= mx^r only for p = 0; the logarithms would need about log10 q digits
+        return p == 0
+    if q < max(mx.bit_length(), 64):  # both powers have fewer than 2 max(bitlen(mx), 64) bitlen(mx) bits
+        return n_diff**q <= mx**r
+    # Equal powers would need n_diff = c^r and mx = c^q >= 2^q, as gcd(q, r) = gcd(q, p) = 1; here mx < 2^q
+    return _log_less(n_diff, q, mx, r)
+
+
+def _log_less(a: int, q: int, b: int, r: int) -> bool:
+    """a^q < b^r for integers a, b >= 2 and q, r >= 1 whose powers differ, from the sign of
+    x - y, x = q ln a and y = r ln b.  At P digits Decimal's ln and each product round correctly, so
+    x and y are each within a relative 3u, u = 5 * 10^-P, of their values, and a computed |x - y| above
+    10^(2-P) (x + y) has the exact sign.  x != y, so a doubling P decides."""
+    P = 30
+    while True:
+        ctx = decimal.Context(prec=P, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        x, y = ctx.multiply(ctx.ln(a), q), ctx.multiply(ctx.ln(b), r)
+        gap = ctx.subtract(x, y)
+        if ctx.abs(gap) > ctx.scaleb(ctx.add(x, y), 2 - P):
+            return gap < 0
+        P *= 2
+
+
 def check_ratio(A: LatticeSet, B: LatticeSet, G: Incidence, Xs: Sequence[RationalMatrix],
                 eps) -> RatioReport:
     """Test #(A-B) <= max(#A, #B, max_j #(A + X_j B))^(2 - eps), exactly.
@@ -299,9 +329,7 @@ def check_ratio(A: LatticeSet, B: LatticeSet, G: Incidence, Xs: Sequence[Rationa
     mx = max((A.size, B.size) + sum_sizes)
     if mx <= 1 and n_diff > 1:
         raise DegenerateInstance("max side is 1 but the difference set is larger")
-    # n_diff <= mx^(2 - p/q)  <=>  n_diff^q <= mx^(2q - p)
-    p, q = e.numerator, e.denominator
-    holds = n_diff**q <= mx ** (2 * q - p)
+    holds = _ratio_holds(n_diff, mx, e.numerator, e.denominator)
     exponent = math.log(n_diff) / math.log(mx) if mx >= 2 and n_diff >= 1 else None
     return RatioReport(
         holds=bool(holds),

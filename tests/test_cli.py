@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kakeya_lab as kl
+from kakeya_lab import cli
 from kakeya_lab.cli import fmt, main
 from kakeya_lab.sumsets import instance_to_json
 
@@ -322,6 +324,7 @@ REPROS = [
     ["counterexample", "--mode", "secular", "--fracs", "1/0", "--M", "3"],
     ["solve-heights", "--matrix", '{"dim": 2, "entries": [["1/0", 0], [0, 1]]}'],
     ["claim-check", "--family", "FAM", "--tubes", "TUBES", "--k", "3", "--l", "3", "--m", "0", "--K", "nan"],
+    ["claim-check", "--family", "FAM", "--tubes", "TUBES", "--k", HUGE, "--l", "3", "--m", "0"],
 ]
 
 
@@ -349,6 +352,60 @@ def test_bad_numbers_are_usage_errors(capsys, cli_files, argv):
     assert "Traceback" not in err
 
 
+def test_worstcase_n_is_refused_before_the_companion_matrix(capsys, monkeypatch):
+    # companion([0] * (n - 1)) builds an (n-1)^2 list before RationalMatrix refuses a dimension past MAX_DIM
+    def companion(coeffs):
+        raise AssertionError(f"companion built for n = {len(coeffs) + 1}")
+
+    monkeypatch.setattr(cli, "companion", companion)
+    for n in ("1000000", HUGE, "10", "1"):
+        code, out, err = run(capsys, "worstcase", "--n", n, "--ks", "1,2,3")
+        assert code == 2 and out == "" and err.startswith("error: argument --n: must lie in [2, 9]")
+
+
+BUDGET = kl.raster.CELL_BUDGET
+# per flag: the least and the largest value accepted (None: no upper bound), from what the command accepts
+INT_BOUNDS = {
+    ("worstcase", "--n"): (2, 9, ["--ks", "1,2,3"]),
+    ("counterexample", "--M"): (1, 2**15, ["--mode", "line"]),
+    ("hairbrush", "--threshold"): (1, None, ["--family", "f", "--tubes", "t"]),
+    **{("claim-check", flag): (-1, 1074, ["--family", "f", "--tubes", "t", "--k", "0", "--l", "0", "--m", "0"])
+       for flag in ("--k", "--l", "--m")},
+    ("locus", "--trials"): (100, BUDGET // 50, ["--matrix", SQUARE_ZERO, "--y0", "0,1", "--t0", "1/2"]),
+    ("iterate-eps", "--steps"): (0, BUDGET, ["--start", "1/6"]),
+}
+
+
+@pytest.mark.parametrize("command, flag", sorted(INT_BOUNDS))
+def test_integer_flags_are_bounded_at_parse_time(command, flag):
+    lo, hi, rest = INT_BOUNDS[command, flag]
+    parse = lambda v: getattr(cli.build_parser().parse_args([command, *rest, flag, str(v)]), flag[2:])
+    for v in (lo, hi) if hi is not None else (lo, int(HUGE)):
+        assert parse(v) == v
+    for v in (lo - 1, -int(HUGE)) + ((hi + 1, int(HUGE)) if hi is not None else ()):
+        with pytest.raises(kl.PreconditionViolation, match=f"argument {flag}: must"):
+            parse(v)
+
+
+def test_long_inline_matrix_is_not_taken_for_a_path(tmp_path, capsys):
+    # 295 characters without a "/": the file system refuses a name that long, so it must not be asked
+    matrix = json.dumps({"dim": 8, "entries": [[10 + 8 * i + j for j in range(8)] for i in range(8)]})
+    assert len(matrix) == 295
+    code, out, err = run(capsys, "solve-heights", "--matrix", matrix)
+    assert code == 1 and err == "" and json.loads(out)["result"]["reason"] == "unsupported_matrix_shape"
+    path = write_matrix(tmp_path, "C.json", kl.RationalMatrix.from_json(json.loads(matrix)))
+    code, out, err = run(capsys, "solve-heights", "--matrix", path)
+    assert code == 1 and json.loads(out)["result"]["reason"] == "unsupported_matrix_shape"
+
+
+def test_sumset_eps_with_a_huge_denominator(capsys, cli_files):
+    # eps = 10^-400 is decided without raising a size to the power 10^400
+    code, out, err = run(capsys, "sumset", "--instance", cli_files["INST"], "--eps", "1e-400")
+    assert code == 0 and err == ""
+    rep = kl.check_ratio(*kl.sumsets.load_instance(cli_files["INST"]), [], F(1, 10**400))
+    assert out.splitlines()[2].split(",")[2:5] == [str(rep.size_diff), str(rep.max_side), str(int(rep.holds))]
+
+
 def test_iterate_eps_start_keeps_its_float_parse(capsys):
     # text without a slash goes through float(), which keeps the sign of -0; p/q is rounded once from the rational
     for start, first in (("-0", "-0"), ("1/3", fmt(1 / 3))):
@@ -357,9 +414,10 @@ def test_iterate_eps_start_keeps_its_float_parse(capsys):
         assert json.loads(out[out.index("\n{"):])["config"]["start"] == start
 
 
-# a small pool of hostile tokens: zero denominators, a huge numerator, non-finite and empty values, wrong arity,
-# JSON with missing keys or bad entries, and files whose JSON lacks a key
-HOSTILE = ["1/0", "0/0", HUGE + "/1", "1e400", "nan", "inf", "-inf", "", "x", "1,2,3", "1", "0", "-1", ",",
+# a small pool of hostile tokens: zero denominators, a huge numerator and huge bare integers, non-finite and empty
+# values, wrong arity, JSON with missing keys or bad entries, and files whose JSON lacks a key
+HOSTILE = ["1/0", "0/0", HUGE + "/1", HUGE, "-" + HUGE, "1e400", "nan", "inf", "-inf", "", "x", "1,2,3", "1", "0",
+           "-1", ",",
            '{"dim": 2}', '{"entries": [[1, 0], [0, "2/0"]]}', '{"dim": 2, "entries": [["nan", 0], [0, 1]]}',
            "FAM_NO_C", "TUBES_NO_DELTA", "INST_NO_G", "MATRIX_PAST_FLOATS"]
 # per command, each flag's good values (None leaves the flag out); --ks, --trials, --M and --steps stay tiny

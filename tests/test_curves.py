@@ -415,6 +415,16 @@ class TestLocusDichotomy:
         for y in (F(1, 10**12), 1):
             rep = kl.locus_dichotomy_test(fam(WORST), (0, y), 0.5, trials=100, seed=1)
             assert (rep.omega_one_param, rep.y_one_param, rep.samples) == (True, False, 100)
+        # y0 is scaled by a power of two first, so every field is the same at any power of two, and the
+        # float diagnostics stay finite at 1e-400, where the centres themselves would underflow
+        reps = [kl.locus_dichotomy_test(fam(WORST), (0, y), F(1, 2), trials=100, seed=1)
+                for y in (1, F(1, 2**700), 2**700)]
+        assert reps[0] == reps[1] == reps[2] and reps[0].max_line_residual < 1e-15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = kl.locus_dichotomy_test(fam(WORST), (0, F(1, 10**400)), F(1, 2), trials=100, seed=1)
+        assert math.isfinite(tiny.max_line_residual) and math.isfinite(tiny.omega_offline_witness)
+        assert (tiny.omega_one_param, tiny.y_one_param, tiny.samples) == (True, False, 100)
 
 
 class TestHairbrushClaim:
@@ -612,8 +622,13 @@ def test_claim_triple_passes():
     # at |s - t_j| >= 2^-2 the curves of i and j are about |y_j - y_i| / 4 > 2 delta apart
     (lambda: kl.hairbrush_claim_check(CLAIM_FAMILY, CLAIM_CENTRAL, CLAIM_J, CLAIM_I, 3, 3, 3),
      kl.ConfigurationViolation, "do not meet"),
+    # delta 2^(l+m) >= 2 is past every gap of two heights in [-1, 1]: m = 6 reaches 2 exactly, m = 7 is the
+    # first the window check refuses, and at m = 1074 the window's ends are past the float range
+    *((lambda m=m: kl.hairbrush_claim_check(CLAIM_FAMILY, CLAIM_CENTRAL, CLAIM_J, CLAIM_I, 3, 3, m),
+       kl.ConfigurationViolation, "do not meet") for m in (6, 7, 1074)),
 ], ids=["params length", "delta 0", "delta 1", "n=2", "n=10", "C size", "diameter deltas", "trials",
-        "claim deltas", "l < k-2", "misses central", "no i-j meeting"])
+        "claim deltas", "l < k-2", "misses central", "no i-j meeting", "window at 2", "window past 2",
+        "window past floats"])
 def test_curves_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -250,6 +250,12 @@ def symmetric_family(seed, k, half, d_symmetric, C=None):
     return kl.TubeFamilySpec(kl.CurveFamily(n=3, C=C), Y=Y[perm], W=W[perm], delta=2.0**-k)
 
 
+def two_block_net(k):
+    """The n = 5 companion-block family C = J + J (two nilpotent 2x2 blocks) on the net y_2 = y_4 = 0."""
+    C = kl.RationalMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    return kl.build_worstcase_kakeya(C, k, directions=reduced_ball_net(k, {1, 3}, 4))
+
+
 class TestStamping:
     """The stamping kernel's candidate window and its symmetric shortcuts, against stamp_oracle."""
 
@@ -291,12 +297,27 @@ class TestStamping:
 
     def test_two_block_net_finds_both_symmetries(self):
         k = 3
-        C = kl.RationalMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
-        spec = kl.build_worstcase_kakeya(C, k, directions=reduced_ball_net(k, {1, 3}, 4))
+        spec = two_block_net(k)
         assert symmetries(spec, k) == (len(spec.Y) // 2, [1, 3])
-        want = stamp_oracle(spec, k)
-        assert kl.union_volume(spec, k)[0] == len(want)
-        assert kl.covering_norm(spec, 2.0, k) == ((2.0**-k) ** 5 * sum(c * c for c in want.values())) ** 0.5
+        want = assert_stamps_match_oracle(spec, k)
+        assert len(want) == 11_264
+
+    @pytest.mark.parametrize("k, spec, flip", [(5, kl.build_worstcase_kakeya(WORST, 5), [1]),
+                                               (3, two_block_net(3), [1, 3])],
+                             ids=["n=3 worst case", "n=5 two-block net"])
+    def test_band_reflected_blocks_are_stamped_once(self, k, spec, flip, monkeypatch):
+        # every block the reductions see is a stamped one, bands b >= 0; they weight it for bands -1 - b
+        seen, stamp = [], raster._stamp
+
+        def stamp_spy(spec, k):
+            for block in stamp(spec, k):
+                seen.append((block[0], block[-1]))
+                yield block
+
+        monkeypatch.setattr(raster, "_stamp", stamp_spy)
+        cells = kl.rasterize(spec, k).cells
+        assert seen and all(b0 >= 0 and f == flip for b0, f in seen)
+        assert kl.union_volume(spec, k)[0] == len(cells) and (cells[:, -1] < 0).sum() * 2 == len(cells)
 
 
 @settings(max_examples=200, deadline=None)

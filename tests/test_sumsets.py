@@ -1,16 +1,17 @@
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kakeya_lab as kl
-from kakeya_lab.sumsets import (_discard_to_distinct_differences, _keys, _sums, _trapezia, instance_from_json,
-                               instance_to_json)
+from kakeya_lab.sumsets import (_discard_to_distinct_differences, _keys, _log_less, _ratio_holds, _sums,
+                               _trapezia, instance_from_json, instance_to_json)
 
 from conftest import sumset_oracle, trapezium_oracle
 
@@ -150,6 +151,16 @@ class TestCheckRatio:
     def test_string_eps_is_exact(self):
         A, B = kl.LatticeSet.of([(0, 0), (7, 3)]), kl.LatticeSet.of([(0, 0), (1, 0)])
         assert kl.check_ratio(A, B, full(A, B), [], "1/6") == kl.check_ratio(A, B, full(A, B), [], F(1, 6))
+
+    @pytest.mark.parametrize("digits", [400, 4000])
+    def test_huge_eps_denominator_is_decided_without_its_powers(self, digits):
+        # eps = 10^-digits, whose n_diff^q would have about 10^digits bits; #(A - B) = 9 = 3^2 > 3^(2 - eps)
+        A = kl.LatticeSet.of([(0, 0), (1, 0), (2, 0)])
+        for B, size_diff, holds in ((A, 5, True), (kl.LatticeSet.of([(0, 0), (0, 1), (0, 2)]), 9, False)):
+            start = time.perf_counter()
+            rep = kl.check_ratio(A, B, full(A, B), [], F(1, 10**digits))
+            assert time.perf_counter() - start < 1.0
+            assert (rep.size_diff, rep.max_side, rep.holds) == (size_diff, 3, holds)
 
     @pytest.mark.parametrize("seed", range(200))
     def test_sixth_power_inequality_smoke(self, seed):
@@ -734,6 +745,34 @@ class TestTrapeziumBound:
         count, ok = _trapezia(G, X, X + kl.RationalMatrix.identity(2), wrong)
         assert count == _trapezia(G, X, X + kl.RationalMatrix.identity(2), X.inverse())[0] > 0
         assert not ok
+
+
+@st.composite
+def ratio_cases(draw):
+    """(n_diff, mx, p, q): eps = p/q in [0, 2] in lowest terms with q <= 60, and n_diff <= mx^2 with mx >= 2
+    when n_diff >= 2; a third of them exact ties n_diff = c^(2q - p), mx = c^q or one off them."""
+    e = F(draw(st.integers(0, 120)), draw(st.integers(1, 60)))
+    assume(e <= 2)
+    p, q = e.numerator, e.denominator
+    if draw(st.integers(0, 2)) == 0:
+        c, off = draw(st.integers(2, 5)), draw(st.sampled_from((-1, 0, 1)))
+        return c ** (2 * q - p) + off, c**q, p, q
+    mx = draw(st.integers(2, 70) | st.integers(2, 2**64))  # small ones take the logarithm branch
+    return draw(st.integers(0, mx * mx)), mx, p, q
+
+
+@settings(max_examples=400, deadline=None)
+@example((9, 3, 1, 59))  # #(A - B) = mx^2 and eps = 1/59: n_diff^59 = 3^118 > 3^117, a relative gap of 1/236
+@example((8, 3, 1, 59))
+@example((1, 0, 1, 6))  # 1^6 > 0^11
+@example((0, 0, 2, 1))  # 0^1 <= 0^0 = 1
+@given(ratio_cases())
+def test_ratio_verdict_matches_the_exact_powers(case):
+    n_diff, mx, p, q = case
+    want = n_diff**q <= mx ** (2 * q - p)
+    assert _ratio_holds(n_diff, mx, p, q) == want
+    if n_diff >= 2 and q >= mx.bit_length():  # the powers differ; _ratio_holds calls _log_less only past q = 63
+        assert _log_less(n_diff, q, mx, 2 * q - p) == want
 
 
 LINE_3 = kl.gen_line_counterexample(SHEAR, 3)  # (A, B, G)
