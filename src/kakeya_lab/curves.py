@@ -25,12 +25,14 @@ from .errors import (
     HeightOutOfSupport,
     IdenticalCurves,
     PreconditionViolation,
+    ResolutionTooFine,
     SingularConfiguration,
     reading_json,
 )
 from .exact import RationalMatrix, rat
 
 _SLAB = 2**15  # float64 elements of _centres' scratch: 256 KB, a slab that stays in cache
+MAX_K = 12  # the finest supported resolution is delta = 2^-MAX_K, for grids and height samples alike
 
 Vector = tuple
 
@@ -259,7 +261,8 @@ def intersection_diameter(
     """Measured diameter of the intersection of two tubes, plus |y1 - y2|.
 
     Height sampling at step delta/4 (or ``samples`` points, at least 2, else
-    :class:`PreconditionViolation`); each slice is the lens cut from two
+    :class:`PreconditionViolation`; a delta below 2^-MAX_K raises
+    :class:`ResolutionTooFine`); each slice is the lens cut from two
     radius-delta discs, represented by its extreme points, all slices at once.
     Returns (0.0, separation) when the tubes are disjoint.
     """
@@ -268,7 +271,7 @@ def intersection_diameter(
     delta = float(tube1.delta)
     sep = float(np.linalg.norm(_as_float_vec(tube1.params.y) - _as_float_vec(tube2.params.y)))
     if samples is None:
-        samples = int(math.ceil(8.0 / delta)) + 1
+        samples = _height_samples(8.0, delta)
     if samples < 2:
         raise PreconditionViolation(f"need at least 2 height samples, got {samples}")
     ts = np.linspace(-1.0, 1.0, samples)
@@ -445,10 +448,17 @@ class ClaimReport:
     meet_heights: tuple[float, float, float]  # (t_j, t_i, s)
 
 
+def _height_samples(per_unit: float, delta: float) -> int:
+    """ceil(per_unit / delta) + 1 heights; :class:`ResolutionTooFine` past their count at delta = 2^-MAX_K."""
+    if delta < 2.0**-MAX_K:
+        raise ResolutionTooFine(f"delta = {delta:.3g} is below 2^-{MAX_K}, the finest supported resolution")
+    return math.ceil(per_unit / delta) + 1
+
+
 def _nearest_approach(family, pa: CurveParams, pb: CurveParams, delta: float, window=None):
     """(height, distance) of the closest approach, optionally restricted to
     heights t with |t - window[0]| in [window[1], window[2]]."""
-    ts = np.linspace(-1.0, 1.0, int(math.ceil(16.0 / delta)) + 1)
+    ts = np.linspace(-1.0, 1.0, _height_samples(16.0, delta))
     if window is not None:
         centre, lo, hi = window
         gap = np.abs(ts - centre)

@@ -1,7 +1,9 @@
 """Exact rational scalars, small dense matrices and polynomials.
 
 Everything here is exact: scalars are ``fractions.Fraction``, matrix and
-polynomial arithmetic never rounds.  Floats appear only as outputs:
+polynomial arithmetic never rounds.  :meth:`RationalMatrix.det` is the one
+determinant: :func:`det_poly` interpolates the determinant of a matrix
+polynomial from its values at integer points.  Floats appear only as outputs:
 :meth:`RationalMatrix.to_float`, and :func:`real_roots`, which decides every
 sign exactly and rounds each root once, to one of the two floats around it.
 """
@@ -273,7 +275,7 @@ class Polynomial:
     def __call__(self, x):
         out = 0
         for c in reversed(self.coeffs):
-            out = out * x + (c if isinstance(x, (Fraction, int)) else float(c))
+            out = out * x + c
         return out
 
     def derivative(self) -> "Polynomial":
@@ -304,76 +306,43 @@ class Polynomial:
         return None
 
 
-class PolyMatrix:
-    """Square matrix of polynomials with an exact, division-free determinant."""
+def det_poly(parts: Sequence[RationalMatrix]) -> Polynomial:
+    """det(A_0 + t A_1 + t^2 A_2 + ...) for ``parts = [A_0, A_1, ...]``, exactly.
 
-    __slots__ = ("dim", "rows")
-
-    def __init__(self, rows: Sequence[Sequence[Polynomial]]):
-        rows = tuple(tuple(rows[i]) for i in range(len(rows)))
-        dim = len(rows)
-        if dim == 0 or any(len(r) != dim for r in rows):
-            raise ValueError("matrix must be square and non-empty")
-        if dim > MAX_DIM:
-            raise ValueError(f"dimension {dim} exceeds the supported maximum {MAX_DIM}")
-        if any(not isinstance(e, Polynomial) for r in rows for e in r):
-            raise TypeError("entries must be Polynomial")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyMatrix is immutable")
-
-    def det(self) -> Polynomial:
-        # Cofactor expansion down the leading column of each minor, memoised on
-        # the surviving row set.  Division-free, so exact over the polynomial ring.
-        n = self.dim
-        rows = self.rows
-        memo: dict[int, Polynomial] = {}
-
-        def minor(row_mask: int, col: int) -> Polynomial:
-            if col == n:
-                return Polynomial([1])
-            cached = memo.get(row_mask)
-            if cached is not None:
-                return cached
-            total = Polynomial([])
-            sign = 1
-            for i in range(n):
-                if not (row_mask >> i) & 1:
-                    continue
-                e = rows[i][col]
-                if not e.is_zero():
-                    sub = minor(row_mask & ~(1 << i), col + 1)
-                    term = e * sub
-                    total = total + term if sign > 0 else total - term
-                sign = -sign
-            memo[row_mask] = total
-            return total
-
-        return minor((1 << n) - 1, 0)
+    Its degree is at most D = dim * (len(parts) - 1), so its values at t = 0, 1, ..., D fix it.
+    Each value is a :meth:`RationalMatrix.det` of the integer matrix L * A(t), L the lcm of every
+    entry's denominator; Newton's forward differences on these nodes then give D! L^dim times
+    the polynomial in integers.
+    """
+    dim = parts[0].dim
+    if any(a.dim != dim for a in parts):
+        raise ValueError("dimension mismatch")
+    forms = [a.integer_form() for a in parts]
+    L = math.lcm(*(l for l, _ in forms))
+    scaled = [[[e * (L // l) for e in row] for row in rows] for l, rows in forms]
+    D = dim * (len(parts) - 1)
+    ys = [int(RationalMatrix([[sum(t**k * a[i][j] for k, a in enumerate(scaled)) for j in range(dim)]
+                              for i in range(dim)]).det()) for t in range(D + 1)]
+    for k in range(1, D + 1):  # in place: ys[k] becomes the k-th forward difference at t = 0
+        for t in range(D, k - 1, -1):
+            ys[t] -= ys[t - 1]
+    # Horner on the Newton form sum_k ys[k] / k! * t (t - 1) ... (t - k + 1), times D!
+    out, scale = [], 1
+    for k in range(D, -1, -1):
+        out = [0] + out
+        for i in range(len(out) - 1):
+            out[i] -= k * out[i + 1]
+        out[0] += ys[k] * scale
+        scale *= k
+    den = math.factorial(D) * L**dim
+    return Polynomial([Fraction(c, den) for c in out])
 
 
-def poly_combination(dim: int, parts: Sequence[tuple[RationalMatrix | None, Polynomial]]) -> PolyMatrix:
-    """Build sum_k p_k(t) * M_k as a PolyMatrix (``None`` stands for the identity)."""
-    rows = [[Polynomial([]) for _ in range(dim)] for _ in range(dim)]
-    for mat, poly in parts:
-        for i in range(dim):
-            for j in range(dim):
-                coef = (1 if i == j else 0) if mat is None else mat[i, j]
-                if coef != 0:
-                    rows[i][j] = rows[i][j] + poly * coef
-    return PolyMatrix(rows)
-
-
-def companion(poly_coeffs: Sequence, l: int | None = None) -> RationalMatrix:
+def companion(poly_coeffs: Sequence) -> RationalMatrix:
     """Companion matrix with coefficients c_1..c_l down the first column and a
     superdiagonal of ones."""
     coeffs = [rat(c) for c in poly_coeffs]
-    if l is None:
-        l = len(coeffs)
-    if l < 1 or len(coeffs) != l:
-        raise ValueError(f"need exactly l >= 1 coefficients, got {len(coeffs)} for l={l}")
+    l = len(coeffs)
     rows = [[Fraction(0)] * l for _ in range(l)]
     for i in range(l):
         rows[i][0] = coeffs[i]
@@ -394,9 +363,7 @@ def nilpotency(c: RationalMatrix) -> tuple[bool, int | None]:
 
 def char_poly(c: RationalMatrix) -> Polynomial:
     """Exact characteristic polynomial det(c - t*I)."""
-    return poly_combination(
-        c.dim, [(c, Polynomial([1])), (None, Polynomial([0, -1]))]
-    ).det()
+    return det_poly([c, -RationalMatrix.identity(c.dim)])
 
 
 def _squarefree_part(p: Polynomial) -> Polynomial:

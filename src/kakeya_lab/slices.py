@@ -23,7 +23,7 @@ from .exact import (
     char_poly,
     companion,
     count_real_roots,
-    poly_combination,
+    det_poly,
     rat,
     real_roots,
 )
@@ -131,7 +131,7 @@ def check_nondegenerate(C: RationalMatrix) -> bool:
 
     Equivalent to every real eigenvalue of C lying in (-1/2, 1/2).
     """
-    p = poly_combination(C.dim, [(None, Polynomial([1])), (C, Polynomial([0, 2]))]).det()  # p(0) = 1
+    p = det_poly([RationalMatrix.identity(C.dim), 2 * C])  # p(0) = 1
     return count_real_roots(p, Fraction(-1), Fraction(1)) == 0
 
 
@@ -520,10 +520,7 @@ def w_matrix(C: RationalMatrix) -> RationalMatrix:
 
 def direction_map_det(C: RationalMatrix, W: RationalMatrix) -> Polynomial:
     """det(W - tI - t^2 C), exactly."""
-    return poly_combination(
-        C.dim,
-        [(W, Polynomial([1])), (None, Polynomial([0, -1])), (C, Polynomial([0, 0, -1]))],
-    ).det()
+    return det_poly([W, -RationalMatrix.identity(C.dim), -C])
 
 
 def vanishing_order(C: RationalMatrix, W: RationalMatrix) -> float:

@@ -325,6 +325,9 @@ REPROS = [
     ["solve-heights", "--matrix", '{"dim": 2, "entries": [["1/0", 0], [0, 1]]}'],
     ["claim-check", "--family", "FAM", "--tubes", "TUBES", "--k", "3", "--l", "3", "--m", "0", "--K", "nan"],
     ["claim-check", "--family", "FAM", "--tubes", "TUBES", "--k", HUGE, "--l", "3", "--m", "0"],
+    # tubes finer than 2^-MAX_K: refused before their height samples are allocated
+    ["claim-check", "--family", "FAM", "--tubes", "TUBES_1e-7", "--k", "2", "--l", "4", "--m", "0"],
+    ["claim-check", "--family", "FAM", "--tubes", "TUBES_1e-300", "--k", "2", "--l", "4", "--m", "0"],
 ]
 
 
@@ -336,6 +339,8 @@ def cli_files(tmp_path_factory):
     docs = {"INST": instance_to_json(*kl.random_instance(5)), "FAM": {"n": 3, "C": json.loads(SQUARE_ZERO)},
             "TUBES": [{"y": y, "omega": w, "delta": 2.0**-8} for y, w in
                       (([0, 0], [0, 0]), ([0.1125, 0], [0.045, 0]), ([0.0723, 0.0862], [0.042712, 0.03448]))],
+            **{name: [{"y": y, "omega": [0, 0], "delta": d} for y in ([0, 0], [0.2, 0], [0.2, 0.05])]
+               for name, d in (("TUBES_1e-7", 1e-7), ("TUBES_1e-300", 1e-300))},
             "FAM_NO_C": {"n": 3}, "TUBES_NO_DELTA": [{"y": [0.2, 0.1], "omega": [0, 0]}],
             "INST_NO_G": {"dim": 2, "A": [[0, 0]], "B": [[1, 1]]},
             "MATRIX_PAST_FLOATS": {"dim": 2, "entries": [[int(HUGE), 1], [1, 0]]}}

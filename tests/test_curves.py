@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kakeya_lab as kl
-from kakeya_lab.curves import _minimax_line_residual
+from kakeya_lab.curves import MAX_K, _minimax_line_residual
 
 from conftest import crossing_tube_pair, diameter_oracle
 
@@ -599,6 +599,15 @@ def test_claim_triple_passes():
     assert kl.hairbrush_claim_check(CLAIM_FAMILY, CLAIM_CENTRAL, CLAIM_J, CLAIM_I, 3, 3, 0).passed
 
 
+def test_height_sampling_stops_at_the_finest_resolution():
+    # 8 / delta + 1 heights at delta = 2^-MAX_K are sampled; one float finer is refused before any allocation
+    finest = [_claim_tube(y, (0, 0), 2.0**-MAX_K) for y in ((0.25, 0), (0, 0))]
+    assert kl.intersection_diameter(CLAIM_FAMILY, *finest)[0] > 0
+    finer = [_claim_tube(y, (0, 0), math.nextafter(2.0**-MAX_K, 0)) for y in ((0.25, 0), (0, 0))]
+    with pytest.raises(kl.ResolutionTooFine, match="finest supported resolution"):
+        kl.intersection_diameter(CLAIM_FAMILY, *finer)
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: kl.CurveParams(y=(0.1, 0.2), omega=(0.0,)), ValueError, "equal length"),
     (lambda: kl.TubeSpec(params=kl.CurveParams(y=(0.1,), omega=(0.0,)), delta=0.0), ValueError, "delta"),
@@ -609,10 +618,16 @@ def test_claim_triple_passes():
     (lambda: kl.intersection_diameter(CLAIM_FAMILY, CLAIM_J, _claim_tube((0.0723, 0.0862), (0.042712, 0.03448),
                                                                           2.0**-7)),
      kl.ConfigurationViolation, "share delta"),
+    (lambda: kl.intersection_diameter(CLAIM_FAMILY, *[_claim_tube((0.1, 0), (0, 0), 1e-300)] * 2),
+     kl.ResolutionTooFine, "finest supported resolution"),
     (lambda: kl.locus_dichotomy_test(CLAIM_FAMILY, (0, 1), F(1, 2), trials=99), ValueError, "100 trials"),
     (lambda: kl.hairbrush_claim_check(CLAIM_FAMILY, CLAIM_CENTRAL, CLAIM_J,
                                       _claim_tube((0.0723, 0.0862), (0.042712, 0.03448), 2.0**-7), 3, 3, 0),
      kl.ConfigurationViolation, "share delta"),
+    # without a bound, delta = 1e-7 would sample 1.6e8 heights per approach: 2.38 GiB of centres
+    (lambda: kl.hairbrush_claim_check(CLAIM_FAMILY, *(_claim_tube(y, (0, 0), 1e-7) for y in
+                                                      ((0, 0), (0.2, 0), (0.2, 0.05))), 2, 4, 0),
+     kl.ResolutionTooFine, "finest supported resolution"),
     # |y_j - y_i| <= 2 * 2^-k bounds l from below by k - 1, so l < k - 2 fails a dyadic shell first
     (lambda: kl.hairbrush_claim_check(CLAIM_FAMILY, CLAIM_CENTRAL, CLAIM_J, CLAIM_I, 3, 0, 0),
      kl.ConfigurationViolation, "dyadic shell"),
@@ -626,9 +641,9 @@ def test_claim_triple_passes():
     # first the window check refuses, and at m = 1074 the window's ends are past the float range
     *((lambda m=m: kl.hairbrush_claim_check(CLAIM_FAMILY, CLAIM_CENTRAL, CLAIM_J, CLAIM_I, 3, 3, m),
        kl.ConfigurationViolation, "do not meet") for m in (6, 7, 1074)),
-], ids=["params length", "delta 0", "delta 1", "n=2", "n=10", "C size", "diameter deltas", "trials",
-        "claim deltas", "l < k-2", "misses central", "no i-j meeting", "window at 2", "window past 2",
-        "window past floats"])
+], ids=["params length", "delta 0", "delta 1", "n=2", "n=10", "C size", "diameter deltas", "diameter too fine",
+        "trials", "claim deltas", "claim too fine", "l < k-2", "misses central", "no i-j meeting", "window at 2",
+        "window past 2", "window past floats"])
 def test_curves_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kakeya_lab as kl
-from kakeya_lab.exact import Polynomial, PolyMatrix, poly_combination, real_roots
+from kakeya_lab.exact import Polynomial, det_poly, real_roots
 
 from conftest import rational_det_by_elimination, within_one_ulp_of_a_root
 
@@ -82,14 +83,38 @@ class TestCompanion:
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            kl.companion([1, 2], l=3)
+            kl.companion([])
+
+
+def _random_matrix(rng, dim):
+    return kl.RationalMatrix([[F(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) for _ in range(dim)]
+                              for _ in range(dim)])
+
+
+def _leibniz_det(parts):
+    """det(sum_k t^k parts[k]) as the signed sum over permutations of products of polynomial entries."""
+    dim = parts[0].dim
+    entry = [[Polynomial([a[i, j] for a in parts]) for j in range(dim)] for i in range(dim)]
+    total = Polynomial([])
+    for perm in itertools.permutations(range(dim)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Polynomial([(-1) ** inversions])
+        for i, j in enumerate(perm):
+            term = term * entry[i][j]
+        total = total + term
+    return total
 
 
 class TestPolyMatrixDet:
+    """det_poly: the determinant of a matrix polynomial, interpolated from RationalMatrix.det."""
+
     def test_diagonal(self):
-        t = Polynomial([0, 1])
-        m = PolyMatrix([[t, Polynomial([])], [Polynomial([]), t]])
-        assert m.det() == Polynomial([0, 0, 1])
+        assert det_poly([kl.RationalMatrix.zero(2), kl.RationalMatrix.identity(2)]) == Polynomial([0, 0, 1])
+
+    def test_det_poly_matches_manual(self):
+        # det(I + 2tC) for C = [[1, 2], [3, 4]]: (1 + 2t)(1 + 8t) - 4t * 6t
+        C = kl.RationalMatrix([[1, 2], [3, 4]])
+        assert det_poly([kl.RationalMatrix.identity(2), 2 * C]) == Polynomial([1, 10, -8])
 
     def test_w_construction_example(self):
         C = kl.RationalMatrix([[3, 1], [5, 0]])
@@ -98,10 +123,34 @@ class TestPolyMatrixDet:
         assert d == Polynomial([0, 0, 0, 3, -5])
 
     def test_zero_row(self):
-        z = Polynomial([])
-        t = Polynomial([0, 1])
-        m = PolyMatrix([[z, z], [t, t]])
-        assert m.det().is_zero()
+        assert det_poly([kl.RationalMatrix.zero(2), kl.RationalMatrix([[0, 0], [1, 1]])]).is_zero()
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_full_degree(self, parts):
+        # the t^(dim (parts - 1)) coefficient is det(last part): one interpolation node short loses it
+        rng = np.random.default_rng(parts)
+        for dim in range(1, 5):
+            last = kl.RationalMatrix([[F(int(rng.integers(1, 5)), int(rng.integers(1, 4))) if i == j else
+                                       (F(int(rng.integers(-4, 5))) if j > i else 0) for j in range(dim)]
+                                      for i in range(dim)])
+            p = det_poly([_random_matrix(rng, dim) for _ in range(parts - 1)] + [last])
+            assert p.degree == dim * (parts - 1) and p.coeffs[-1] == last.det() != 0
+
+    def test_against_leibniz_expansion(self):
+        rng = np.random.default_rng(24)
+        for dim in range(1, 5):
+            for count in range(1, 4):
+                for _ in range(3):
+                    parts = [_random_matrix(rng, dim) for _ in range(count)]
+                    assert det_poly(parts) == _leibniz_det(parts)
+
+    @pytest.mark.parametrize("C", [kl.RationalMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]),
+                                   kl.companion([0, 0])], ids=["two blocks", "square zero"])
+    def test_identically_zero_direction_map(self, C):
+        # det(W - tI - t^2 C) vanishes at every node, so the interpolant is the zero polynomial
+        W = kl.w_matrix(C)
+        assert det_poly([W, -kl.RationalMatrix.identity(C.dim), -C]).is_zero()
+        assert kl.direction_map_det(C, W).is_zero() and kl.vanishing_order(C, W) == math.inf
 
     def test_against_pointwise_rational_determinants(self):
         # evaluate the polynomial det at 20 rational points and compare with
@@ -168,6 +217,17 @@ class TestPolynomialUtilities:
         p = Polynomial([1, -2, 1])  # (t-1)^2
         assert kl.count_real_roots(p, F(0), F(2)) == 1
 
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=200, deadline=None)
+    def test_float_evaluation_is_the_float_horner_loop(self, x):
+        # out * x + c adds float(c) once out is a float, so p(x) is Horner over the rounded coefficients
+        p = Polynomial([F(1, 3), -2, F(5, 7), F(-1, 10**20), F(10**30, 3)])
+        want = 0.0
+        for c in reversed(p.coeffs):
+            want = want * x + float(c)
+        got = p(x)
+        assert type(got) is float and got.hex() == want.hex()
+
 
 class TestRealRoots:
     def test_matches_np_roots_on_separated_roots(self):
@@ -227,17 +287,6 @@ class TestRealRoots:
             real_roots(Polynomial([1, 1]), 1.0, 1.0)
 
 
-def test_poly_combination_matches_manual():
-    C = kl.RationalMatrix([[1, 2], [3, 4]])
-    pm = poly_combination(2, [(None, Polynomial([1])), (C, Polynomial([0, 2]))])
-    # entry (0,0) = 1 + 2t, entry (0,1) = 4t
-    assert pm.rows[0][0] == Polynomial([1, 2])
-    assert pm.rows[0][1] == Polynomial([0, 4])
-
-
-ONE = Polynomial([1])
-
-
 @pytest.mark.parametrize("call, error, match", [
     (lambda: kl.RationalMatrix([[1, "x"], [0, 1]]), ValueError, "Invalid literal"),
     (lambda: kl.RationalMatrix([[1, None], [0, 1]]), TypeError, "as a rational"),
@@ -249,15 +298,16 @@ ONE = Polynomial([1])
     (lambda: kl.RationalMatrix.from_json({"dim": 3, "entries": [[1, 0], [0, 1]]}), ValueError, "declared dimension"),
     (lambda: kl.RationalMatrix.from_json({"dim": 2, "entries": [[10**400, 0], [0, 1]]}), kl.PreconditionViolation,
      "past the float range"),
-    (lambda: PolyMatrix([[ONE, ONE]]), ValueError, "square"),
-    (lambda: PolyMatrix([[ONE] * 9 for _ in range(9)]), ValueError, "maximum 8"),
-    (lambda: PolyMatrix([[ONE, 1], [ONE, ONE]]), TypeError, "Polynomial"),
+    (lambda: det_poly([kl.RationalMatrix([[1, 1]])]), ValueError, "square"),
+    (lambda: det_poly([kl.RationalMatrix.identity(9)]), ValueError, "maximum 8"),
+    (lambda: det_poly([kl.RationalMatrix.identity(2), kl.RationalMatrix.identity(3)]), ValueError,
+     "dimension mismatch"),
     (lambda: Polynomial([1, 1]).divmod(Polynomial([])), ZeroDivisionError, "by zero"),
     (lambda: kl.count_real_roots(Polynomial([0]), F(0), F(1)), ValueError, "zero polynomial"),
     (lambda: kl.count_real_roots(Polynomial([-1, 1]), F(1), F(0)), ValueError, "empty interval"),
 ], ids=["rat text", "rat None", "rat float", "not square", "empty", "mat_vec", "rat p/0", "from_json dim",
          "from_json past floats",
-        "poly not square", "poly too big", "poly entry", "divmod zero", "count zero", "count empty"])
+        "poly not square", "poly too big", "poly parts mismatch", "divmod zero", "count zero", "count empty"])
 def test_exact_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
