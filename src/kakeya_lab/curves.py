@@ -33,6 +33,7 @@ from .exact import RationalMatrix, rat
 
 _SLAB = 2**15  # float64 elements of _centres' scratch: 256 KB, a slab that stays in cache
 MAX_K = 12  # the finest supported resolution is delta = 2^-MAX_K, for grids and height samples alike
+CELL_BUDGET = 2**30  # the most cells a grid, or pair distances a diameter, may take
 
 Vector = tuple
 
@@ -263,7 +264,8 @@ def intersection_diameter(
     Height sampling at step delta/4 (or ``samples`` points, at least 2, else
     :class:`PreconditionViolation`; a delta below 2^-MAX_K raises
     :class:`ResolutionTooFine`); each slice is the lens cut from two
-    radius-delta discs, represented by its extreme points, all slices at once.
+    radius-delta discs, represented by its extreme points, all slices at once;
+    past sqrt(CELL_BUDGET) points, :class:`ResolutionTooFine` before any pair.
     Returns (0.0, separation) when the tubes are disjoint.
     """
     if float(tube1.delta) != float(tube2.delta):
@@ -296,6 +298,8 @@ def intersection_diameter(
     pts = [mid[lens] + half * perp, mid[lens] - half * perp] + [mid[~lens] + e for e in disc]
     heights = [t[lens]] * 2 + [t[~lens]] * len(disc)
     P = np.vstack([np.concatenate(pts).T, np.concatenate(heights)])  # axis-major (d + 1, points)
+    if P.shape[1] ** 2 > CELL_BUDGET:
+        raise ResolutionTooFine(f"{P.shape[1]} lens points: their pair distances exceed the budget {CELL_BUDGET}")
     # max pairwise distance, in blocks of about 2^20 pairs to bound memory
     best, rows = 0.0, max(1, 2**20 // P.shape[1])
     for i in range(0, P.shape[1], rows):
@@ -553,6 +557,8 @@ def tubes_to_json(tubes: Sequence[TubeSpec]) -> list:
 
 def tubes_from_json(obj: list) -> list[TubeSpec]:
     with reading_json("tube list"):
+        if any(isinstance(v, bool) for d in obj for v in [*d["y"], *d["omega"], d["delta"]]):
+            raise PreconditionViolation("tube list JSON holds a boolean where a number belongs")
         return [
             TubeSpec(params=CurveParams(y=tuple(d["y"]), omega=tuple(d["omega"])), delta=d["delta"])
             for d in obj

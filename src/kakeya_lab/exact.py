@@ -1,9 +1,11 @@
 """Exact rational scalars, small dense matrices and polynomials.
 
 Everything here is exact: scalars are ``fractions.Fraction``, matrix and
-polynomial arithmetic never rounds.  :meth:`RationalMatrix.det` is the one
-determinant: :func:`det_poly` interpolates the determinant of a matrix
-polynomial from its values at integer points.  Floats appear only as outputs:
+polynomial arithmetic never rounds.  One fraction-free integer elimination
+gives the determinant and the adjugate together: :meth:`RationalMatrix.det`,
+:meth:`RationalMatrix.inverse` and :func:`det_poly`, which interpolates the
+determinant of a matrix polynomial from its values at integer points, all call
+it.  Floats appear only as outputs:
 :meth:`RationalMatrix.to_float`, and :func:`real_roots`, which decides every
 sign exactly and rounds each root once, to one of the two floats around it.
 """
@@ -28,7 +30,7 @@ def rat(x) -> Fraction:
     """Coerce an int, Fraction or ``"p/q"`` string to an exact rational; ``"p/0"`` raises PreconditionViolation."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):  # JSON's true and false are not numbers
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -38,6 +40,30 @@ def rat(x) -> Fraction:
 
 def _rat_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, list | None]:
+    """(det M, adj M) of a square integer matrix M; (0, None) when M is singular.
+
+    Fraction-free Gauss-Jordan (Bareiss's elimination in Montante's form) on the rows [M | I]: with pivot
+    p at step k and the previous pivot q, every other row i becomes (p row_i - m_ik row_k) / q, an exact
+    division.  At the end every pivot is det M and the right half is adj M, times the swaps' sign."""
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    q, sign = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        p, top = m[k][k], m[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * a - f * b) // q for a, b in zip(m[i], top)]
+        q = p
+    return sign * q, [[sign * e for e in r[n:]] for r in m]
 
 
 class RationalMatrix:
@@ -141,27 +167,8 @@ class RationalMatrix:
         return out
 
     def det(self) -> Fraction:
-        # Gaussian elimination; exact, so no pivot-size concerns.
-        m = [list(r) for r in self.rows]
-        n = self.dim
-        sign = 1
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                sign = -sign
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                f = m[r][c] * inv
-                if f == 0:
-                    continue
-                for j in range(c, n):
-                    m[r][j] -= f * m[c][j]
-        return sign * det
+        L, rows = self.integer_form()
+        return Fraction(_eliminate(rows)[0], L**self.dim)
 
     def integer_form(self) -> tuple[int, tuple]:
         """(L, L * rows): L the lcm of the entries' denominators, the scaled rows as tuples of ints."""
@@ -171,25 +178,14 @@ class RationalMatrix:
         return self._memo["integer"]
 
     def inverse(self) -> "RationalMatrix":
-        """The exact inverse, derived once per matrix; :class:`SingularMatrix` when the determinant is 0."""
-        if "inverse" in self._memo:
-            return self._memo["inverse"]
-        n = self.dim
-        m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
+        """The exact inverse L adj(L M) / det(L M), derived once; :class:`SingularMatrix` when the determinant is 0."""
+        if "inverse" not in self._memo:
+            L, rows = self.integer_form()
+            det, adj = _eliminate(rows)
+            if not det:
                 raise SingularMatrix("matrix has zero determinant")
-            m[c], m[piv] = m[piv], m[c]
-            inv = 1 / m[c][c]
-            m[c] = [e * inv for e in m[c]]
-            for r in range(n):
-                if r == c or m[r][c] == 0:
-                    continue
-                f = m[r][c]
-                m[r] = [e - f * p for e, p in zip(m[r], m[c])]
-        self._memo["inverse"] = inverse = RationalMatrix([row[n:] for row in m])
-        return inverse
+            self._memo["inverse"] = RationalMatrix([[Fraction(L * e, det) for e in r] for r in adj])
+        return self._memo["inverse"]
 
     def to_float(self) -> np.ndarray:
         return np.array([[float(e) for e in r] for r in self.rows], dtype=float)
@@ -310,9 +306,9 @@ def det_poly(parts: Sequence[RationalMatrix]) -> Polynomial:
     """det(A_0 + t A_1 + t^2 A_2 + ...) for ``parts = [A_0, A_1, ...]``, exactly.
 
     Its degree is at most D = dim * (len(parts) - 1), so its values at t = 0, 1, ..., D fix it.
-    Each value is a :meth:`RationalMatrix.det` of the integer matrix L * A(t), L the lcm of every
-    entry's denominator; Newton's forward differences on these nodes then give D! L^dim times
-    the polynomial in integers.
+    Each value is the determinant of the integer matrix L * A(t), L the lcm of every entry's
+    denominator; Newton's forward differences on these nodes then give D! L^dim times the
+    polynomial in integers.
     """
     dim = parts[0].dim
     if any(a.dim != dim for a in parts):
@@ -321,8 +317,8 @@ def det_poly(parts: Sequence[RationalMatrix]) -> Polynomial:
     L = math.lcm(*(l for l, _ in forms))
     scaled = [[[e * (L // l) for e in row] for row in rows] for l, rows in forms]
     D = dim * (len(parts) - 1)
-    ys = [int(RationalMatrix([[sum(t**k * a[i][j] for k, a in enumerate(scaled)) for j in range(dim)]
-                              for i in range(dim)]).det()) for t in range(D + 1)]
+    ys = [_eliminate([[sum(t**k * a[i][j] for k, a in enumerate(scaled)) for j in range(dim)] for i in range(dim)])[0]
+          for t in range(D + 1)]
     for k in range(1, D + 1):  # in place: ys[k] becomes the k-th forward difference at t = 0
         for t in range(D, k - 1, -1):
             ys[t] -= ys[t - 1]

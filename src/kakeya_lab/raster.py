@@ -17,13 +17,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .curves import MAX_K, CurveFamily, CurveParams, TubeSpec, _centres, _pair_norms, _param_arrays
+from .curves import CELL_BUDGET, MAX_K, CurveFamily, CurveParams, TubeSpec, _centres, _pair_norms, _param_arrays
 from .errors import PreconditionViolation, ResolutionTooFine
 from .exact import RationalMatrix
 from .slices import vanishing_order, w_matrix
 from .sumsets import _distinct as _distinct_rows
 
-CELL_BUDGET = 2**30
 _BLOCK_ROWS = 2**14  # (tube, band or height) rows per pass of the stamping and meet loops; bounds their memory
 
 

@@ -596,18 +596,19 @@ def instance_to_json(A: LatticeSet, B: LatticeSet, G: Incidence) -> dict:
 
 
 def instance_from_json(obj: dict) -> tuple[LatticeSet, LatticeSet, Incidence]:
+    # ``type(x) is int`` refuses JSON's true and false, which Python takes for the ints 1 and 0
     with reading_json("instance"):
         dim, G = obj["dim"], obj["G"]
-        if not isinstance(dim, int):
+        if type(dim) is not int:
             raise PreconditionViolation(f"dim = {dim!r} is not an integer")
         As = [tuple(p) for p in obj["A"]]
         Bs = [tuple(p) for p in obj["B"]]
         for p in As + Bs:
-            if len(p) != dim:
-                raise PreconditionViolation(f"point {list(p)} has {len(p)} coordinates, not dim = {dim}")
+            if len(p) != dim or any(type(c) is not int for c in p):
+                raise PreconditionViolation(f"point {list(p)} is not {dim} integer coordinates")
         for i, j in G:
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < len(As) and 0 <= j < len(Bs)):
-                raise PreconditionViolation(f"G index pair [{i}, {j}] outside A ({len(As)}) or B ({len(Bs)})")
+            if not (type(i) is int and type(j) is int and 0 <= i < len(As) and 0 <= j < len(Bs)):
+                raise PreconditionViolation(f"G pair [{i}, {j}] does not index A ({len(As)}) and B ({len(Bs)})")
     A = LatticeSet.of(As, dim=dim)
     B = LatticeSet.of(Bs, dim=dim)
     return A, B, Incidence(pairs=[(As[i], Bs[j]) for i, j in G])

@@ -219,7 +219,7 @@ def diameter_oracle(family, tube1, tube2, samples=None) -> tuple:
     if not pts:
         return 0.0, sep
     P = np.array(pts)
-    return float(np.sqrt(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2).max())), sep
+    return float(np.sqrt(max(((P - p) ** 2).sum(axis=1).max() for p in P))), sep  # one row of pairs at a time
 
 
 def sumset_oracle(pairs, X=None) -> set:

@@ -328,13 +328,18 @@ REPROS = [
     # tubes finer than 2^-MAX_K: refused before their height samples are allocated
     ["claim-check", "--family", "FAM", "--tubes", "TUBES_1e-7", "--k", "2", "--l", "4", "--m", "0"],
     ["claim-check", "--family", "FAM", "--tubes", "TUBES_1e-300", "--k", "2", "--l", "4", "--m", "0"],
+    # JSON's true and false are not numbers: a matrix entry, an instance dim, a G pair and a tube direction
+    ["solve-heights", "--matrix", '{"entries": [[true, 0], [0, false]], "dim": 2}'],
+    ["sumset", "--instance", "INST_DIM_TRUE"],
+    ["sumset", "--instance", "INST_G_TRUE"],
+    ["dimension", "--family", "FAM", "--tubes", "TUBES_Y_TRUE", "--ks", "3,4,5"],
 ]
 
 
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
     """Paths standing for these names in argv: a sumset instance, the square-zero family, a claim-check triple,
-    and files with a key missing or an entry past the float range."""
+    files with a key missing or an entry past the float range, and files holding a boolean where a number belongs."""
     root = tmp_path_factory.mktemp("cli")
     docs = {"INST": instance_to_json(*kl.random_instance(5)), "FAM": {"n": 3, "C": json.loads(SQUARE_ZERO)},
             "TUBES": [{"y": y, "omega": w, "delta": 2.0**-8} for y, w in
@@ -343,6 +348,9 @@ def cli_files(tmp_path_factory):
                for name, d in (("TUBES_1e-7", 1e-7), ("TUBES_1e-300", 1e-300))},
             "FAM_NO_C": {"n": 3}, "TUBES_NO_DELTA": [{"y": [0.2, 0.1], "omega": [0, 0]}],
             "INST_NO_G": {"dim": 2, "A": [[0, 0]], "B": [[1, 1]]},
+            "INST_DIM_TRUE": {"dim": True, "A": [[0], [1]], "B": [[1]], "G": [[0, 0]]},
+            "INST_G_TRUE": {"dim": 2, "A": [[0, 0], [1, 0]], "B": [[0, 1]], "G": [[True, False]]},
+            "TUBES_Y_TRUE": [{"y": [True, 0], "omega": [0, 0], "delta": 0.25}],
             "MATRIX_PAST_FLOATS": {"dim": 2, "entries": [[int(HUGE), 1], [1, 0]]}}
     for name, doc in docs.items():
         (root / f"{name}.json").write_text(json.dumps(doc))

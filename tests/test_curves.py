@@ -259,6 +259,21 @@ class TestIntersectionDiameter:
         # 4 or 6 lens points per height: P spans several all-pairs chunks of 2^20 floats
         assert self._assert_oracle(f, t, t, samples=257) > 1.8
 
+    def test_pair_distances_stay_within_the_cell_budget(self, monkeypatch):
+        # identical tubes in R^3 give 4 points per height: 4 * 1025 at delta = 2^-7 match the oracle;
+        # 4 * 8193 at 2^-10 have more than CELL_BUDGET pairs and are refused before any pair distance
+        f, tube = fam(WORST), lambda delta: kl.TubeSpec(params=kl.CurveParams(y=(0.25, -0.125), omega=(0.1, 0.1)),
+                                                         delta=delta)
+        assert self._assert_oracle(f, tube(2.0**-7), tube(2.0**-7)) > 1.9
+        assert (4 * 8193) ** 2 > kl.curves.CELL_BUDGET == kl.raster.CELL_BUDGET
+
+        def pair_norms(*args):
+            raise AssertionError("a pair distance was taken")
+
+        monkeypatch.setattr(kl.curves, "_pair_norms", pair_norms)
+        with pytest.raises(kl.ResolutionTooFine, match="32772 lens points"):
+            kl.intersection_diameter(f, tube(2.0**-10), tube(2.0**-10))
+
     @pytest.mark.parametrize("samples", [1, 0, -3])
     def test_fewer_than_two_samples_raise(self, samples):
         f = fam(ZERO2)
@@ -539,6 +554,15 @@ def test_tubes_json_roundtrip():
     from kakeya_lab.curves import tubes_from_json, tubes_to_json
 
     assert tubes_from_json(tubes_to_json(tubes)) == tubes
+
+
+@pytest.mark.parametrize("key, value", [("y", [True, 0]), ("omega", [0, False]), ("delta", True)])
+def test_tube_json_booleans_are_not_numbers(key, value):
+    # JSON's true and false are Python's ints 1 and 0: "y": [true, 0] was kept as the direction (True, 0)
+    from kakeya_lab.curves import tubes_from_json
+
+    with pytest.raises(kl.PreconditionViolation, match="boolean"):
+        tubes_from_json([{"y": [0.2, 0.1], "omega": [0, 0], "delta": 0.25, key: value}])
 
 
 def test_nondegeneracy_flag():

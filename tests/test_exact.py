@@ -58,6 +58,40 @@ class TestRationalMatrix:
         a = kl.RationalMatrix([[big, 1], [0, big]])
         assert a.det() == big * big
 
+    def test_det_against_leibniz_expansion(self):
+        # against the permutation expansion: seeded matrices of dimension 1-6, a zero (0, 0) entry,
+        # a matrix that needs two row swaps and a rank-deficient one
+        rng = np.random.default_rng(25)
+        cases = [_random_matrix(rng, dim) for dim in range(1, 7) for _ in range(3)]
+        zero_corner = [list(r) for r in _random_matrix(rng, 4).rows]
+        zero_corner[0][0] = 0
+        deficient = [list(r) for r in _random_matrix(rng, 5).rows]
+        deficient[2] = [x - F(3, 2) * y for x, y in zip(deficient[0], deficient[4])]
+        two_swaps = kl.RationalMatrix([[0, 2, 3], [0, 0, 5], [7, 1, 4]])  # a swap at column 0, another at column 1
+        cases += [kl.RationalMatrix(zero_corner), kl.RationalMatrix(deficient), two_swaps]
+        for m in cases:
+            assert m.det() == _leibniz_det([m])[0]
+        assert two_swaps.det() == 70 and cases[-2].det() == 0 != cases[-3].det()
+
+    def test_inverse_is_exact_up_to_dimension_8(self):
+        rng = np.random.default_rng(8)
+        cases = [_random_matrix(rng, dim) for dim in range(1, 9) for _ in range(4)]
+        big = kl.RationalMatrix([[2**60 // 3 + int(rng.integers(-9, 10)) for _ in range(8)] for _ in range(8)])
+        assert big.det() != 0
+        inverted = 0
+        for m in cases + [big]:
+            if m.det() != 0:
+                assert m * m.inverse() == kl.RationalMatrix.identity(m.dim) == m.inverse() * m
+                inverted += 1
+        assert inverted >= 30
+
+    def test_singular_found_partway(self):
+        # column 0 has a pivot, column 1 needs a row swap, and column 2 has none left
+        m = kl.RationalMatrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+        assert m.det() == 0
+        with pytest.raises(kl.SingularMatrix):
+            m.inverse()
+
 
 class TestCompanion:
     def test_degenerate_size(self):
@@ -291,6 +325,10 @@ class TestRealRoots:
     (lambda: kl.RationalMatrix([[1, "x"], [0, 1]]), ValueError, "Invalid literal"),
     (lambda: kl.RationalMatrix([[1, None], [0, 1]]), TypeError, "as a rational"),
     (lambda: kl.RationalMatrix([[1, 0.5], [0, 1]]), TypeError, "float"),
+    # JSON's true and false are Python's ints 1 and 0: refused, or [[true, 0], [0, false]] would be diag(1, 0)
+    (lambda: kl.RationalMatrix([[True, 0], [0, False]]), TypeError, "bool"),
+    (lambda: kl.RationalMatrix.from_json({"dim": 2, "entries": [[True, 0], [0, False]]}), kl.PreconditionViolation,
+     "bool"),
     (lambda: kl.RationalMatrix([[1, 2]]), ValueError, "square"),
     (lambda: kl.RationalMatrix([]), ValueError, "square"),
     (lambda: kl.RationalMatrix.identity(2).mat_vec((1, 2, 3)), ValueError, "dimension mismatch"),
@@ -305,8 +343,8 @@ class TestRealRoots:
     (lambda: Polynomial([1, 1]).divmod(Polynomial([])), ZeroDivisionError, "by zero"),
     (lambda: kl.count_real_roots(Polynomial([0]), F(0), F(1)), ValueError, "zero polynomial"),
     (lambda: kl.count_real_roots(Polynomial([-1, 1]), F(1), F(0)), ValueError, "empty interval"),
-], ids=["rat text", "rat None", "rat float", "not square", "empty", "mat_vec", "rat p/0", "from_json dim",
-         "from_json past floats",
+], ids=["rat text", "rat None", "rat float", "rat bool", "from_json bool", "not square", "empty", "mat_vec", "rat p/0",
+         "from_json dim", "from_json past floats",
         "poly not square", "poly too big", "poly parts mismatch", "divmod zero", "count zero", "count empty"])
 def test_exact_typed_errors(call, error, match):
     with pytest.raises(error, match=match):

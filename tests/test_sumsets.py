@@ -382,6 +382,18 @@ class TestInstanceIO:
         with pytest.raises(kl.PreconditionViolation):
             instance_from_json({"dim": 2, "A": [[0, 0]], "B": [[1, 1]], "G": G})
 
+    # JSON's true and false are Python's ints 1 and 0: "dim": true ended in a TypeError, [[true, false]]
+    # was read as the pair (1, 0); a float coordinate was truncated to an int
+    @pytest.mark.parametrize("doc", [
+        {"dim": True, "A": [[0], [1]], "B": [[1]], "G": [[0, 0]]},
+        {"dim": 2, "A": [[True, 0], [1, 0]], "B": [[1, 1]], "G": [[0, 0]]},
+        {"dim": 2, "A": [[0, 0], [1, 0]], "B": [[1, 1]], "G": [[True, False]]},
+        {"dim": 2, "A": [[1.5, 0], [1, 0]], "B": [[1, 1]], "G": [[0, 0]]},
+    ], ids=["dim", "coordinate", "G pair", "float coordinate"])
+    def test_booleans_are_not_numbers(self, doc):
+        with pytest.raises(kl.PreconditionViolation, match="integer|index"):
+            instance_from_json(doc)
+
     def test_incidence_outside_sets(self):
         A, B = kl.LatticeSet.of([(0, 0), (1, 1)]), kl.LatticeSet.of([(2, 2)])
         G = kl.Incidence(pairs=[((0, 0), (2, 2)), ((5, 5), (2, 2))])
