@@ -262,9 +262,10 @@ def intersection_diameter(
     """Measured diameter of the intersection of two tubes, plus |y1 - y2|.
 
     Height sampling at step delta/4 (or ``samples`` points, at least 2, else
-    :class:`PreconditionViolation`; a delta below 2^-MAX_K raises
-    :class:`ResolutionTooFine`); each slice is the lens cut from two
-    radius-delta discs, represented by its extreme points, all slices at once;
+    :class:`PreconditionViolation`; a delta below 2^-MAX_K, or more samples
+    than step 2^-MAX_K/4 takes, raises :class:`ResolutionTooFine`); each
+    slice is the lens cut from two radius-delta discs, represented by its
+    extreme points, all slices at once;
     past sqrt(CELL_BUDGET) points, :class:`ResolutionTooFine` before any pair.
     Returns (0.0, separation) when the tubes are disjoint.
     """
@@ -276,6 +277,8 @@ def intersection_diameter(
         samples = _height_samples(8.0, delta)
     if samples < 2:
         raise PreconditionViolation(f"need at least 2 height samples, got {samples}")
+    if samples > (most := _height_samples(8.0, 2.0**-MAX_K)):
+        raise ResolutionTooFine(f"{samples} height samples exceed {most}, the count at delta = 2^-{MAX_K}")
     ts = np.linspace(-1.0, 1.0, samples)
     c1, c2 = _centres(family, *_param_arrays([tube1.params, tube2.params]), ts).transpose(1, 2, 0)
     diff = c2 - c1

@@ -5,7 +5,9 @@ polynomial arithmetic never rounds.  One fraction-free integer elimination
 gives the determinant and the adjugate together: :meth:`RationalMatrix.det`,
 :meth:`RationalMatrix.inverse` and :func:`det_poly`, which interpolates the
 determinant of a matrix polynomial from its values at integer points, all call
-it.  Floats appear only as outputs:
+it.  Squarefree parts and Sturm chains are primitive integer coefficient lists
+from one pseudo-remainder routine, scaled by positive factors only (Collins'
+primitive remainder sequence).  Floats appear only as outputs:
 :meth:`RationalMatrix.to_float`, and :func:`real_roots`, which decides every
 sign exactly and rounds each root once, to one of the two floats around it.
 """
@@ -274,26 +276,6 @@ class Polynomial:
             out = out * x + c
         return out
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.coeffs[-1]
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            q[k] = f
-            for j in range(d + 1):
-                rem[k + j] -= f * other.coeffs[j]
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(q), Polynomial(rem)
-
     def order_at_zero(self):
         """Index of the lowest non-zero coefficient; ``None`` for the zero polynomial."""
         for k, c in enumerate(self.coeffs):
@@ -337,14 +319,8 @@ def det_poly(parts: Sequence[RationalMatrix]) -> Polynomial:
 def companion(poly_coeffs: Sequence) -> RationalMatrix:
     """Companion matrix with coefficients c_1..c_l down the first column and a
     superdiagonal of ones."""
-    coeffs = [rat(c) for c in poly_coeffs]
-    l = len(coeffs)
-    rows = [[Fraction(0)] * l for _ in range(l)]
-    for i in range(l):
-        rows[i][0] = coeffs[i]
-        if i + 1 < l:
-            rows[i][i + 1] = Fraction(1)
-    return RationalMatrix(rows)
+    l = len(poly_coeffs)
+    return RationalMatrix([[poly_coeffs[i] if j == 0 else int(j == i + 1) for j in range(l)] for i in range(l)])
 
 
 def nilpotency(c: RationalMatrix) -> tuple[bool, int | None]:
@@ -362,38 +338,47 @@ def char_poly(c: RationalMatrix) -> Polynomial:
     return det_poly([c, -RationalMatrix.identity(c.dim)])
 
 
+def _primitive(cs: list[int]) -> list[int]:
+    """cs divided by its positive content, the gcd of its entries."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs]
+
+
+def _prem(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with c a = q b + r for an integer c > 0 and deg r < deg b; coefficient lists low degree first.
+
+    Each step multiplies by |lc b| and subtracts sign(lc b) lc r x^k b, so c is a power of |lc b|."""
+    s, lb = (1 if b[-1] > 0 else -1), abs(b[-1])
+    q, r = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    while len(r) >= len(b):  # [0] * k + b is x^k b, as long as r; their top terms cancel
+        k, f = len(r) - len(b), s * r[-1]
+        q = [lb * c + f * (i == k) for i, c in enumerate(q)]
+        r = [lb * c - f * d for c, d in zip(r, [0] * k + b)]
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def _chain(a: list[int]) -> list[list[int]]:
+    """a, a' and the negated remainders, each divided by its positive content (Collins' primitive sequence).
+
+    Up to positive factors this is a Sturm chain of a when a is squarefree; its last entry is gcd(a, a')."""
+    chain, b = [a], [k * c for k, c in enumerate(a)][1:]
+    while b:
+        chain.append(_primitive(b))
+        b = [-c for c in _prem(chain[-2], chain[-1])[1]]
+    return chain
+
+
+def _squarefree(p: Polynomial) -> list[int]:
+    """p / gcd(p, p') up to a nonzero factor, as a primitive integer list: p's distinct roots, each simple."""
+    d = math.lcm(*(c.denominator for c in p.coeffs))
+    a = _primitive([c.numerator * (d // c.denominator) for c in p.coeffs])
+    return _primitive(_prem(a, _chain(a)[-1])[0])
+
+
 def _squarefree_part(p: Polynomial) -> Polynomial:
-    g = _poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    q, r = p.divmod(g)
-    assert r.is_zero()
-    return q
-
-
-def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a * (1 / a.coeffs[-1])
-
-
-def _sturm_chain(p: Polynomial) -> list[list[int]]:
-    """p's Sturm chain, each polynomial scaled by a positive integer to integer coefficients."""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero():
-            break
-        chain.append(-r)
-    scaled = []
-    for q in chain:
-        if not q.is_zero():
-            d = math.lcm(*(c.denominator for c in q.coeffs))
-            scaled.append([int(c * d) for c in q.coeffs])
-    return scaled
+    return Polynomial(_squarefree(p))
 
 
 def _scaled_at(cs: list[int], x) -> int:
@@ -418,10 +403,9 @@ def count_real_roots(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
     lo, hi = rat(lo), rat(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    sf = _squarefree_part(p)
-    chain = _sturm_chain(sf)
+    chain = _chain(_squarefree(p))
     # Sturm counts roots in (lo, hi]; add lo back if it is a root.
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi) + (sf(lo) == 0)
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi) + (_scaled_at(chain[0], lo) == 0)
 
 
 def _float_between(a: float, b: float) -> float | None:
@@ -440,22 +424,30 @@ def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
     """The distinct real roots of ``p`` in the open interval (lo, hi), increasing, each as a float.
 
     Bisects (lo, hi) over the floats, counting the roots in each part with the
-    Sturm chain of p's squarefree part evaluated exactly, until each root's
-    bracket is two adjacent floats; of those two, the one where |p| is smaller
-    is returned.  A root that is a float is returned exactly.
+    Sturm chain of p's squarefree part evaluated exactly; a part that holds one
+    root is halved by the squarefree part's sign alone.  Once a root's bracket
+    is two adjacent floats, the one where the squarefree part is smaller in
+    absolute value is returned.  A root that is a float is returned exactly.
     """
     if p.is_zero() or not lo < hi:
         raise ValueError("need a nonzero polynomial and lo < hi")
-    sf = _squarefree_part(p)
-    chain = _sturm_chain(sf)
+    chain = _chain(_squarefree(p))
+    sf = Polynomial(chain[0])
     # V(x) - V(y) counts the roots in (x, y]; each interval carries V at its left end
     v_lo = _sign_changes(chain, lo)
     roots, todo = [], [(lo, hi, v_lo, v_lo - _sign_changes(chain, hi) - (_scaled_at(chain[0], hi) == 0))]
     while todo:
         a, b, v_a, n = todo.pop()  # n: the number of roots in the open interval (a, b)
         m = _float_between(a, b) if n else None
+        if n == 1:  # the root is simple: just right of a, sf has the sign of sf(a), or of sf'(a) if a is a root
+            up = (_scaled_at(chain[0], a) or _scaled_at(chain[1], a)) > 0
+            while m is not None and (v := _scaled_at(chain[0], m)):
+                a, b = (m, b) if (v > 0) == up else (a, m)
+                m = _float_between(a, b)
         if n and m is None:  # n roots between two adjacent floats
             roots += [min([x for x in (a, b) if lo < x < hi] or [a, b], key=lambda x: abs(sf(Fraction(x))))] * n
+        elif n == 1:  # sf vanishes at m
+            roots.append(m)
         elif n:
             v_m, hit = _sign_changes(chain, m), _scaled_at(chain[0], m) == 0
             left = v_a - v_m - hit

@@ -17,7 +17,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .curves import CELL_BUDGET, MAX_K, CurveFamily, CurveParams, TubeSpec, _centres, _pair_norms, _param_arrays
+from .curves import (CELL_BUDGET, MAX_K, CurveFamily, CurveParams, TubeSpec, _centres, _height_samples, _pair_norms,
+                     _param_arrays)
 from .errors import PreconditionViolation, ResolutionTooFine
 from .exact import RationalMatrix
 from .slices import vanishing_order, w_matrix
@@ -462,7 +463,7 @@ def _meet_heights(spec: TubeFamilySpec, cands: TubeFamilySpec) -> tuple[np.ndarr
     lo, hi = spec.t_range
     # sample at the finest tube scale so transversal crossings are not missed
     step = min(spec.delta.min(), cands.delta.min())
-    H = max(257, int(math.ceil((hi - lo) / step)) + 1)
+    H = max(257, _height_samples(hi - lo, step))
     # The coarse pass costs about h / gap of the fine one per pair, for the height step h and
     # the sample gap = stride * h.  It leaves undecided the pairs that come within reach only
     # between samples, few while gap <= 1.5 reach (least reach 2 * step) and many beyond, and
@@ -583,7 +584,9 @@ def hairbrush_decompose(
     them as one brush.  Tubes meet when their curves pass within twice the
     larger thickness at one of H = max(257, ceil((hi - lo) / min delta) + 1)
     evenly spaced heights of the t-range, squared axis terms summed in axis
-    order.  On return no candidate meets N of the leftover ("bad") tubes.
+    order; a delta below 2^-MAX_K raises :class:`ResolutionTooFine` before
+    any height is sampled.  On return no candidate meets N of the leftover
+    ("bad") tubes.
     The meets come out bit for bit as if every height were tested, in two
     passes.  The coarse pass tests every stride-th height and the last one: a
     sample within reach is a meet, and a pair whose least sampled distance,

@@ -274,6 +274,19 @@ class TestIntersectionDiameter:
         with pytest.raises(kl.ResolutionTooFine, match="32772 lens points"):
             kl.intersection_diameter(f, tube(2.0**-10), tube(2.0**-10))
 
+    def test_more_samples_than_the_finest_delta_takes_raise(self, monkeypatch):
+        # delta = 2^-MAX_K samples ceil(8 / delta) + 1 = 32769 heights; an explicit count past that is refused
+        f = fam(WORST)
+        t1, t2 = crossing_tube_pair(np.random.default_rng(5), f, 2.0**-6, min_sep=8 * 2.0**-6)
+        assert kl.intersection_diameter(f, t1, t2, samples=32769)[0] > 0.0
+
+        def centres(*args):
+            raise AssertionError("heights were sampled")
+
+        monkeypatch.setattr(kl.curves, "_centres", centres)
+        with pytest.raises(kl.ResolutionTooFine, match="32770 height samples"):
+            kl.intersection_diameter(f, t1, t2, samples=32770)
+
     @pytest.mark.parametrize("samples", [1, 0, -3])
     def test_fewer_than_two_samples_raise(self, samples):
         f = fam(ZERO2)

@@ -235,11 +235,6 @@ class TestPolynomialUtilities:
     def test_trailing_zeros_trimmed(self):
         assert Polynomial([1, 2, 0, 0]).degree == 1
 
-    def test_divmod(self):
-        p = Polynomial([-1, 0, 1])  # t^2 - 1
-        q, r = p.divmod(Polynomial([1, 1]))  # t + 1
-        assert q == Polynomial([-1, 1]) and r.is_zero()
-
     def test_count_real_roots(self):
         p = Polynomial([-1, 0, 1])  # roots +-1
         assert kl.count_real_roots(p, F(-2), F(2)) == 2
@@ -285,11 +280,21 @@ class TestRealRoots:
     def test_rational_roots_round_to_the_nearest_float(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            roots = sorted({F(int(rng.integers(-999, 1000)), int(rng.integers(1, 1000))) for _ in range(4)})
+            # two dyadic roots serve as the ends lo < hi: floats, so the open interval excludes them
+            ends = sorted({F(int(rng.integers(-64, 65)), 32) for _ in range(2)})
+            roots = sorted({F(int(rng.integers(-999, 1000)), int(rng.integers(1, 1000))) for _ in range(4)} | {*ends})
             p = Polynomial([1, 0, 1])  # no real roots of its own
-            for r in roots:
-                p = p * Polynomial([-r, 1])
+            for r in roots:  # each root once to three times: the squarefree part keeps it once
+                for _ in range(int(rng.integers(1, 4))):
+                    p = p * Polynomial([-r, 1])
             assert real_roots(p, -2.0, 2.0) == [float(r) for r in roots if -2 < r < 2]
+            lo, hi = ends[0], ends[-1] + (len(ends) == 1)  # equal draws: hi = lo + 1
+            assert real_roots(p, float(lo), float(hi)) == [float(r) for r in roots if lo < r < hi]
+            assert kl.count_real_roots(p, lo, hi) == sum(lo <= r <= hi for r in roots)
+        # one root in (1/4, 1), whose left end is a double root: halved by the sign just right of 1/4
+        p = Polynomial([-F(1, 4), 1]) * Polynomial([-F(1, 4), 1]) * Polynomial([-F(1, 2), 1])
+        assert real_roots(p, 0.25, 1.0) == [0.5] and real_roots(p, 0.0, 0.5) == [0.25]
+        assert kl.count_real_roots(p, F(1, 4), F(1)) == 2
 
     def test_roots_1e_12_apart_stay_apart(self):
         # float clustering at 1e-8 merges these; the Sturm chain keeps them apart
@@ -340,12 +345,11 @@ class TestRealRoots:
     (lambda: det_poly([kl.RationalMatrix.identity(9)]), ValueError, "maximum 8"),
     (lambda: det_poly([kl.RationalMatrix.identity(2), kl.RationalMatrix.identity(3)]), ValueError,
      "dimension mismatch"),
-    (lambda: Polynomial([1, 1]).divmod(Polynomial([])), ZeroDivisionError, "by zero"),
     (lambda: kl.count_real_roots(Polynomial([0]), F(0), F(1)), ValueError, "zero polynomial"),
     (lambda: kl.count_real_roots(Polynomial([-1, 1]), F(1), F(0)), ValueError, "empty interval"),
 ], ids=["rat text", "rat None", "rat float", "rat bool", "from_json bool", "not square", "empty", "mat_vec", "rat p/0",
          "from_json dim", "from_json past floats",
-        "poly not square", "poly too big", "poly parts mismatch", "divmod zero", "count zero", "count empty"])
+        "poly not square", "poly too big", "poly parts mismatch", "count zero", "count empty"])
 def test_exact_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -517,6 +517,17 @@ class TestHairbrushDecompose:
         with pytest.raises(kl.PreconditionViolation):
             kl.hairbrush_decompose(spec, N)
 
+    def test_finer_than_max_k_is_refused_before_any_height(self, monkeypatch):
+        # at delta = 2^-13 two tubes would take 2^14 + 1 meet heights, and finer deltas ever more
+        spec = kl.TubeFamilySpec(family=straight_family(), tubes=self._bush(2, 2.0**-13))
+
+        def centres(*args):
+            raise AssertionError("heights were sampled")
+
+        monkeypatch.setattr(raster, "_centres", centres)
+        with pytest.raises(kl.ResolutionTooFine, match="2\\^-12"):
+            kl.hairbrush_decompose(spec, 1)
+
     def test_no_tubes_with_candidates(self):
         spec = kl.TubeFamilySpec(family=straight_family(), tubes=())
         dec = kl.hairbrush_decompose(spec, 1, candidates=self._bush(3, 2.0**-6))
