@@ -57,8 +57,29 @@ def _floats(v: Sequence) -> tuple:
     return tuple(float(x) for x in v)
 
 
-def _as_float_vec(v: Sequence) -> np.ndarray:
-    return np.array([float(x) for x in v], dtype=float)
+def _float_array(values) -> np.ndarray:
+    """``values`` (a number, a sequence of numbers or of rows of them, or an array) as a float64 array.
+
+    A boolean or text raises :class:`PreconditionViolation` before any conversion: ``float`` would read
+    True as 1.0 and parse "0.5".  An array is checked by its dtype, other input value by value."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        kinds = {values.dtype.type}
+    else:
+        values = np.array(values, dtype=object)
+        kinds = set(map(type, values.flat))
+    if any(issubclass(t, (bool, np.bool_, str, bytes)) for t in kinds):
+        raise PreconditionViolation("a boolean or text where a number belongs")
+    return values.astype(float)
+
+
+def _float_rows(rows, d: int) -> np.ndarray:
+    """The rows as a (len(rows), d) array, read by _float_array; ValueError when a row's length is not d."""
+    a = _float_array(rows)
+    if a.shape == (0,):
+        a = a.reshape(0, d)
+    if a.ndim != 2 or a.shape[1] != d:
+        raise ValueError(f"expected rows of length {d}, got an array of shape {a.shape}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -120,9 +141,7 @@ class CurveFamily:
 
 def _param_arrays(params: Sequence[CurveParams]) -> tuple[np.ndarray, np.ndarray]:
     """Float (curves, n-1) arrays of the directions y and the centres omega."""
-    Y = np.array([[float(v) for v in p.y] for p in params])
-    W = np.array([[float(v) for v in p.omega] for p in params])
-    return Y, W
+    return _float_array([p.y for p in params]), _float_array([p.omega for p in params])
 
 
 def _centres(family: CurveFamily, Y: np.ndarray, W: np.ndarray, ts: np.ndarray,
@@ -185,7 +204,7 @@ def curve_tangent(family: CurveFamily, params: CurveParams, t) -> tuple:
         sp = tuple(-rat(v) - 2 * t * c for v, c in zip(params.y, cy))
         one = Fraction(1)
         return sp + (one,)
-    y = _as_float_vec(params.y)
+    y = _float_array(params.y)
     tf = float(t)
     sp = -y - 2.0 * tf * (family._cf @ y)
     return tuple(sp) + (1.0,)
@@ -253,33 +272,21 @@ def intersect_curves(family: CurveFamily, p1: CurveParams, p2: CurveParams) -> l
     return sorted({t if exact else float(t) for t in out})
 
 
-def intersection_diameter(
-    family: CurveFamily,
-    tube1: TubeSpec,
-    tube2: TubeSpec,
-    samples: int | None = None,
-) -> tuple[float, float]:
+def intersection_diameter(family: CurveFamily, tube1: TubeSpec, tube2: TubeSpec) -> tuple[float, float]:
     """Measured diameter of the intersection of two tubes, plus |y1 - y2|.
 
-    Height sampling at step delta/4 (or ``samples`` points, at least 2, else
-    :class:`PreconditionViolation`; a delta below 2^-MAX_K, or more samples
-    than step 2^-MAX_K/4 takes, raises :class:`ResolutionTooFine`); each
-    slice is the lens cut from two radius-delta discs, represented by its
-    extreme points, all slices at once;
-    past sqrt(CELL_BUDGET) points, :class:`ResolutionTooFine` before any pair.
-    Returns (0.0, separation) when the tubes are disjoint.
+    Heights are sampled at step delta/4, ceil(8 / delta) + 1 of them (a delta
+    below 2^-MAX_K raises :class:`ResolutionTooFine` before any is sampled);
+    each slice is the lens cut from two radius-delta discs, represented by its
+    extreme points, all slices at once; past sqrt(CELL_BUDGET) points,
+    :class:`ResolutionTooFine` before any pair.  Returns (0.0, separation) when
+    the tubes are disjoint.
     """
     if float(tube1.delta) != float(tube2.delta):
         raise ConfigurationViolation("tubes must share delta")
     delta = float(tube1.delta)
-    sep = float(np.linalg.norm(_as_float_vec(tube1.params.y) - _as_float_vec(tube2.params.y)))
-    if samples is None:
-        samples = _height_samples(8.0, delta)
-    if samples < 2:
-        raise PreconditionViolation(f"need at least 2 height samples, got {samples}")
-    if samples > (most := _height_samples(8.0, 2.0**-MAX_K)):
-        raise ResolutionTooFine(f"{samples} height samples exceed {most}, the count at delta = 2^-{MAX_K}")
-    ts = np.linspace(-1.0, 1.0, samples)
+    sep = float(np.linalg.norm(_float_array(tube1.params.y) - _float_array(tube2.params.y)))
+    ts = np.linspace(-1.0, 1.0, _height_samples(8.0, delta))
     c1, c2 = _centres(family, *_param_arrays([tube1.params, tube2.params]), ts).transpose(1, 2, 0)
     diff = c2 - c1
     dist = np.linalg.norm(diff, axis=1)
@@ -506,8 +513,8 @@ def hairbrush_claim_check(
         raise ConfigurationViolation("all three tubes must share delta")
     delta = deltas.pop()
 
-    yj = _as_float_vec(tube_j.params.y)
-    yi = _as_float_vec(tube_i.params.y)
+    yj = _float_array(tube_j.params.y)
+    yi = _float_array(tube_i.params.y)
     for name, v, idx in (("y_j", yj, k), ("y_i", yi, k), ("y_j - y_i", yj - yi, l)):
         r = float(np.linalg.norm(v))
         if not 2.0 ** (-idx - 1) < r <= 2.0 ** (-idx):
@@ -529,8 +536,8 @@ def hairbrush_claim_check(
             "[delta*2^(l+m), delta*2^(l+m+1)]")
     s = hit[0]
 
-    wj = _as_float_vec(tube_j.params.omega)
-    wi = _as_float_vec(tube_i.params.omega)
+    wj = _float_array(tube_j.params.omega)
+    wi = _float_array(tube_i.params.omega)
     dist_centres = float(np.linalg.norm(wj - wi))
     line = (np.eye(C.dim) + t_j * family._cf) @ yj
     u = line / np.linalg.norm(line)
@@ -560,8 +567,8 @@ def tubes_to_json(tubes: Sequence[TubeSpec]) -> list:
 
 def tubes_from_json(obj: list) -> list[TubeSpec]:
     with reading_json("tube list"):
-        if any(isinstance(v, bool) for d in obj for v in [*d["y"], *d["omega"], d["delta"]]):
-            raise PreconditionViolation("tube list JSON holds a boolean where a number belongs")
+        if any(isinstance(v, (bool, str)) for d in obj for v in [*d["y"], *d["omega"], d["delta"]]):
+            raise PreconditionViolation("tube list JSON holds a boolean or text where a number belongs")
         return [
             TubeSpec(params=CurveParams(y=tuple(d["y"]), omega=tuple(d["omega"])), delta=d["delta"])
             for d in obj

@@ -48,8 +48,8 @@ class DegenerateInstance(KakeyaLabError):
     """An incidence instance is internally inconsistent (signals corrupted data)."""
 
 
-class PreconditionViolation(KakeyaLabError):
-    """Operation inputs violate a documented precondition."""
+class PreconditionViolation(KakeyaLabError, ValueError):
+    """Operation inputs violate a documented precondition; also a ValueError, as a bad input value is one."""
 
 
 class NoSuchVector(KakeyaLabError):

@@ -408,49 +408,49 @@ def count_real_roots(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
     return _sign_changes(chain, lo) - _sign_changes(chain, hi) + (_scaled_at(chain[0], lo) == 0)
 
 
-def _float_between(a: float, b: float) -> float | None:
-    """The float halfway between floats a < b in their order, None when they are adjacent.
+def _ordinal(x: float) -> int:
+    """x's place in the order of the floats: its bit pattern as a signed integer, negated for negative floats."""
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
+    return n if n >= 0 else -(n & 0x7FFF_FFFF_FFFF_FFFF)
 
-    The order is that of the bit patterns, negated for negative floats, so a bisection takes at most 64 steps.
-    """
-    i, j = (n if n >= 0 else -(n & 0x7FFF_FFFF_FFFF_FFFF) for n in struct.unpack("<2q", struct.pack("<2d", a, b)))
-    if j - i < 2:
-        return None
-    m = (i + j) // 2
-    return math.copysign(struct.unpack("<d", struct.pack("<q", abs(m)))[0], m)
+
+def _float_at(i: int) -> float:
+    """The float whose ordinal is i."""
+    return math.copysign(struct.unpack("<d", struct.pack("<q", abs(i)))[0], i)
 
 
 def real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
     """The distinct real roots of ``p`` in the open interval (lo, hi), increasing, each as a float.
 
-    Bisects (lo, hi) over the floats, counting the roots in each part with the
-    Sturm chain of p's squarefree part evaluated exactly; a part that holds one
-    root is halved by the squarefree part's sign alone.  Once a root's bracket
-    is two adjacent floats, the one where the squarefree part is smaller in
-    absolute value is returned.  A root that is a float is returned exactly.
+    Bisects (lo, hi) over the floats' ordinals (at most 64 steps), counting the roots in each part with
+    the Sturm chain of p's squarefree part evaluated exactly; a part that holds one root is halved by the
+    squarefree part's sign alone.  Once a root's bracket is two adjacent floats, the one where the squarefree
+    part is smaller in absolute value is returned, the lower on a tie.  A root that is a float is returned exactly.
     """
     if p.is_zero() or not lo < hi:
         raise ValueError("need a nonzero polynomial and lo < hi")
     chain = _chain(_squarefree(p))
-    sf = Polynomial(chain[0])
-    # V(x) - V(y) counts the roots in (x, y]; each interval carries V at its left end
+    sf, ends = chain[0], (_ordinal(lo), _ordinal(hi))
+    # V(x) - V(y) counts the roots in (x, y]; each interval carries V at its left end, and its ends as ordinals
     v_lo = _sign_changes(chain, lo)
-    roots, todo = [], [(lo, hi, v_lo, v_lo - _sign_changes(chain, hi) - (_scaled_at(chain[0], hi) == 0))]
+    roots, todo = [], [(*ends, v_lo, v_lo - _sign_changes(chain, hi) - (_scaled_at(sf, hi) == 0))]
     while todo:
         a, b, v_a, n = todo.pop()  # n: the number of roots in the open interval (a, b)
-        m = _float_between(a, b) if n else None
+        m = (a + b) // 2 if n and b - a > 1 else None
         if n == 1:  # the root is simple: just right of a, sf has the sign of sf(a), or of sf'(a) if a is a root
-            up = (_scaled_at(chain[0], a) or _scaled_at(chain[1], a)) > 0
-            while m is not None and (v := _scaled_at(chain[0], m)):
+            up = (_scaled_at(sf, x := _float_at(a)) or _scaled_at(chain[1], x)) > 0
+            while m is not None and (v := _scaled_at(sf, _float_at(m))):
                 a, b = (m, b) if (v > 0) == up else (a, m)
-                m = _float_between(a, b)
-        if n and m is None:  # n roots between two adjacent floats
-            roots += [min([x for x in (a, b) if lo < x < hi] or [a, b], key=lambda x: abs(sf(Fraction(x))))] * n
+                m = (a + b) // 2 if b - a > 1 else None
+        if n and m is None:  # n roots between adjacent floats; at x = u/d, |sf(x)| = |_scaled_at(sf, x)| / d^deg
+            xs = [_float_at(o) for o in (a, b) if ends[0] < o < ends[1]] or [_float_at(a), _float_at(b)]
+            q = [x.as_integer_ratio()[1] ** (len(sf) - 1) for x in xs]
+            roots += [xs[-1] if abs(_scaled_at(sf, xs[-1])) * q[0] < abs(_scaled_at(sf, xs[0])) * q[-1] else xs[0]] * n
         elif n == 1:  # sf vanishes at m
-            roots.append(m)
+            roots.append(_float_at(m))
         elif n:
-            v_m, hit = _sign_changes(chain, m), _scaled_at(chain[0], m) == 0
+            v_m, hit = _sign_changes(chain, x := _float_at(m)), _scaled_at(sf, x) == 0
             left = v_a - v_m - hit
-            roots += [m] * hit
+            roots += [x] * hit
             todo += [(a, m, v_a, left), (m, b, v_m, n - left - hit)]
     return sorted(roots)

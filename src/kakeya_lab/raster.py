@@ -17,42 +17,29 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .curves import (CELL_BUDGET, MAX_K, CurveFamily, CurveParams, TubeSpec, _centres, _height_samples, _pair_norms,
-                     _param_arrays)
+from .curves import (CELL_BUDGET, MAX_K, CurveFamily, CurveParams, TubeSpec, _centres, _float_array, _float_rows,
+                     _height_samples, _pair_norms)
 from .errors import PreconditionViolation, ResolutionTooFine
 from .exact import RationalMatrix
 from .slices import vanishing_order, w_matrix
-from .sumsets import _distinct as _distinct_rows
+from .sumsets import _distinct as _distinct_rows, _rows
 
 _BLOCK_ROWS = 2**14  # (tube, band or height) rows per pass of the stamping and meet loops; bounds their memory
-
-
-def _float_rows(rows, d: int) -> np.ndarray:
-    """A (len(rows), d) float64 array of the rows; ValueError when a row's length is not d."""
-    a = np.array(rows, dtype=float)
-    if a.shape == (0,):
-        a = a.reshape(0, d)
-    if a.ndim != 2 or a.shape[1] != d:
-        raise ValueError(f"expected rows of length {d}, got an array of shape {a.shape}")
-    return a
 
 
 class CellSet:
     """Occupied cells of the delta-dyadic grid at resolution exponent k.
 
     ``cells`` holds the distinct cells as (cells, n) int64 rows in
-    lexicographic order, as ``LatticeSet.rows`` does; ``occupied`` builds the
+    lexicographic order, as ``LatticeSet.rows`` does, read as its points are (a
+    coordinate past int64 raises ``OverflowError``); ``occupied`` builds the
     same set as a frozenset of tuples on each access and does not keep it.
     """
 
     __slots__ = ("n", "k", "cells")
 
     def __init__(self, n: int, k: int, occupied: Iterable):
-        pts = list(occupied)
-        rows = np.array(pts, dtype=np.int64).reshape(len(pts), -1 if pts else n)
-        if rows.shape[1] != n:
-            raise ValueError(f"cells must have n = {n} coordinates")
-        self.n, self.k, self.cells = n, k, _distinct_rows(rows)
+        self.n, self.k, self.cells = n, k, _distinct_rows(_rows(occupied, n).astype(np.int64, copy=False))
         self.cells.flags.writeable = False
 
     @classmethod
@@ -115,15 +102,14 @@ class TubeFamilySpec:
             raise ValueError("pass either tubes or the arrays Y, W and delta")
         if tubes is not None:
             tubes = list(tubes)
-            Y, W = _param_arrays([t.params for t in tubes])
-            delta = [float(t.delta) for t in tubes]
+            Y, W, delta = [t.params.y for t in tubes], [t.params.omega for t in tubes], [t.delta for t in tubes]
         d = family.n - 1
         Y, W = _float_rows(Y, d), _float_rows(W, d)
         if W.shape != Y.shape:
             raise ValueError("Y and W must hold one row per tube")
         if not (np.isfinite(Y).all() and np.isfinite(W).all()):
             raise ValueError("Y and W must be finite")
-        delta = np.array(np.broadcast_to(np.asarray(delta, dtype=float), len(Y)))
+        delta = np.array(np.broadcast_to(_float_array(delta), len(Y)))
         if not ((delta > 0) & (delta < 1)).all():  # NaN fails both comparisons
             raise ValueError("delta must lie in (0, 1)")
         lo, hi = t_range
@@ -347,32 +333,23 @@ class DimensionFit:
     n: int
 
 
-def box_dimension(builder: Callable, ks: Sequence[int], n: Optional[int] = None) -> DimensionFit:
+def box_dimension(builder: Callable, ks: Sequence[int], n: int) -> DimensionFit:
     """Fit |N_delta| ~ delta^(n-d) over the given resolutions and return d.
 
-    ``builder(k)`` may return a :class:`CellSet` or a bare volume (float).
-    Unweighted least squares on (log2 delta, log2 volume); the rms residual of
-    the fit is reported alongside.
+    ``builder(k)`` returns the volume in R^n at delta = 2^-k, such as
+    :meth:`CellSet.volume` or :func:`union_volume`'s.  Unweighted least squares
+    on (log2 delta, log2 volume); the rms residual of the fit is reported
+    alongside.
     """
     ks = list(ks)
     if len(ks) < 3 or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("need at least 3 strictly increasing resolutions")
     vols = []
     for k in ks:
-        out = builder(k)
-        if isinstance(out, CellSet):
-            if n is None:
-                n = out.n
-            elif n != out.n:
-                raise ValueError("inconsistent ambient dimension")
-            v = out.volume()
-        else:
-            v = float(out)
+        v = float(builder(k))
         if not 0 < v < math.inf:
             raise ValueError(f"volume {v} at k={k} is not positive and finite; cannot fit a slope")
         vols.append(v)
-    if n is None:
-        raise ValueError("ambient dimension n is required when the builder returns volumes")
     x = np.array([-k for k in ks], dtype=float)          # log2 delta
     y = np.log2(np.array(vols))
     coeff = np.polyfit(x, y, 1)
@@ -385,19 +362,17 @@ def box_dimension(builder: Callable, ks: Sequence[int], n: Optional[int] = None)
     )
 
 
-def _ball_lattice(dim: int, k: int, radius: float = 1.0) -> np.ndarray:
-    """(points, dim) rows of the direction net (2^-k Z)^dim in the closed ball."""
-    delta = 2.0**-k
-    r = int(math.floor(radius / delta))
-    axes = [np.arange(-r, r + 1, dtype=np.int64)] * dim
+def _ball_lattice(dim: int, k: int) -> np.ndarray:
+    """(points, dim) rows of the direction net (2^-k Z)^dim in the closed unit ball, decided
+    exactly on the integer points g: |g 2^-k| <= 1 when |g|^2 <= 4^k."""
+    axes = [np.arange(-(2**k), 2**k + 1, dtype=np.int64)] * dim
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    p, q = radius.as_integer_ratio()  # |g delta| <= p/q  <=>  |g|^2 <= floor(p^2 4^k / q^2), exactly
-    return grid[(grid * grid).sum(axis=1) <= (p * p << 2 * k) // (q * q)] * delta
+    return grid[(grid * grid).sum(axis=1) <= 4**k] * 2.0**-k
 
 
-def ball_lattice_directions(dim: int, k: int, radius: float = 1.0) -> list:
-    """The direction net (2^-k Z)^dim intersected with the closed ball."""
-    return [tuple(p) for p in _ball_lattice(dim, k, radius)]
+def ball_lattice_directions(dim: int, k: int) -> list:
+    """The direction net (2^-k Z)^dim intersected with the closed unit ball."""
+    return [tuple(p) for p in _ball_lattice(dim, k)]
 
 
 def build_worstcase_kakeya(
@@ -454,15 +429,15 @@ def covering_norm(spec: TubeFamilySpec, p_prime: float, k: int) -> float:
 class HairbrushDecomposition:
     brushes: tuple        # tuple of sorted index tuples
     bad: tuple            # sorted indices not in any brush
-    centrals: tuple       # candidate index chosen for each brush
+    centrals: tuple       # index of the tube chosen as each brush's central tube
 
 
-def _meet_heights(spec: TubeFamilySpec, cands: TubeFamilySpec) -> tuple[np.ndarray, np.ndarray]:
+def _meet_heights(spec: TubeFamilySpec) -> tuple[np.ndarray, np.ndarray]:
     """The H heights of the meet test and the indices of its coarse samples: every
     stride-th height and the last one."""
     lo, hi = spec.t_range
     # sample at the finest tube scale so transversal crossings are not missed
-    step = min(spec.delta.min(), cands.delta.min())
+    step = spec.delta.min()
     H = max(257, _height_samples(hi - lo, step))
     # The coarse pass costs about h / gap of the fine one per pair, for the height step h and
     # the sample gap = stride * h.  It leaves undecided the pairs that come within reach only
@@ -476,16 +451,14 @@ def _meet_heights(spec: TubeFamilySpec, cands: TubeFamilySpec) -> tuple[np.ndarr
     return np.linspace(lo, hi, H), np.append(np.arange(0, H - 1, stride), H - 1)
 
 
-def _meets(spec: TubeFamilySpec, cands: TubeFamilySpec) -> np.ndarray:
-    """Packed meet rows of hairbrush_decompose: bit j of row c is set when candidate c
-    meets tube j.  cands is spec itself when there are no explicit candidates."""
-    m, nc = len(spec.Y), len(cands.Y)
-    ts, idx = _meet_heights(spec, cands)
-    cand_y, tube_y = cands.Y.T, spec.Y.T
-    cand_cy, tube_cy = spec.family._cf @ cand_y, spec.family._cf @ tube_y
-    tube_tr = _centres(spec.family, spec.Y, spec.W, ts, tube_cy)  # (n-1, curves, H): a contiguous plane per axis
-    cand_tr = tube_tr if cands is spec else _centres(spec.family, cands.Y, cands.W, ts, cand_cy)
-    d, H, samples = len(tube_tr), len(ts), len(idx)
+def _meets(spec: TubeFamilySpec) -> np.ndarray:
+    """Packed meet rows of hairbrush_decompose: bit j of row i is set when tube i meets tube j."""
+    m = len(spec.Y)
+    ts, idx = _meet_heights(spec)
+    Y = spec.Y.T
+    CY = spec.family._cf @ Y
+    tr = _centres(spec.family, spec.Y, spec.W, ts, CY)  # (n-1, curves, H): a contiguous plane per axis
+    d, H, samples = len(tr), len(ts), len(idx)
 
     # Coarse pass: the same squared distances at the samples only.  A sample within reach is a
     # meet, as the fine minimum is no larger.  No meet is certain when the least sampled
@@ -503,109 +476,99 @@ def _meets(spec: TubeFamilySpec, cands: TubeFamilySpec) -> np.ndarray:
     # of non-negative terms), the coarse square root and the fine one carry at most
     # (n-1)/2 + 11 roundings of relative error u, which the factor `grow` covers twice over.
     T = np.abs(ts).max()
-    S = max(float((np.abs(W.T) + T * np.abs(Y) + T * T * np.abs(CY)).max())
-            for W, Y, CY in ((spec.W, tube_y, tube_cy), (cands.W, cand_y, cand_cy)))
+    S = float((np.abs(spec.W.T) + T * np.abs(Y) + T * T * np.abs(CY)).max())
     u = 2.0**-53
     margin = 2 * (12 + 3 * d) * math.sqrt(d) * u * S
     grow = 1 + 2 * (d + 22) * u
     half_gap = float(np.diff(ts[idx]).max()) / 2
 
     # Fine pass: all H heights for the undecided pairs only, gathered, with the same arithmetic.
-    # Both passes take tubes in blocks of about _BLOCK_ROWS (tube, sample) rows and candidates a
-    # chunk at a time, so every buffer stays cache-sized; fresh temporaries each time are mostly
-    # page faults.  Each (chunk, block) view of a flat buffer is contiguous, which numpy runs
-    # as one loop.  Blocks and chunks start at multiples of 8 tubes, so each owns whole bytes
-    # of the packed rows.
+    # Both passes take column tubes in blocks of about _BLOCK_ROWS (tube, sample) rows and row
+    # tubes a chunk at a time, so every buffer stays cache-sized; fresh temporaries each time are
+    # mostly page faults.  Each (chunk, block) view of a flat buffer is contiguous, which numpy
+    # runs as one loop.  Blocks and chunks start at multiples of 8 tubes, so each owns whole
+    # bytes of the packed rows.
     per_block = max(8, _BLOCK_ROWS // samples // 8 * 8)
     per_chunk = max(8, _BLOCK_ROWS // per_block // 8 * 8)
     per_fine = max(1, _BLOCK_ROWS // H)
     diff, sq, cmin = np.empty((3, per_chunk * per_block))
     hit = np.empty(per_chunk * per_block, dtype=bool)
-    fcand, ftube, fsq = np.empty((3, per_fine, H))
+    frow, fcol, fsq = np.empty((3, per_fine, H))
     # The coarse differences come from a matmul, [c, -1] @ [1; t] = c - t: both products are
     # exact, so the sum rounds once, as np.subtract does, and BLAS keeps short rows fast.
-    cand_aug = np.empty((d, samples, per_chunk, 2))
-    cand_aug[..., 1] = -1.0
-    tube_aug = np.empty((d, samples, 2, per_block))
-    tube_aug[:, :, 0] = 1.0
-    meets = np.zeros((nc, (m + 7) // 8), dtype=np.uint8)
+    row_aug = np.empty((d, samples, per_chunk, 2))
+    row_aug[..., 1] = -1.0
+    col_aug = np.empty((d, samples, 2, per_block))
+    col_aug[:, :, 0] = 1.0
+    meets = np.zeros((m, (m + 7) // 8), dtype=np.uint8)
     for s in range(0, m, per_block):
         e = min(s + per_block, m)
-        tube_aug[:, :, 1, :e - s] = tube_tr[:, s:e][:, :, idx].transpose(0, 2, 1)
-        # Without candidates the meets are symmetric bit for bit: (a-b)^2 == (b-a)^2, the axis
-        # order is fixed and the reach is symmetric.  So a chunk is computed only against the
-        # tubes from its own start on, and those columns are mirrored into its rows' columns.
-        for r0 in range(0, e if cands is spec else nc, per_chunk):
-            r1 = min(r0 + per_chunk, e if cands is spec else nc)
-            c0 = max(s, r0) if cands is spec else s
+        col_aug[:, :, 1, :e - s] = tr[:, s:e][:, :, idx].transpose(0, 2, 1)
+        # The meets are symmetric bit for bit: (a-b)^2 == (b-a)^2, the axis order is fixed and
+        # the reach is symmetric.  So a chunk is computed only against the tubes from its own
+        # start on, and those columns are mirrored into its rows' columns.
+        for r0 in range(0, e, per_chunk):
+            r1 = min(r0 + per_chunk, e)
+            c0 = max(s, r0)
             r, w = r1 - r0, e - c0
             cm, sq_, diff_, ht = (a[:r * w].reshape(r, w) for a in (cmin, sq, diff, hit))
-            ca, ta = cand_aug[:, :, :r], tube_aug[..., c0 - s:e - s]
-            ca[..., 0] = cand_tr[:, r0:r1][:, :, idx].transpose(0, 2, 1)
+            ra, ca = row_aug[:, :, :r], col_aug[..., c0 - s:e - s]
+            ra[..., 0] = tr[:, r0:r1][:, :, idx].transpose(0, 2, 1)
             for h in range(samples):
                 acc = sq_ if h else cm
-                np.square(np.matmul(ca[0, h], ta[0, h], out=acc), out=acc)
+                np.square(np.matmul(ra[0, h], ca[0, h], out=acc), out=acc)
                 for axis in range(1, d):
-                    acc += np.square(np.matmul(ca[axis, h], ta[axis, h], out=diff_), out=diff_)
+                    acc += np.square(np.matmul(ra[axis, h], ca[axis, h], out=diff_), out=diff_)
                 if h:
                     np.minimum(cm, sq_, out=cm)
             dist = np.sqrt(cm)
-            reach = 2.0 * np.maximum(cands.delta[r0:r1, None], spec.delta[c0:e])
+            reach = 2.0 * np.maximum(spec.delta[r0:r1, None], spec.delta[c0:e])
             np.less_equal(dist, reach, out=ht)
-            lip = _pair_norms(cand_y[:, r0:r1], tube_y[:, c0:e]) \
-                + 2 * T * _pair_norms(cand_cy[:, r0:r1], tube_cy[:, c0:e])
+            lip = _pair_norms(Y[:, r0:r1], Y[:, c0:e]) + 2 * T * _pair_norms(CY[:, r0:r1], CY[:, c0:e])
             pi, pj = np.nonzero((dist <= (reach + margin + lip * half_gap) * grow) & ~ht)
             for f in range(0, len(pi), per_fine):
                 i, j = pi[f:f + per_fine], pj[f:f + per_fine]
-                fc, ft, fs = fcand[:len(i)], ftube[:len(i)], fsq[:len(i)]
+                fr, fc, fs = frow[:len(i)], fcol[:len(i)], fsq[:len(i)]
                 for axis in range(d):  # (mode="raise" would copy through a temporary)
-                    np.subtract(np.take(cand_tr[axis], r0 + i, axis=0, out=fc, mode="clip"),
-                                np.take(tube_tr[axis], c0 + j, axis=0, out=ft, mode="clip"), out=fc)
+                    np.subtract(np.take(tr[axis], r0 + i, axis=0, out=fr, mode="clip"),
+                                np.take(tr[axis], c0 + j, axis=0, out=fc, mode="clip"), out=fr)
                     if axis:
-                        fs += np.square(fc, out=fc)
+                        fs += np.square(fr, out=fr)
                     else:
-                        np.square(fc, out=fs)
+                        np.square(fr, out=fs)
                 ht[i, j] = np.sqrt(fs.min(axis=1)) <= reach[i, j]
             meets[r0:r1, c0 // 8:(e + 7) // 8] = np.packbits(ht, axis=1)
-            if cands is spec:
-                meets[c0:e, r0 // 8:(r1 + 7) // 8] = np.packbits(ht.T, axis=1)
+            meets[c0:e, r0 // 8:(r1 + 7) // 8] = np.packbits(ht.T, axis=1)
     return meets
 
 
-def hairbrush_decompose(
-    spec: TubeFamilySpec,
-    N: int,
-    candidates: Optional[Sequence[TubeSpec]] = None,
-) -> HairbrushDecomposition:
-    """Greedy extraction of hairbrushes of size at least N >= 1.
+def hairbrush_decompose(spec: TubeFamilySpec, N: int) -> HairbrushDecomposition:
+    """Greedy extraction of hairbrushes of size at least N >= 1, their central
+    tubes drawn from the family itself.
 
-    Repeatedly pick the candidate central tube meeting the most remaining
-    tubes (ties to the lowest index); if it meets at least N of them, remove
-    them as one brush.  Tubes meet when their curves pass within twice the
-    larger thickness at one of H = max(257, ceil((hi - lo) / min delta) + 1)
+    Repeatedly pick the tube (in a brush already or not) meeting the most
+    remaining tubes, ties to the lowest index; if it meets at least N of them,
+    remove them as one brush.  Tubes meet when their curves pass within twice
+    the larger thickness at one of H = max(257, ceil((hi - lo) / min delta) + 1)
     evenly spaced heights of the t-range, squared axis terms summed in axis
-    order; a delta below 2^-MAX_K raises :class:`ResolutionTooFine` before
-    any height is sampled.  On return no candidate meets N of the leftover
-    ("bad") tubes.
+    order; a delta below 2^-MAX_K raises :class:`ResolutionTooFine` before any
+    height is sampled, and an empty family ``ValueError``.  On return no tube
+    meets N of the leftover ("bad") tubes.
     The meets come out bit for bit as if every height were tested, in two
     passes.  The coarse pass tests every stride-th height and the last one: a
     sample within reach is a meet, and a pair whose least sampled distance,
     less a Lipschitz bound on how far the distance can drop between samples
     and a rounding margin, still clears the reach meets nowhere.  The fine pass
-    tests all H heights of the few pairs left.  This costs
-    O(#candidates * #tubes * (H / stride + H * undecided share) * (n - 1)),
-    about half of that without candidates (the meets are then symmetric), and
-    holds the meets as packed bits, #candidates * #tubes / 8 bytes.
+    tests all H heights of the few pairs left.  The meets are symmetric, so for
+    m tubes this costs O(m^2 / 2 * (H / stride + H * undecided share) * (n - 1))
+    and holds m^2 / 8 bytes of packed bits.
     """
     if N < 1:
         raise PreconditionViolation(f"brush size threshold N = {N} must be at least 1")
-    cands = spec if candidates is None else TubeFamilySpec(spec.family, candidates, spec.t_range)
-    if not len(cands.Y):
-        raise ValueError("need at least one candidate central tube")
     m = len(spec.Y)
     if not m:
-        return HairbrushDecomposition(brushes=(), bad=(), centrals=())
-    meets = _meets(spec, cands)  # the trajectories are released on return
+        raise ValueError("need at least one tube")
+    meets = _meets(spec)  # the trajectories are released on return
 
     remaining = np.ones(m, dtype=bool)
     brushes, centrals = [], []

@@ -21,6 +21,7 @@ each access and not kept.
 from __future__ import annotations
 
 import decimal
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -42,11 +43,28 @@ from .exact import RationalMatrix, rat
 Point = tuple
 
 
+def _integer(c) -> int:
+    """c as a Python int: a Python or numpy integer, or a number with an integer value such as 2.0.
+    Anything else, a boolean or text included, raises :class:`PreconditionViolation`."""
+    try:
+        if not isinstance(c, (bool, np.bool_, str)) and (isinstance(c, (int, np.integer)) or c == math.floor(c)):
+            return int(c)
+    except (TypeError, ValueError, OverflowError):  # not a real number; NaN; an infinity
+        pass
+    raise PreconditionViolation(f"coordinate {c!r} is not an integer")
+
+
 def _rows(points: Iterable, dim: int) -> np.ndarray:
-    """(n, dim) int64 array of the points, or object array of Python ints past int64."""
+    """(n, dim) int64 array of the points, or object array of Python ints past int64.
+
+    Coordinates are read by ``_integer`` unless all are integers, so nothing is converted before it is
+    checked: ``np.array(..., dtype=np.int64)`` would read True as 1 and truncate 1.5 to 1.
+    """
     pts = list(points)
     if any(len(p) != dim for p in pts):
         raise ValueError("point dimension mismatch")
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, itertools.chain(*pts)))):
+        pts = [[_integer(c) for c in p] for p in pts]
     try:
         rows = np.array(pts, dtype=np.int64)
     except OverflowError:
@@ -557,26 +575,20 @@ def slices_from_construction(
 
 # ------------------------------------------------------------ random instances
 
-def random_instance(
-    seed: int,
-    dim: int = 2,
-    box: int = 12,
-    max_size: int = 64,
-    density: float | None = None,
-) -> tuple[LatticeSet, LatticeSet, Incidence]:
+def random_instance(seed: int, dim: int = 2, box: int = 12,
+                    max_size: int = 64) -> tuple[LatticeSet, LatticeSet, Incidence]:
     """Reproducible random instance: uniform points in a box, G by coin flips.
 
-    One coin per (a, b) in lexicographic order of the distinct points.
+    One coin per (a, b) in lexicographic order of the distinct points, at one density drawn from [0.05, 1).
     """
-    if dim < 1 or box < 0 or max_size < 1 or not (density is None or 0 <= density <= 1):
-        raise PreconditionViolation(
-            f"need dim >= 1, box >= 0, max_size >= 1 and 0 <= density <= 1, got {dim, box, max_size, density}")
+    if dim < 1 or box < 0 or max_size < 1:
+        raise PreconditionViolation(f"need dim >= 1, box >= 0 and max_size >= 1, got {dim, box, max_size}")
     rng = np.random.default_rng(seed)
     nA = int(rng.integers(1, max_size + 1))
     nB = int(rng.integers(1, max_size + 1))
     A = LatticeSet._of_rows(dim, _distinct(rng.integers(-box, box + 1, size=(nA, dim)), box))
     B = LatticeSet._of_rows(dim, _distinct(rng.integers(-box, box + 1, size=(nB, dim)), box))
-    rho = float(rng.uniform(0.05, 1.0)) if density is None else density
+    rho = float(rng.uniform(0.05, 1.0))
     ia, ib = np.divmod(np.flatnonzero(rng.random(A.size * B.size) < rho), B.size)
     if not len(ia):
         ia = ib = np.zeros(1, dtype=np.intp)

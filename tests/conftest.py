@@ -119,18 +119,17 @@ def stamp_oracle(spec, k: int) -> Counter:
     return counts
 
 
-def meet_oracle(spec, candidates=None) -> np.ndarray:
-    """(candidates, tubes) bool meets of the hairbrush decomposition, pair by pair.
+def meet_oracle(spec) -> np.ndarray:
+    """(tubes, tubes) bool meets of the hairbrush decomposition, pair by pair.
 
     Curves are sampled at H = max(257, ceil((hi - lo) / min delta) + 1) evenly
-    spaced heights of the t-range.  A candidate meets a tube when the square
-    root of the least squared distance over those heights, squared axis terms
-    summed in axis order, is at most twice the larger delta.
+    spaced heights of the t-range.  Two tubes meet when the square root of the
+    least squared distance over those heights, squared axis terms summed in
+    axis order, is at most twice the larger delta.
     """
     tubes = list(spec.tubes)
-    cands = tubes if candidates is None else list(candidates)
     lo, hi = spec.t_range
-    step = min(float(t.delta) for t in tubes + cands)
+    step = min(float(t.delta) for t in tubes)
     ts = np.linspace(lo, hi, max(257, math.ceil((hi - lo) / step) + 1))
     Cf = spec.family.C.to_float()
 
@@ -142,21 +141,21 @@ def meet_oracle(spec, candidates=None) -> np.ndarray:
     tube_paths = np.array([path(t) for t in tubes]).reshape(len(tubes), len(ts), Cf.shape[0])
     tube_deltas = np.array([float(t.delta) for t in tubes])
     meets = []
-    for c in cands:  # one candidate against every tube at once, pair by pair
+    for c in tubes:  # one tube against every tube at once, pair by pair
         pc = path(c)
         sq = np.zeros(tube_paths.shape[:2])
         for axis in range(pc.shape[1]):
             sq = sq + (pc[None, :, axis] - tube_paths[:, :, axis]) ** 2
         meets.append(np.sqrt(sq.min(axis=1)) <= 2.0 * np.maximum(float(c.delta), tube_deltas))
-    return np.array(meets).reshape(len(cands), len(tubes))
+    return np.array(meets).reshape(len(tubes), len(tubes))
 
 
-def hairbrush_oracle(spec, N: int, candidates=None, meets=None) -> tuple:
+def hairbrush_oracle(spec, N: int, meets=None) -> tuple:
     """(brushes, bad, centrals) of the greedy hairbrush decomposition over the
-    meets of meet_oracle (or the given ones): the candidate meeting the most
+    meets of meet_oracle (or the given ones): the tube meeting the most
     remaining tubes (lowest index on ties) takes them as a brush while it meets
     at least N."""
-    meets = meet_oracle(spec, candidates) if meets is None else meets
+    meets = meet_oracle(spec) if meets is None else meets
     remaining = set(range(meets.shape[1]))
     brushes, centrals = [], []
     while True:
@@ -171,24 +170,22 @@ def hairbrush_oracle(spec, N: int, candidates=None, meets=None) -> tuple:
     return tuple(brushes), tuple(sorted(remaining)), tuple(centrals)
 
 
-def diameter_oracle(family, tube1, tube2, samples=None) -> tuple:
+def diameter_oracle(family, tube1, tube2) -> tuple:
     """(diameter, |y1 - y2|) of two equal-delta tubes, height by height.
 
-    Centres omega - t*y - t^2*C*y are sampled at ceil(8/delta)+1 (or
-    ``samples``) heights of [-1, 1].  At each height whose centres are closer
-    than 2*delta, the lens cut from the two discs adds its two extreme points,
-    found along the unit axis of the smallest |u| component of the centre
-    direction u, minus its projection on u; coincident centres (closer than
-    1e-12) add the disc's 2*d axis points instead.  The diameter is the
-    largest distance between all points, height included.
+    Centres omega - t*y - t^2*C*y are sampled at ceil(8/delta)+1 heights of
+    [-1, 1].  At each height whose centres are closer than 2*delta, the lens
+    cut from the two discs adds its two extreme points, found along the unit
+    axis of the smallest |u| component of the centre direction u, minus its
+    projection on u; coincident centres (closer than 1e-12) add the disc's 2*d
+    axis points instead.  The diameter is the largest distance between all
+    points, height included.
     """
     delta = float(tube1.delta)
     Cf = family.C.to_float()
     y1, y2 = (np.array([float(v) for v in t.params.y]) for t in (tube1, tube2))
     sep = float(np.linalg.norm(y1 - y2))
-    if samples is None:
-        samples = math.ceil(8.0 / delta) + 1
-    ts = np.linspace(-1.0, 1.0, samples)
+    ts = np.linspace(-1.0, 1.0, math.ceil(8.0 / delta) + 1)
 
     def path(tube, y):  # (heights, n-1) curve points
         w = np.array([float(v) for v in tube.params.omega])
@@ -197,7 +194,7 @@ def diameter_oracle(family, tube1, tube2, samples=None) -> tuple:
     c1, c2 = path(tube1, y1), path(tube2, y2)
     d = c1.shape[1]
     pts = []
-    for idx in range(samples):
+    for idx in range(len(ts)):
         diff = c2[idx] - c1[idx]
         g = math.sqrt(sum(x * x for x in diff))
         if g >= 2.0 * delta:

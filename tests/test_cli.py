@@ -284,7 +284,7 @@ def test_sweep_bodies_match_cell_sets(tmp_path, capsys, sweep):
             for k, cs in cells.items()]
     assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == \
         ["k,cell_count,volume,log2_delta,log2_volume", *rows]
-    fit = kl.box_dimension(lambda k: cells[k], ks)
+    fit = kl.box_dimension(lambda k: cells[k].volume(), ks, n=3)
     result = json.loads(out)["result"]
     assert (result["slope"], result["fit_residual"]) == (fit.slope, fit.fit_residual)
 
@@ -333,13 +333,17 @@ REPROS = [
     ["sumset", "--instance", "INST_DIM_TRUE"],
     ["sumset", "--instance", "INST_G_TRUE"],
     ["dimension", "--family", "FAM", "--tubes", "TUBES_Y_TRUE", "--ks", "3,4,5"],
+    # nor is text: a tube coordinate or delta "0.2" was read as the number it spells
+    ["dimension", "--family", "FAM", "--tubes", "TUBES_Y_TEXT", "--ks", "3,4,5"],
+    ["dimension", "--family", "FAM", "--tubes", "TUBES_DELTA_TEXT", "--ks", "3,4,5"],
 ]
 
 
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
     """Paths standing for these names in argv: a sumset instance, the square-zero family, a claim-check triple,
-    files with a key missing or an entry past the float range, and files holding a boolean where a number belongs."""
+    files with a key missing or an entry past the float range, and files holding a boolean or text where a number
+    belongs."""
     root = tmp_path_factory.mktemp("cli")
     docs = {"INST": instance_to_json(*kl.random_instance(5)), "FAM": {"n": 3, "C": json.loads(SQUARE_ZERO)},
             "TUBES": [{"y": y, "omega": w, "delta": 2.0**-8} for y, w in
@@ -351,6 +355,8 @@ def cli_files(tmp_path_factory):
             "INST_DIM_TRUE": {"dim": True, "A": [[0], [1]], "B": [[1]], "G": [[0, 0]]},
             "INST_G_TRUE": {"dim": 2, "A": [[0, 0], [1, 0]], "B": [[0, 1]], "G": [[True, False]]},
             "TUBES_Y_TRUE": [{"y": [True, 0], "omega": [0, 0], "delta": 0.25}],
+            "TUBES_Y_TEXT": [{"y": ["0.2", 0.1], "omega": [0, 0], "delta": 0.25}],
+            "TUBES_DELTA_TEXT": [{"y": [0.2, 0.1], "omega": [0, 0], "delta": "0.25"}],
             "MATRIX_PAST_FLOATS": {"dim": 2, "entries": [[int(HUGE), 1], [1, 0]]}}
     for name, doc in docs.items():
         (root / f"{name}.json").write_text(json.dumps(doc))

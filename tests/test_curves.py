@@ -217,9 +217,9 @@ class TestIntersectionDiameter:
         assert 0.25 <= ratio <= 4.0
 
     @staticmethod
-    def _assert_oracle(f, t1, t2, samples=None):
-        diam, sep = kl.intersection_diameter(f, t1, t2, samples)
-        want, want_sep = diameter_oracle(f, t1, t2, samples)
+    def _assert_oracle(f, t1, t2):
+        diam, sep = kl.intersection_diameter(f, t1, t2)
+        want, want_sep = diameter_oracle(f, t1, t2)
         assert abs(diam - want) <= 1e-12 * want and sep == pytest.approx(want_sep, rel=1e-12, abs=0.0)
         return diam
 
@@ -253,11 +253,11 @@ class TestIntersectionDiameter:
     def test_identical_tubes_match_oracle(self, C):
         f = fam(C)
         y = (0.25, -0.125, 0.5)[:C.dim]
-        t = kl.TubeSpec(params=kl.CurveParams(y=y, omega=(0.1,) * C.dim), delta=2.0**-4)
-        assert self._assert_oracle(f, t, t) > 1.8
-        assert self._assert_oracle(f, t, t, samples=40) > 1.8
-        # 4 or 6 lens points per height: P spans several all-pairs chunks of 2^20 floats
-        assert self._assert_oracle(f, t, t, samples=257) > 1.8
+        # 4 or 6 lens points per height: 129 heights at 2^-4 take one all-pairs chunk of 2^20 floats,
+        # 513 heights at 2^-6 (2,052 or 3,078 points) take several
+        for delta in (2.0**-4, 2.0**-6):
+            t = kl.TubeSpec(params=kl.CurveParams(y=y, omega=(0.1,) * C.dim), delta=delta)
+            assert self._assert_oracle(f, t, t) > 1.8
 
     def test_pair_distances_stay_within_the_cell_budget(self, monkeypatch):
         # identical tubes in R^3 give 4 points per height: 4 * 1025 at delta = 2^-7 match the oracle;
@@ -273,26 +273,6 @@ class TestIntersectionDiameter:
         monkeypatch.setattr(kl.curves, "_pair_norms", pair_norms)
         with pytest.raises(kl.ResolutionTooFine, match="32772 lens points"):
             kl.intersection_diameter(f, tube(2.0**-10), tube(2.0**-10))
-
-    def test_more_samples_than_the_finest_delta_takes_raise(self, monkeypatch):
-        # delta = 2^-MAX_K samples ceil(8 / delta) + 1 = 32769 heights; an explicit count past that is refused
-        f = fam(WORST)
-        t1, t2 = crossing_tube_pair(np.random.default_rng(5), f, 2.0**-6, min_sep=8 * 2.0**-6)
-        assert kl.intersection_diameter(f, t1, t2, samples=32769)[0] > 0.0
-
-        def centres(*args):
-            raise AssertionError("heights were sampled")
-
-        monkeypatch.setattr(kl.curves, "_centres", centres)
-        with pytest.raises(kl.ResolutionTooFine, match="32770 height samples"):
-            kl.intersection_diameter(f, t1, t2, samples=32770)
-
-    @pytest.mark.parametrize("samples", [1, 0, -3])
-    def test_fewer_than_two_samples_raise(self, samples):
-        f = fam(ZERO2)
-        t = kl.TubeSpec(params=kl.CurveParams(y=(0.25, 0.0), omega=(0.1, 0.0)), delta=2.0**-5)
-        with pytest.raises(kl.PreconditionViolation):
-            kl.intersection_diameter(f, t, t, samples=samples)
 
 
 class TestLocus:

@@ -334,7 +334,7 @@ def test_distinct_matches_unique(values):
 class TestBoxDimension:
     @staticmethod
     def synthetic(builder_cells):
-        return lambda k: kl.CellSet(n=3, k=k, occupied=builder_cells(k))
+        return lambda k: kl.CellSet(n=3, k=k, occupied=builder_cells(k)).volume()
 
     def test_full_cube(self):
         def cells(k):
@@ -342,11 +342,11 @@ class TestBoxDimension:
             return frozenset((i, j, h) for i in range(-r, r) for j in range(-r, r)
                              for h in range(-r, r)) if k <= 4 else frozenset()
 
-        fit = kl.box_dimension(self.synthetic(cells), [2, 3, 4])
+        fit = kl.box_dimension(self.synthetic(cells), [2, 3, 4], n=3)
         assert abs(fit.slope - 3) < 1e-9
 
     def test_single_point(self):
-        fit = kl.box_dimension(self.synthetic(lambda k: frozenset({(0, 0, 0)})), [3, 4, 5])
+        fit = kl.box_dimension(self.synthetic(lambda k: frozenset({(0, 0, 0)})), [3, 4, 5], n=3)
         assert abs(fit.slope - 0) < 1e-9
 
     def test_slab(self):
@@ -354,15 +354,15 @@ class TestBoxDimension:
             r = 2**k
             return frozenset((0, j, h) for j in range(-r, r) for h in range(-r, r))
 
-        fit = kl.box_dimension(self.synthetic(cells), [3, 4, 5])
+        fit = kl.box_dimension(self.synthetic(cells), [3, 4, 5], n=3)
         assert abs(fit.slope - 2) < 1e-9
 
     def test_needs_three_resolutions(self):
         with pytest.raises(ValueError):
-            kl.box_dimension(self.synthetic(lambda k: frozenset({(0, 0, 0)})), [3, 4])
+            kl.box_dimension(self.synthetic(lambda k: frozenset({(0, 0, 0)})), [3, 4], n=3)
 
     def test_volume_builder_needs_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # a volume does not say its ambient dimension
             kl.box_dimension(lambda k: 2.0**-k, [3, 4, 5])
         fit = kl.box_dimension(lambda k: 2.0**-k, [3, 4, 5], n=3)
         assert abs(fit.slope - 2) < 1e-9
@@ -528,11 +528,6 @@ class TestHairbrushDecompose:
         with pytest.raises(kl.ResolutionTooFine, match="2\\^-12"):
             kl.hairbrush_decompose(spec, 1)
 
-    def test_no_tubes_with_candidates(self):
-        spec = kl.TubeFamilySpec(family=straight_family(), tubes=())
-        dec = kl.hairbrush_decompose(spec, 1, candidates=self._bush(3, 2.0**-6))
-        assert dec == kl.HairbrushDecomposition(brushes=(), bad=(), centrals=())
-
     @staticmethod
     def _clustered(rng, family, count, deltas, hubs):
         """Tubes whose curves pass through one of the hub points (x, t), plus a
@@ -552,37 +547,35 @@ class TestHairbrushDecompose:
     def _oracle_case(self, name):
         rng = np.random.default_rng(7)
         if name == "worst-k3":
-            return kl.build_worstcase_kakeya(WORST, 3), 8, None
-        if name == "nondyadic-mixed-candidates":
+            return kl.build_worstcase_kakeya(WORST, 3), 8
+        if name == "nondyadic-mixed-candidates":  # 60 tubes and 12 more at other deltas, through the same hubs
             fam = kl.CurveFamily(n=3, C=kl.RationalMatrix([[F(1, 3), F(-2, 5)], [F(3, 7), F(1, 5)]]))
             hubs = [((0.1, -0.2), 0.3), ((-0.3, 0.25), -0.4), ((0.4, 0.4), 0.6)]
             tubes = self._clustered(rng, fam, 60, [2.0**-5, 2.0**-8, 2.0**-6], hubs)
-            cands = self._clustered(rng, fam, 12, [2.0**-7, 2.0**-5], hubs)
-            return kl.TubeFamilySpec(family=fam, tubes=tubes, t_range=(-0.5, 0.75)), 4, cands
+            tubes += self._clustered(rng, fam, 12, [2.0**-7, 2.0**-5], hubs)
+            return kl.TubeFamilySpec(family=fam, tubes=tubes, t_range=(-0.5, 0.75)), 4
         fam = kl.CurveFamily(n=4, C=kl.companion([F(1, 3), F(-1, 5), F(2, 7)]))
         hubs = [((0.1, -0.2, 0.05), 0.2), ((-0.3, 0.25, -0.1), -0.5)]
         tubes = self._clustered(rng, fam, 50, [2.0**-5, 2.0**-6], hubs)
-        return kl.TubeFamilySpec(family=fam, tubes=tubes), 5, None
+        return kl.TubeFamilySpec(family=fam, tubes=tubes), 5
 
     @staticmethod
-    def _meet_bits(spec, candidates=None):
-        """The packed meets of hairbrush_decompose, unpacked to a (candidates, tubes) bool array."""
-        cands = spec if candidates is None else kl.TubeFamilySpec(spec.family, candidates, spec.t_range)
-        return np.unpackbits(raster._meets(spec, cands), axis=1, count=len(spec.Y)).astype(bool)
+    def _meet_bits(spec):
+        """The packed meets of hairbrush_decompose, unpacked to a (tubes, tubes) bool array."""
+        return np.unpackbits(raster._meets(spec), axis=1, count=len(spec.Y)).astype(bool)
 
     @pytest.mark.parametrize("name", ["worst-k3", "nondyadic-mixed-candidates", "n4"])
     def test_matches_oracle(self, name):
-        spec, N, cands = self._oracle_case(name)
-        assert np.array_equal(self._meet_bits(spec, cands), meet_oracle(spec, cands))
-        dec = kl.hairbrush_decompose(spec, N, cands)
+        spec, N = self._oracle_case(name)
+        assert np.array_equal(self._meet_bits(spec), meet_oracle(spec))
+        dec = kl.hairbrush_decompose(spec, N)
         assert dec.brushes, "the case should produce at least one brush"
-        assert (dec.brushes, dec.bad, dec.centrals) == hairbrush_oracle(spec, N, cands)
+        assert (dec.brushes, dec.bad, dec.centrals) == hairbrush_oracle(spec, N)
 
     @pytest.mark.parametrize("name", ["worst-k4", "mixed-delta"])
     def test_symmetric_packed_path_matches_candidates_and_oracle(self, name):
-        # without candidates only half the meets are computed and the rest mirrored; several
-        # blocks, several candidate chunks and a tube count that is not a multiple of 8 exercise
-        # the mirror and the packed tail
+        # only half the meets are computed and the rest mirrored; several blocks, several row
+        # chunks and a tube count that is not a multiple of 8 exercise the mirror and the packed tail
         if name == "worst-k4":  # the k=4 worst case over 1001 directions of the k=5 net
             spec, N = kl.build_worstcase_kakeya(WORST, 4, kl.ball_lattice_directions(2, 5)[:1001]), 8
         else:
@@ -591,12 +584,12 @@ class TestHairbrushDecompose:
             tubes = self._clustered(np.random.default_rng(5), fam, 250, [2.0**-5, 2.0**-8, 2.0**-6], hubs)
             spec, N = kl.TubeFamilySpec(family=fam, tubes=tubes), 4
         m = len(spec.Y)
-        per_block = _BLOCK_ROWS // len(raster._meet_heights(spec, spec)[1])  # tubes per block, at most
+        per_block = _BLOCK_ROWS // len(raster._meet_heights(spec)[1])  # tubes per block, at most
         assert m % 8 and m > per_block and m > _BLOCK_ROWS // (per_block - 7)  # blocks and chunks
         bits, oracle = self._meet_bits(spec), meet_oracle(spec)
         assert np.array_equal(bits, oracle) and np.array_equal(bits, bits.T)
         dec = kl.hairbrush_decompose(spec, N)
-        assert dec.brushes and dec == kl.hairbrush_decompose(spec, N, candidates=spec.tubes)
+        assert dec.brushes
         assert (dec.brushes, dec.bad, dec.centrals) == hairbrush_oracle(spec, N, meets=oracle)
 
     def test_parallel_pairs_at_the_reach(self):
@@ -614,7 +607,7 @@ class TestHairbrushDecompose:
             for omega in (w, w + apart * np.array([np.cos(ang), np.sin(ang)])):
                 tubes.append(kl.TubeSpec(params=kl.CurveParams(y=tuple(y), omega=tuple(omega)), delta=delta))
         spec = kl.TubeFamilySpec(family=fam, tubes=tubes)
-        ts, idx = raster._meet_heights(spec, spec)
+        ts, idx = raster._meet_heights(spec)
         oracle = meet_oracle(spec)
         paths = raster._centres(fam, spec.Y, spec.W, ts)
         sq = ((paths[:, 0::2] - paths[:, 1::2]) ** 2).sum(axis=0)
@@ -632,7 +625,7 @@ class TestHairbrushDecompose:
         probe = kl.TubeFamilySpec(family=straight_family(), t_range=t_range,
                                   tubes=[kl.TubeSpec(params=kl.CurveParams(y=(0.0, 0.0), omega=(0.0, 0.0)),
                                                      delta=delta)])
-        ts, idx = raster._meet_heights(probe, probe)
+        ts, idx = raster._meet_heights(probe)
         gaps = np.diff(idx)
         assert gaps[0] > 2 and gaps[-1] != gaps[0]  # (H - 1) is not a multiple of the stride
         t_fine, t_s = ts[(idx[1] + idx[2]) // 2], ts[idx[2]]
@@ -654,7 +647,6 @@ class TestHairbrushDecompose:
         bits = self._meet_bits(spec)
         assert np.array_equal(bits, meet_oracle(spec))
         assert bits[1, 2] and bits[0, 4] and not bits[0, 3] and not bits[0, 5]
-        assert np.array_equal(self._meet_bits(spec, tubes), bits)
 
 
 class TestSurfaceResidual:
@@ -732,7 +724,6 @@ class TestColumnarSpec:
         assert kl.union_volume(by_arrays, k) == kl.union_volume(by_tubes, k)
         assert kl.covering_norm(by_arrays, 2.0, k) == kl.covering_norm(by_tubes, 2.0, k)
         assert kl.hairbrush_decompose(by_arrays, 3) == kl.hairbrush_decompose(by_tubes, 3)
-        assert kl.hairbrush_decompose(by_arrays, 2, tubes[::5]) == kl.hairbrush_decompose(by_tubes, 2, tubes[::5])
 
     def test_array_shapes_checked(self):
         fam = straight_family()
@@ -764,13 +755,6 @@ class TestColumnarSpec:
             with pytest.raises(ValueError):
                 run(kl.TubeFamilySpec(straight_family(), tubes))
 
-    def test_non_finite_candidate_raises(self):
-        tube = kl.TubeSpec(params=kl.CurveParams(y=(0.25, 0.0), omega=(0.0, 0.0)), delta=2.0**-4)
-        spec = kl.TubeFamilySpec(straight_family(), [tube])
-        bad = kl.TubeSpec(params=kl.CurveParams(y=(0.25, 0.0), omega=(math.nan, 0.0)), delta=2.0**-4)
-        with pytest.raises(ValueError):
-            kl.hairbrush_decompose(spec, 1, candidates=[tube, bad])
-
 
 def _worst4():
     return kl.build_worstcase_kakeya(kl.companion([0, 0]), 4)
@@ -785,9 +769,7 @@ ONE_TUBE = [kl.TubeSpec(params=kl.CurveParams(y=(0.2, 0.1), omega=(0.0, 0.0)), d
     # the L^inf norm is the largest overlap count, not the 1.0 that (sum count^p')^(1/p') gives in floats
     (lambda: kl.covering_norm(_worst4(), math.inf, 4), ValueError, "finite"),
     (lambda: kl.covering_norm(_worst4(), math.nan, 4), ValueError, "finite"),
-    (lambda: kl.box_dimension(lambda k: kl.CellSet(3 if k < 5 else 4, k, [(0,) * (3 if k < 5 else 4)]),
-                              [3, 4, 5]), ValueError, "ambient dimension"),
-    (lambda: kl.box_dimension(lambda k: kl.CellSet(3, k, [] if k == 4 else [(0, 0, 0)]), [3, 4, 5]),
+    (lambda: kl.box_dimension(lambda k: kl.CellSet(3, k, [] if k == 4 else [(0, 0, 0)]).volume(), [3, 4, 5], n=3),
      ValueError, "k=4"),
     (lambda: kl.box_dimension(lambda k: math.nan if k == 4 else 0.5, [3, 4, 5], n=3), ValueError, "k=4"),
     (lambda: kl.box_dimension(lambda k: math.inf, [3, 4, 5], n=3), ValueError, "k=3"),
@@ -797,24 +779,21 @@ ONE_TUBE = [kl.TubeSpec(params=kl.CurveParams(y=(0.2, 0.1), omega=(0.0, 0.0)), d
     (lambda: kl.TubeFamilySpec(ZERO_FAMILY, ONE_TUBE, Y=[[0.2, 0.1]], W=[[0.0, 0.0]], delta=0.25),
      ValueError, "either tubes or"),
     (lambda: kl.TubeFamilySpec(ZERO_FAMILY), ValueError, "either tubes or"),
-    (lambda: kl.hairbrush_decompose(kl.TubeFamilySpec(ZERO_FAMILY, ONE_TUBE), 1, candidates=[]),
-     ValueError, "candidate"),
+    (lambda: kl.hairbrush_decompose(kl.TubeFamilySpec(ZERO_FAMILY, []), 1), ValueError, "at least one tube"),
     # one ulp off 2^-12: a 1e-15 slack (about 18,000 ulps at k = 12) stamped it at 2^-12
     (lambda: kl.union_volume(kl.TubeFamilySpec(ZERO_FAMILY, Y=[[0.2, 0.1]], W=[[0.0, 0.0]],
                                                delta=2.0**-12 * (1 + 2.0**-52)), 12), ValueError, "2\\^-k"),
-], ids=["p'<1", "p'=inf", "p'=nan", "mixed n", "empty at k", "nan volume", "inf volume", "net too large",
+], ids=["p'<1", "p'=inf", "p'=nan", "empty at k", "nan volume", "inf volume", "net too large",
         "t_range outside", "t_range empty", "tubes and arrays", "neither", "no candidates", "delta 1 ulp off"])
 def test_raster_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
 
 
-@pytest.mark.parametrize("dim, k, radius", [(2, 2, math.sqrt(1.125) - 1e-13), (2, 2, math.sqrt(1.125)), (3, 3, 1.0),
-                                            (2, 5, 1 / 3)])
-def test_ball_lattice_is_decided_exactly(dim, k, radius):
-    # (3/4, 3/4) has |p|^2 = 9/8, just past a radius of sqrt(9/8) - 1e-13; a 1e-12 slack on |p|^2 let it in
-    r = F(radius)
+@pytest.mark.parametrize("dim, k", [(2, 2), (3, 3), (2, 5)])
+def test_ball_lattice_is_decided_exactly(dim, k):
+    # checked against exact rationals; the points on the unit sphere, such as (1, 0), are in
     grid = itertools.product(range(-2**k, 2**k + 1), repeat=dim)
-    want = {tuple(g * 2.0**-k for g in p) for p in grid if sum(F(g, 2**k) ** 2 for g in p) <= r * r}
-    got = kl.ball_lattice_directions(dim, k, radius)
+    want = {tuple(g * 2.0**-k for g in p) for p in grid if sum(F(g, 2**k) ** 2 for g in p) <= 1}
+    got = kl.ball_lattice_directions(dim, k)
     assert len(got) == len(set(got)) and set(got) == want

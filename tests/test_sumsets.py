@@ -415,15 +415,13 @@ class TestInstanceIO:
 DRAWS_DIGEST = "27e53676fb4c7e8c6ab6ce4ec8fef035f4bef4800ffb7eb3356b60d09117ed45"
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"dim": 0}, {"box": -1}, {"max_size": 0}, {"density": 1.5}, {"density": -1}, {"density": float("nan")},
-])
+@pytest.mark.parametrize("kwargs", [{"dim": 0}, {"box": -1}, {"max_size": 0}])
 def test_random_instance_rejects_bad_arguments(kwargs):
     with pytest.raises(kl.PreconditionViolation):
         kl.random_instance(3, **kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [{"box": 0}, {"max_size": 1}, {"density": 0}, {"density": 1}, {"dim": 1}])
+@pytest.mark.parametrize("kwargs", [{"box": 0}, {"max_size": 1}, {"dim": 1}])
 def test_random_instance_edge_arguments(kwargs):
     A, B, G = kl.random_instance(3, **kwargs)
     assert G.size >= 1 and A.size >= 1 and B.size >= 1
