@@ -4,11 +4,13 @@ A family is determined by a square matrix C of size n-1; the curve with
 direction y and centre omega is t -> (omega - t*y - t^2*C*y, t) for t in
 [-1, 1].  Tubes thicken curves by a radius delta in every horizontal slice.
 
-Operations accept exact rational data (ints / Fractions) or floats; exact
-inputs stay exact wherever the result is rational.  Intersection heights and
-the locus are computed exactly for any input, a float taken as the dyadic
-rational it is, and rounded to floats only for float input; the locus
-dichotomy decides its flags exactly, with no tolerance.
+Every number is read one way (_number): an int or Fraction is exact, any other
+number is a float, and a boolean, text, NaN or an infinity raises
+PreconditionViolation.  Points and tangents are exact for exact input and Python
+floats when any input is a float.  Intersection heights and the locus are
+computed exactly for any input, a float taken as the dyadic rational it is, and
+rounded to floats only for float input; the locus dichotomy decides its flags
+exactly, with no tolerance.  Tube centres are sampled in floats by _centres.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     SingularConfiguration,
     reading_json,
 )
-from .exact import RationalMatrix, rat
+from .exact import RationalMatrix
 
 _SLAB = 2**15  # float64 elements of _centres' scratch: 256 KB, a slab that stays in cache
 MAX_K = 12  # the finest supported resolution is delta = 2^-MAX_K, for grids and height samples alike
@@ -39,22 +41,40 @@ Vector = tuple
 
 
 def _is_exact(*values) -> bool:
-    for v in values:
-        if isinstance(v, (tuple, list)):
-            if not _is_exact(*v):
-                return False
-        elif not isinstance(v, (int, Fraction)):
-            return False
-    return True
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def _number(x):
+    """x as this module reads every number: an int or Fraction as a Fraction, any other number as a float.
+    A boolean, text, NaN or an infinity raises PreconditionViolation; an exact value of any size is read."""
+    if isinstance(x, (bool, np.bool_, str, bytes)):
+        raise PreconditionViolation(f"{x!r}: a boolean or text where a number belongs")
+    if isinstance(x, (int, Fraction)):
+        return x if isinstance(x, Fraction) else Fraction(x)
+    x = float(x)
+    if not math.isfinite(x):
+        raise PreconditionViolation(f"{x} where a finite number belongs")
+    return x
 
 
 def _fraction(x) -> Fraction:
-    """An int, Fraction or float as the exact rational it is (a float is a dyadic rational)."""
-    return x if isinstance(x, Fraction) else Fraction(x if isinstance(x, int) else float(x))
+    """x read by _number, a float taken as the exact (dyadic) rational it is."""
+    x = _number(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _floats(v: Sequence) -> tuple:
-    return tuple(float(x) for x in v)
+    """The values as floats; one past the float range raises PreconditionViolation."""
+    try:
+        return tuple(float(x) for x in v)
+    except OverflowError:
+        raise PreconditionViolation("a value past the float range") from None
+
+
+def _numbers(*values) -> list:
+    """The values read by _number: Fractions, or all floats when any of them is a float."""
+    out = [_number(v) for v in values]
+    return out if all(isinstance(v, Fraction) for v in out) else list(_floats(out))
 
 
 def _float_array(values) -> np.ndarray:
@@ -104,7 +124,7 @@ class TubeSpec:
     delta: float
 
     def __post_init__(self):
-        if not 0 < float(self.delta) < 1:
+        if not 0 < _number(self.delta) < 1:
             raise ValueError("delta must lie in (0, 1)")
 
 
@@ -140,20 +160,20 @@ class CurveFamily:
 
 
 def _param_arrays(params: Sequence[CurveParams]) -> tuple[np.ndarray, np.ndarray]:
-    """Float (curves, n-1) arrays of the directions y and the centres omega."""
-    return _float_array([p.y for p in params]), _float_array([p.omega for p in params])
+    """Float (curves, n-1) arrays of the directions y and the centres omega, each value read by _number."""
+    Y = np.array([_floats(map(_number, p.y)) for p in params])
+    W = np.array([_floats(map(_number, p.omega)) for p in params])
+    return Y, W
 
 
 def _centres(family: CurveFamily, Y: np.ndarray, W: np.ndarray, ts: np.ndarray,
              CY: Optional[np.ndarray] = None) -> np.ndarray:
-    """omega - t*y - t^2*C*y for direction rows Y and centre rows W at finite
-    heights ts, axis-major: shape (n-1, curves, heights), one contiguous plane
-    per axis.  The one float copy of the curve formula.  CY holds the products
-    C y as (n-1, curves) rows, ``family._cf @ Y.T`` when not given.  Each plane
-    is built in place; its t^2*C*y term is formed a cache-sized slab of rows at
-    a time, and skipped on an axis whose C y row is all +0.0, where it would
-    change no bit (t^2 * +0.0 is +0.0, and x - +0.0 is x for every x, -0.0
-    included)."""
+    """omega - t*y - t^2*C*y for direction rows Y and centre rows W at finite heights ts, axis-major:
+    shape (n-1, curves, heights), one contiguous plane per axis.  The one vectorised copy of the curve
+    formula; curve_point and curve_tangent evaluate it on scalars.  CY holds the products C y as
+    (n-1, curves) rows, ``family._cf @ Y.T`` when not given.  Each plane is built in place; its t^2*C*y
+    term is formed a cache-sized slab of rows at a time, and skipped on an axis whose C y row is all
+    +0.0, where it would change no bit (t^2 * +0.0 is +0.0, and x - +0.0 is x for every x, -0.0 included)."""
     if CY is None:
         CY = family._cf @ Y.T
     out = np.empty((Y.shape[1], len(Y), len(ts)))
@@ -179,35 +199,25 @@ def _pair_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_height(t):
-    if not -1 <= float(t) <= 1:
+    if not -1 <= t <= 1:
         raise HeightOutOfSupport(f"t = {t} outside [-1, 1]")
 
 
 def curve_point(family: CurveFamily, params: CurveParams, t) -> tuple:
-    """The point (omega - t*y - t^2*C*y, t)."""
+    """The point (omega - t*y - t^2*C*y, t): Fractions for int and Fraction input, Python floats when
+    any input is a float (see _numbers)."""
+    d = len(params.y)
+    t, *v = _numbers(t, *params.y, *params.omega)
     _check_height(t)
-    if _is_exact(params.y, params.omega, t):
-        t = rat(t)
-        cy = family.C.mat_vec([rat(v) for v in params.y])
-        sp = tuple(rat(w) - t * rat(v) - t * t * c for w, v, c in zip(params.omega, params.y, cy))
-        return sp + (t,)
-    tf = float(t)
-    return tuple(_centres(family, *_param_arrays([params]), np.array([tf]))[:, 0, 0]) + (tf,)
+    y, omega = v[:d], v[d:]
+    return tuple(w - t * u - t * t * c for w, u, c in zip(omega, y, family.C.mat_vec(y))) + (t,)
 
 
 def curve_tangent(family: CurveFamily, params: CurveParams, t) -> tuple:
-    """The tangent (-y - 2t*C*y, 1); the last component is exactly 1."""
+    """The tangent (-y - 2t*C*y, 1), read as :func:`curve_point` reads; the last component is exactly 1."""
+    t, *y = _numbers(t, *params.y)
     _check_height(t)
-    if _is_exact(params.y, t):
-        t = rat(t)
-        cy = family.C.mat_vec([rat(v) for v in params.y])
-        sp = tuple(-rat(v) - 2 * t * c for v, c in zip(params.y, cy))
-        one = Fraction(1)
-        return sp + (one,)
-    y = _float_array(params.y)
-    tf = float(t)
-    sp = -y - 2.0 * tf * (family._cf @ y)
-    return tuple(sp) + (1.0,)
+    return tuple(-u - 2 * t * c for u, c in zip(y, family.C.mat_vec(y))) + (type(t)(1),)
 
 
 def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -237,11 +247,11 @@ def intersect_curves(family: CurveFamily, p1: CurveParams, p2: CurveParams) -> l
     a non-square discriminant is taken in floats, after the root has been
     verified and placed in [-1, 1] exactly.
     """
-    if p1 == p2:
-        raise IdenticalCurves("curve parameters coincide")
-    exact = _is_exact(p1.y, p1.omega, p2.y, p2.omega)
+    exact = _is_exact(*p1.y, *p1.omega, *p2.y, *p2.omega)
     dy = [_fraction(a) - _fraction(b) for a, b in zip(p1.y, p2.y)]
     dw = [_fraction(a) - _fraction(b) for a, b in zip(p1.omega, p2.omega)]
+    if not any(dy) and not any(dw):
+        raise IdenticalCurves("curve parameters coincide")
     cdy = family.C.mat_vec(dy)
     comp = next((i for i in range(len(dy)) if dy[i] != 0 or cdy[i] != 0), None)
     if comp is None:
@@ -285,9 +295,10 @@ def intersection_diameter(family: CurveFamily, tube1: TubeSpec, tube2: TubeSpec)
     if float(tube1.delta) != float(tube2.delta):
         raise ConfigurationViolation("tubes must share delta")
     delta = float(tube1.delta)
-    sep = float(np.linalg.norm(_float_array(tube1.params.y) - _float_array(tube2.params.y)))
+    Y, W = _param_arrays([tube1.params, tube2.params])
+    sep = float(np.linalg.norm(Y[0] - Y[1]))
     ts = np.linspace(-1.0, 1.0, _height_samples(8.0, delta))
-    c1, c2 = _centres(family, *_param_arrays([tube1.params, tube2.params]), ts).transpose(1, 2, 0)
+    c1, c2 = _centres(family, Y, W, ts).transpose(1, 2, 0)
     diff = c2 - c1
     dist = np.linalg.norm(diff, axis=1)
     on = dist < 2.0 * delta
@@ -339,7 +350,7 @@ def locus_curve_params(family: CurveFamily, y0: Sequence, t0, u, s) -> tuple[tup
 
     Computed exactly, a float input taken as the dyadic rational it is; any
     float input gives the exact results rounded to floats."""
-    exact = _is_exact(tuple(y0), t0, u, s)
+    exact = _is_exact(*y0, t0, u, s)
     t0, u, s = _fraction(t0), _fraction(u), _fraction(s)
     w, a = _locus_core(family.C, [_fraction(v) for v in y0], t0, u, s)
     y = tuple(a * x for x in w)
@@ -350,7 +361,7 @@ def locus_curve_params(family: CurveFamily, y0: Sequence, t0, u, s) -> tuple[tup
 def locus_point(family: CurveFamily, y0: Sequence, t0, u, s, t) -> tuple:
     """Point of the locus of curves meeting both base curves, at height t;
     exact as :func:`locus_curve_params` is."""
-    exact = _is_exact(tuple(y0), t0, u, s, t)
+    exact = _is_exact(*y0, t0, u, s, t)
     t0, u, s, t = _fraction(t0), _fraction(u), _fraction(s), _fraction(t)
     w, a = _locus_core(family.C, [_fraction(v) for v in y0], t0, u, s)
     pt = tuple((s - t) * a * x for x in _one_plus(family.C, s + t, w)) + (t,)
@@ -469,9 +480,9 @@ def _height_samples(per_unit: float, delta: float) -> int:
     return math.ceil(per_unit / delta) + 1
 
 
-def _nearest_approach(family, pa: CurveParams, pb: CurveParams, delta: float, window=None):
-    """(height, distance) of the closest approach, optionally restricted to
-    heights t with |t - window[0]| in [window[1], window[2]]."""
+def _nearest_approach(family, Y: np.ndarray, W: np.ndarray, a: int, b: int, delta: float, window=None):
+    """(height, distance) of the closest approach of the curves in rows a and b of Y, W, optionally
+    restricted to heights t with |t - window[0]| in [window[1], window[2]]."""
     ts = np.linspace(-1.0, 1.0, _height_samples(16.0, delta))
     if window is not None:
         centre, lo, hi = window
@@ -479,7 +490,7 @@ def _nearest_approach(family, pa: CurveParams, pb: CurveParams, delta: float, wi
         ts = ts[(gap >= lo) & (gap <= hi)]
         if ts.size == 0:
             return None
-    ca, cb = (_centres(family, *_param_arrays([p]), ts)[:, 0] for p in (pa, pb))
+    ca, cb = (_centres(family, Y[i:i + 1], W[i:i + 1], ts)[:, 0] for i in (a, b))
     dist = np.linalg.norm(ca - cb, axis=0)
     i = int(np.argmin(dist))
     return float(ts[i]), float(dist[i])
@@ -506,22 +517,22 @@ def hairbrush_claim_check(
     C = family.C
     if not (C * C).is_zero():
         raise ConfigurationViolation("claim check requires C^2 = 0")
-    if any(v != 0 for v in central.params.y + central.params.omega):
+    Y, W = _param_arrays([central.params, tube_j.params, tube_i.params])
+    if Y[0].any() or W[0].any():
         raise ConfigurationViolation("central tube must be normalised to T_0(0)")
     deltas = {float(central.delta), float(tube_j.delta), float(tube_i.delta)}
     if len(deltas) != 1:
         raise ConfigurationViolation("all three tubes must share delta")
     delta = deltas.pop()
 
-    yj = _float_array(tube_j.params.y)
-    yi = _float_array(tube_i.params.y)
+    yj, yi = Y[1], Y[2]
     for name, v, idx in (("y_j", yj, k), ("y_i", yi, k), ("y_j - y_i", yj - yi, l)):
         r = float(np.linalg.norm(v))
         if not 2.0 ** (-idx - 1) < r <= 2.0 ** (-idx):
             raise ConfigurationViolation(f"|{name}| = {r:.4g} outside dyadic shell 2^-{idx}")
 
-    t_j, dj = _nearest_approach(family, tube_j.params, central.params, delta)
-    t_i, di = _nearest_approach(family, tube_i.params, central.params, delta)
+    t_j, dj = _nearest_approach(family, Y, W, 1, 0, delta)
+    t_i, di = _nearest_approach(family, Y, W, 2, 0, delta)
     if max(dj, di) > 2.0 * delta:
         raise ConfigurationViolation("tube_j and tube_i must both meet the central tube")
     # the i-j meeting is sought inside the prescribed dyadic distance window; heights in [-1, 1] are at
@@ -529,15 +540,14 @@ def hairbrush_claim_check(
     hit = None
     if l + m <= 2 - math.frexp(delta)[1]:  # then delta 2^(l+m+1) < 8: no window end overflows
         window = (t_j, math.ldexp(delta, l + m), math.ldexp(delta, l + m + 1))
-        hit = _nearest_approach(family, tube_i.params, tube_j.params, delta, window=window)
+        hit = _nearest_approach(family, Y, W, 2, 1, delta, window=window)
     if hit is None or hit[1] > 2.0 * delta:
         raise ConfigurationViolation(
             "tubes i and j do not meet at any height with |s - t_j| in "
             "[delta*2^(l+m), delta*2^(l+m+1)]")
     s = hit[0]
 
-    wj = _float_array(tube_j.params.omega)
-    wi = _float_array(tube_i.params.omega)
+    wj, wi = W[1], W[2]
     dist_centres = float(np.linalg.norm(wj - wi))
     line = (np.eye(C.dim) + t_j * family._cf) @ yj
     u = line / np.linalg.norm(line)
@@ -557,19 +567,12 @@ def hairbrush_claim_check(
 # ------------------------------------------------------------------------- io
 
 def tubes_to_json(tubes: Sequence[TubeSpec]) -> list:
-    return [
-        {"y": [float(v) for v in t.params.y],
-         "omega": [float(v) for v in t.params.omega],
-         "delta": float(t.delta)}
-        for t in tubes
-    ]
+    return [{"y": list(_floats(t.params.y)), "omega": list(_floats(t.params.omega)), "delta": float(t.delta)}
+            for t in tubes]
 
 
 def tubes_from_json(obj: list) -> list[TubeSpec]:
+    """Tubes from parsed JSON: each coordinate read by _number, and delta by TubeSpec."""
     with reading_json("tube list"):
-        if any(isinstance(v, (bool, str)) for d in obj for v in [*d["y"], *d["omega"], d["delta"]]):
-            raise PreconditionViolation("tube list JSON holds a boolean or text where a number belongs")
-        return [
-            TubeSpec(params=CurveParams(y=tuple(d["y"]), omega=tuple(d["omega"])), delta=d["delta"])
-            for d in obj
-        ]
+        return [TubeSpec(params=CurveParams(y=map(_number, d["y"]), omega=map(_number, d["omega"])), delta=d["delta"])
+                for d in obj]

@@ -15,6 +15,7 @@ sign exactly and rounds each root once, to one of the two floats around it.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -22,8 +23,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import PreconditionViolation, SingularMatrix, reading_json
-
-Rational = Fraction
 
 MAX_DIM = 8
 
@@ -149,10 +148,7 @@ class RationalMatrix:
     def mat_vec(self, v: Sequence) -> tuple:
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        return tuple(sum(r[j] * v[j] for j in range(self.dim)) for r in self.rows)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.rows)))
+        return tuple(sum(map(operator.mul, r, v)) for r in self.rows)
 
     def is_zero(self) -> bool:
         return all(e == 0 for r in self.rows for e in r)

@@ -129,6 +129,8 @@ class TubeFamilySpec:
 
 
 def _band_indices(k: int, t_range) -> np.ndarray:
+    if k > MAX_K:  # the one check, before any band is allocated
+        raise ResolutionTooFine(f"k = {k} exceeds the supported maximum {MAX_K}")
     lo = max(-1.0, float(t_range[0]))
     hi = min(1.0, float(t_range[1]))
     delta = 2.0**-k
@@ -182,6 +184,7 @@ def _stamp(spec: TubeFamilySpec, k: int):
     for its band reflection, whose cells are j -> -1 - j on those axes and on the band; that block
     is yielded once, and each reduction weights it.
     """
+    bands = _band_indices(k, spec.t_range)  # refuses k > MAX_K before anything else
     Y, W = spec.Y, spec.W
     m, d = len(Y), spec.family.n - 1
     if m * 2**d > CELL_BUDGET:
@@ -196,7 +199,6 @@ def _stamp(spec: TubeFamilySpec, k: int):
     if Kd >= 2**63:
         raise ResolutionTooFine(
             f"cell keys exceed int64: (2^{k + 1} + 6)^{d} >= 2^63 at n = {d + 1}, k = {k}")
-    bands = _band_indices(k, spec.t_range)
     per_block = min(max(1, _BLOCK_ROWS // m), 2**63 // Kd)  # band offset * K^d stays in int64
     bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1  # candidate -> which axes take j0+1
     step = [K**e for e in range(d - 1, -1, -1)]  # Python ints, so int32 keys stay int32
@@ -296,8 +298,6 @@ def rasterize(spec: TubeFamilySpec, k: int) -> CellSet:
     use :func:`union_volume` for larger counting-only experiments.
     """
     n = spec.family.n
-    if k > MAX_K:
-        raise ResolutionTooFine(f"k = {k} exceeds the supported maximum {MAX_K}")
     m = len(spec.Y)
     nb = _band_indices(k, spec.t_range).size
     if m * nb * (2 ** (n - 1)) > CELL_BUDGET:

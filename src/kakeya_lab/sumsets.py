@@ -457,29 +457,30 @@ def _discard_to_distinct_differences(G: Incidence) -> Incidence:
     return Incidence._of_rows(G.a.take(keep, axis=0), G.b.take(keep, axis=0))
 
 
-def _trapezia(G: Incidence, X: RationalMatrix, Y: RationalMatrix, Z: RationalMatrix) -> tuple[int, bool]:
-    """Ordered trapezium count of a non-empty incidence, and whether every counted tuple passes the identity.
+def _trapezia(G: Incidence, X: RationalMatrix, Z: RationalMatrix) -> tuple[int, bool, int, int]:
+    """(trapezium count, identity holds, #(A + X B), #(A + Y B)) of a non-empty incidence, Y = X + I.
 
     The tuples are the triples (a, b0, b0') of pairs (a, b0), (a, b0') in G,
     taken in ordered pairs p, q within a side group of equal (a + Y b0, b0').
     For p = (a0, b0, b0') and q = (a1, b1, b1') the identity reads F_p == H_q
     with F = (I + X^-1)(a0 + X b0) - X^-1 (a0 + X b0') and H = a1 - b1' + Y b1,
     so it holds on a whole group iff all its F and H are one value.  Both are
-    computed scaled by D^2, D the lcm of the denominators of X, Y and Z = X^-1.
+    computed scaled by D^2, D the lcm of the denominators of X and Z = X^-1 (Y's are X's).
     """
-    forms = [m.integer_form() for m in (X, Y, Z)]
+    forms = [m.integer_form() for m in (X, Z)]
     D = math.lcm(*(L for L, _ in forms))
-    XD, YD, ZD = ([[v * (D // L) for v in r] for r in rows] for L, rows in forms)
+    XD, ZD = ([[v * (D // L) for v in r] for r in rows] for L, rows in forms)
+    YD = [[v + D * (i == j) for j, v in enumerate(r)] for i, r in enumerate(XD)]  # D Y = D X + D I: bound only
     top = max(sum(map(abs, r)) for m in (XD, YD, ZD) for r in m)  # the largest row sum of |XD|, |YD|, |ZD|
     U = D * (G.peak_a + 1) + top * (G.peak_b + 1)  # bounds D (a + X b) and D (a + Y b)
     # |F| <= (D + 2 top) U and |H| <= D U + D^2 |b|, partial sums included
     a, b = _exact((D + 2 * top) * U + D * D * (G.peak_b + 1), G.a, G.b)
-    XD, YD, ZD = (np.array(m, dtype=a.dtype) for m in (XD, YD, ZD))
-    u = D * a + b @ XD.T            # D (a + X b)
-    Q = u @ ZD.T                    # D^2 X^-1 (a + X b)
-    P = D * u + Q                   # D^2 (I + X^-1)(a + X b)
-    R = D * D * a + D * (b @ YD.T)  # D^2 (a + Y b)
+    XD, ZD = (np.array(m, dtype=a.dtype) for m in (XD, ZD))
+    u = D * a + b @ XD.T  # D (a + X b)
+    Q = u @ ZD.T          # D^2 X^-1 (a + X b)
+    P = D * u + Q         # D^2 (I + X^-1)(a + X b)
     S = D * D * b
+    R = D * u + S         # D^2 (a + Y b)
 
     # triples (i, j): rows i, j of G with a_i == a_j; each a is one run of G's sorted rows
     _, starts, run, m = np.unique(_keys(G.a, G.peak_a), return_index=True, return_inverse=True,
@@ -488,12 +489,14 @@ def _trapezia(G: Incidence, X: RationalMatrix, Y: RationalMatrix, Z: RationalMat
     i = np.repeat(np.arange(len(a)), m)
     j = np.repeat(starts[run] - (np.cumsum(m) - m), m) + np.arange(len(i))
 
-    side = _ranks(R, D * U)[i] * len(a) + _ranks(G.b, G.peak_b)[j]
+    y_rank = _ranks(R, D * U)  # of each a + Y b among the distinct ones
+    side = y_rank[i] * len(a) + _ranks(G.b, G.peak_b)[j]
     _, first, group, sizes = np.unique(side, return_index=True, return_inverse=True, return_counts=True)
     F = P.take(i, axis=0) - Q.take(j, axis=0)
     H = R.take(i, axis=0) - S.take(j, axis=0)
     ref = F.take(first[group], axis=0)
-    return int((sizes * sizes).sum()), bool((F == ref).all() and (H == ref).all())
+    ok = bool((F == ref).all() and (H == ref).all())
+    return int((sizes * sizes).sum()), ok, _count(u, U), int(y_rank.max()) + 1
 
 
 def count_trapezia(
@@ -521,9 +524,8 @@ def count_trapezia(
     except SingularMatrix:
         raise PreconditionViolation("X must be invertible") from None
     Gd = _discard_to_distinct_differences(G)
-    sX, sY = (_count(*_sums(Gd, S, A.dim)) for S in (X, Y))
+    count, identity_ok, sX, sY = _trapezia(Gd, X, Z) if Gd.size else (0, True, 0, 0)
     M = max(A.size, B.size, sX, sY)
-    count, identity_ok = _trapezia(Gd, X, Y, Z) if Gd.size else (0, True)
     g = Gd.size
     lower = g**4 / M**4 if M else 0.0
     return TrapeziumReport(

@@ -106,6 +106,14 @@ class TestRasterize:
         with pytest.raises(kl.ResolutionTooFine):
             kl.rasterize(kl.TubeFamilySpec(family=straight_family(), tubes=()), 13)
 
+    @pytest.mark.parametrize("reduce", [kl.union_volume, lambda s, k: kl.covering_norm(s, 2.0, k)],
+                             ids=["union_volume", "covering_norm"])
+    def test_resolution_guard_in_every_reduction(self, reduce):
+        # the kernel refuses k > MAX_K itself, as rasterize does: both answered one tube at 2^-13
+        spec = kl.TubeFamilySpec(straight_family(), Y=[[0.1, 0.2]], W=[[0.0, 0.0]], delta=2.0**-13)
+        with pytest.raises(kl.ResolutionTooFine, match="supported maximum"):
+            reduce(spec, 13)
+
     def test_delta_mismatch(self):
         tube = kl.TubeSpec(params=kl.CurveParams(y=(0.0, 0.0), omega=(0.0, 0.0)), delta=0.25)
         with pytest.raises(ValueError):

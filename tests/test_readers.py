@@ -1,14 +1,18 @@
-"""The constructors read every coordinate exactly or refuse it.
+"""The constructors and the curve functions read every number exactly or refuse it.
 
 Integer rows (``LatticeSet``, ``Incidence``, ``CellSet``) take Python and
 numpy integers and numbers with an integer value; float rows
 (``TubeFamilySpec`` from arrays or from ``CurveParams`` tubes) take numbers.
 A boolean or text in either, or a non-integral value in integer rows, raises
 ``PreconditionViolation`` instead of being read as 1, 0, the number the text
-spells or a truncation.
+spells or a truncation.  The curve functions (points, tangents, intersections,
+the locus, diameters and a ``TubeSpec``'s delta) read a Python int or
+``Fraction`` exactly and any other number as its float, and also refuse NaN
+and infinities.
 """
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -104,3 +108,132 @@ def test_silent_coercions_are_refused(build):
     with pytest.raises(kl.PreconditionViolation):
         build()
 
+
+
+# ----------------------------------------------------------------- curves
+
+CURVE_POOL = POOL + [math.inf, -math.inf]
+curve_numbers = st.sampled_from(CURVE_POOL)
+CURVED = kl.CurveFamily(n=3, C=kl.RationalMatrix([[F(1, 4), F(-1, 3)], [F(1, 5), 0]]))
+
+
+def _read(c):
+    """How the curve functions read c: a Python int or Fraction exactly, any other number as its float, and a
+    boolean, text, NaN or an infinity not at all."""
+    if _refused(c) or isinstance(c, (float, np.floating)) and not math.isfinite(c):
+        return kl.PreconditionViolation
+    return c if isinstance(c, (int, F)) else float(c)
+
+
+def _outcome(call):
+    """repr of call()'s value, so that types count, or the type of the error it raises."""
+    try:
+        return repr(call())
+    except (kl.KakeyaLabError, ValueError) as e:
+        return type(e)
+
+
+def _reads_as(call, *values):
+    """call(*values) refuses when a value is refused, and otherwise does what it does on their readings."""
+    read = [_read(v) for v in values]
+    if kl.PreconditionViolation in read:
+        with pytest.raises(kl.PreconditionViolation):
+            call(*values)
+    else:
+        assert _outcome(lambda: call(*values)) == _outcome(lambda: call(*read))
+
+
+def _params(y0, y1, w0, w1):
+    return kl.CurveParams(y=(y0, y1), omega=(w0, w1))
+
+
+OTHER = kl.CurveParams(y=(F(1, 3), F(-1, 5)), omega=(F(1, 7), 0))  # no reading of a POOL value gives it
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[curve_numbers] * 7))
+def test_curve_inputs_are_read_or_refused(v):
+    y0, y1, w0, w1, t, u, s = v
+    _reads_as(lambda *a: kl.curve_point(CURVED, _params(*a[:4]), a[4]), y0, y1, w0, w1, t)
+    _reads_as(lambda *a: kl.curve_tangent(CURVED, _params(*a[:2], 0, 0), a[2]), y0, y1, t)  # omega is not read
+    _reads_as(lambda *a: kl.intersect_curves(CURVED, _params(*a), OTHER), y0, y1, w0, w1)
+    _reads_as(lambda *a: kl.locus_curve_params(CURVED, a[:2], *a[2:]), y0, y1, t, u, s)
+    _reads_as(lambda *a: kl.locus_point(CURVED, a[:2], *a[2:]), y0, y1, t, u, s, w0)
+    tube = lambda *a: kl.TubeSpec(params=_params(*a), delta=2.0**-4)  # noqa: E731
+    fixed = tube(0.25, 0.0, 0.0, 0.0)
+    _reads_as(lambda *a: kl.intersection_diameter(CURVED, tube(*a), fixed), y0, y1, w0, w1)
+    _reads_as(lambda d: float(kl.TubeSpec(params=OTHER, delta=d).delta), t)
+
+
+def _formula(y, w, t):
+    """The point's and the tangent's first two components, omega - t*y - t^2*C*y and -y - 2t*C*y for
+    C = CURVED.C, exactly on the Fractions given, and for each the sum of the absolute values of its terms."""
+    C = CURVED.C.rows
+    c = [C[i][0] * y[0] + C[i][1] * y[1] for i in range(2)]
+    ac = [abs(C[i][0] * y[0]) + abs(C[i][1] * y[1]) for i in range(2)]
+    values = [w[i] - t * y[i] - t * t * c[i] for i in range(2)] + [-y[i] - 2 * t * c[i] for i in range(2)]
+    scales = [abs(w[i]) + abs(t * y[i]) + t * t * ac[i] for i in range(2)] + [abs(y[i]) + 2 * abs(t) * ac[i]
+                                                                              for i in range(2)]
+    return values, scales
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.sampled_from([c for c in POOL if _read(c) is not kl.PreconditionViolation]
+                                   + [F(1, 3), F(-5, 7)])] * 4),
+       st.sampled_from([0, 1, -1, F(1, 2), F(-2, 3), 0.5, -0.75, np.float64(0.1), np.int64(-1)]))
+def test_points_follow_the_formula(v, t):
+    # exact input gives the exact formula in Fractions, with the tangent's last component Fraction(1); any
+    # float input gives Python floats within 1e-12 (relative to its terms) of the exact formula at those floats.
+    # The tangent reads y and t only.
+    p = _params(*v)
+    read = [_read(c) for c in (*v, t)]
+    values, terms = _formula([F(c) for c in read[:2]], [F(c) for c in read[2:4]], F(read[4]))
+    for got, want, scales, inputs, last in ((kl.curve_point(CURVED, p, t), values[:2], terms[:2], read, read[4]),
+                                            (kl.curve_tangent(CURVED, p, t), values[2:], terms[2:],
+                                             read[:2] + read[4:], 1)):
+        if all(isinstance(c, (int, F)) for c in inputs):
+            assert list(got[:2]) == want and got[2] == last and all(type(c) is F for c in got)
+        else:
+            assert all(type(c) is float for c in got) and got[2] == float(last)
+            assert all(abs(F(g) - w) <= F(1e-12) * sc for g, w, sc in zip(got, want, scales))
+
+
+FAMILY3 = kl.CurveFamily(n=3, C=kl.companion([0, 0]))
+TUBE = lambda y, w=(0, 0), delta=2.0**-6: kl.TubeSpec(params=kl.CurveParams(y=y, omega=w), delta=delta)  # noqa: E731
+LINE = kl.CurveParams(y=(1, 0), omega=(0, 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kl.intersection_diameter(FAMILY3, TUBE((math.inf, 0)), TUBE((0.25, 0))),
+    lambda: kl.intersection_diameter(FAMILY3, TUBE((0.25, 0), (math.nan, 0)), TUBE((0.25, 0))),
+    lambda: kl.curve_point(FAMILY3, kl.CurveParams(y=(math.inf, 0), omega=(0, 0)), 0.5),
+    lambda: kl.curve_tangent(FAMILY3, kl.CurveParams(y=(math.inf, 0), omega=(0, 0)), 0.5),
+    lambda: kl.curve_point(FAMILY3, LINE, "0.5"),
+    lambda: kl.curve_point(FAMILY3, kl.CurveParams(y=(True, 0), omega=(0, 0)), F(1, 2)),
+    lambda: kl.curve_tangent(FAMILY3, kl.CurveParams(y=(True, 0), omega=(0, 0)), F(1, 2)),
+    lambda: kl.intersect_curves(FAMILY3, kl.CurveParams(y=("0.5", 0), omega=(0, 0)), LINE),
+    lambda: kl.intersect_curves(FAMILY3, kl.CurveParams(y=(True, 0), omega=(0, 0)), LINE),
+    lambda: kl.intersect_curves(FAMILY3, kl.CurveParams(y=(math.inf, 0), omega=(0, 0)), LINE),
+    lambda: kl.intersect_curves(FAMILY3, kl.CurveParams(y=(math.nan, 0), omega=(0, 0)), LINE),
+    lambda: kl.locus_curve_params(FAMILY3, (True, 0), F(1, 2), F(1, 4), F(-1, 4)),
+    lambda: kl.locus_point(FAMILY3, ("1", 0), "0.5", 0.25, -0.25, 0.1),
+    lambda: kl.locus_point(FAMILY3, (1, 0), math.inf, 0.25, -0.25, 0.1),
+    lambda: TUBE((0.25, 0), delta="0.25"),
+    lambda: kl.hairbrush_claim_check(FAMILY3, TUBE((0, 0), ("0", 0)), TUBE((0.25, 0)), TUBE((0.25, 0.1)), 2, 3, 0),
+], ids=["diameter inf direction", "diameter nan centre", "point inf", "tangent inf", "point text height",
+        "point bool", "tangent bool", "intersect text", "intersect bool", "intersect inf", "intersect nan",
+        "locus params bool", "locus point text", "locus point inf t0", "tube text delta", "claim text centre"])
+def test_curve_repros_are_refused(call):
+    # each of these used to answer (a NaN point, a silent "disjoint", a parsed text, True read as 1) or raise
+    # a bare TypeError, OverflowError or ValueError
+    with pytest.raises(kl.PreconditionViolation):
+        call()
+
+
+@pytest.mark.parametrize("y, t", [((0.5, 0.25), 0.5), ((F(1, 2), 0), 0.5), ((np.float64(0.5), 0), F(1, 2)),
+                                  ((np.int64(1), 0), 0)])
+def test_float_points_are_python_floats(y, t):
+    # the float path returned numpy floats; an exact height with a float direction returned a Fraction tangent
+    p = kl.CurveParams(y=y, omega=(0, 0))
+    for got in (kl.curve_point(FAMILY3, p, t), kl.curve_tangent(FAMILY3, p, t)):
+        assert all(type(c) is float for c in got)
