@@ -4,10 +4,10 @@ A family is determined by a square matrix C of size n-1; the curve with
 direction y and centre omega is t -> (omega - t*y - t^2*C*y, t) for t in
 [-1, 1].  Tubes thicken curves by a radius delta in every horizontal slice.
 
-Every number is read one way (_number): an int or Fraction is exact, any other
-number is a float, and a boolean, text, NaN or an infinity raises
-PreconditionViolation.  Points and tangents are exact for exact input and Python
-floats when any input is a float.  Intersection heights and the locus are
+Numbers are read by the readers in exact: a scalar by _number (an int or
+Fraction exactly, any other number as its float) and the tube arrays by
+_float_rows.  Points and tangents are exact for exact input and Python floats
+when any input is a float.  Intersection heights and the locus are
 computed exactly for any input, a float taken as the dyadic rational it is, and
 rounded to floats only for float input; the locus dichotomy decides its flags
 exactly, with no tolerance.  Tube centres are sampled in floats by _centres.
@@ -31,7 +31,7 @@ from .errors import (
     SingularConfiguration,
     reading_json,
 )
-from .exact import RationalMatrix
+from .exact import RationalMatrix, _float_rows, _number
 
 _SLAB = 2**15  # float64 elements of _centres' scratch: 256 KB, a slab that stays in cache
 MAX_K = 12  # the finest supported resolution is delta = 2^-MAX_K, for grids and height samples alike
@@ -42,19 +42,6 @@ Vector = tuple
 
 def _is_exact(*values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
-
-
-def _number(x):
-    """x as this module reads every number: an int or Fraction as a Fraction, any other number as a float.
-    A boolean, text, NaN or an infinity raises PreconditionViolation; an exact value of any size is read."""
-    if isinstance(x, (bool, np.bool_, str, bytes)):
-        raise PreconditionViolation(f"{x!r}: a boolean or text where a number belongs")
-    if isinstance(x, (int, Fraction)):
-        return x if isinstance(x, Fraction) else Fraction(x)
-    x = float(x)
-    if not math.isfinite(x):
-        raise PreconditionViolation(f"{x} where a finite number belongs")
-    return x
 
 
 def _fraction(x) -> Fraction:
@@ -75,31 +62,6 @@ def _numbers(*values) -> list:
     """The values read by _number: Fractions, or all floats when any of them is a float."""
     out = [_number(v) for v in values]
     return out if all(isinstance(v, Fraction) for v in out) else list(_floats(out))
-
-
-def _float_array(values) -> np.ndarray:
-    """``values`` (a number, a sequence of numbers or of rows of them, or an array) as a float64 array.
-
-    A boolean or text raises :class:`PreconditionViolation` before any conversion: ``float`` would read
-    True as 1.0 and parse "0.5".  An array is checked by its dtype, other input value by value."""
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        kinds = {values.dtype.type}
-    else:
-        values = np.array(values, dtype=object)
-        kinds = set(map(type, values.flat))
-    if any(issubclass(t, (bool, np.bool_, str, bytes)) for t in kinds):
-        raise PreconditionViolation("a boolean or text where a number belongs")
-    return values.astype(float)
-
-
-def _float_rows(rows, d: int) -> np.ndarray:
-    """The rows as a (len(rows), d) array, read by _float_array; ValueError when a row's length is not d."""
-    a = _float_array(rows)
-    if a.shape == (0,):
-        a = a.reshape(0, d)
-    if a.ndim != 2 or a.shape[1] != d:
-        raise ValueError(f"expected rows of length {d}, got an array of shape {a.shape}")
-    return a
 
 
 @dataclass(frozen=True)
@@ -160,10 +122,9 @@ class CurveFamily:
 
 
 def _param_arrays(params: Sequence[CurveParams]) -> tuple[np.ndarray, np.ndarray]:
-    """Float (curves, n-1) arrays of the directions y and the centres omega, each value read by _number."""
-    Y = np.array([_floats(map(_number, p.y)) for p in params])
-    W = np.array([_floats(map(_number, p.omega)) for p in params])
-    return Y, W
+    """Float (curves, n-1) arrays of the directions y and the centres omega, read by _float_rows."""
+    d = len(params[0].y)
+    return _float_rows([p.y for p in params], d), _float_rows([p.omega for p in params], d)
 
 
 def _centres(family: CurveFamily, Y: np.ndarray, W: np.ndarray, ts: np.ndarray,
@@ -567,8 +528,9 @@ def hairbrush_claim_check(
 # ------------------------------------------------------------------------- io
 
 def tubes_to_json(tubes: Sequence[TubeSpec]) -> list:
-    return [{"y": list(_floats(t.params.y)), "omega": list(_floats(t.params.omega)), "delta": float(t.delta)}
-            for t in tubes]
+    """Tubes as JSON, each coordinate read by _float_rows."""
+    return [{"y": Y[0].tolist(), "omega": W[0].tolist(), "delta": float(t.delta)}
+            for t in tubes for Y, W in [_param_arrays([t.params])]]
 
 
 def tubes_from_json(obj: list) -> list[TubeSpec]:

@@ -1,4 +1,4 @@
-"""Exact rational scalars, small dense matrices and polynomials.
+"""Exact rational scalars, small dense matrices and polynomials, and the library's number readers.
 
 Everything here is exact: scalars are ``fractions.Fraction``, matrix and
 polynomial arithmetic never rounds.  One fraction-free integer elimination
@@ -10,10 +10,17 @@ from one pseudo-remainder routine, scaled by positive factors only (Collins'
 primitive remainder sequence).  Floats appear only as outputs:
 :meth:`RationalMatrix.to_float`, and :func:`real_roots`, which decides every
 sign exactly and rounds each root once, to one of the two floats around it.
+
+Each number a caller passes is read by one of five readers here: rat (exact),
+_number (a real scalar), _integer, _float_rows (float arrays) and _rows
+(integer rows).  Booleans, text (but rat's "p/q") and what else a reader cannot
+read raise PreconditionViolation, a ValueError; rat raises TypeError for a
+float or a boolean.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import struct
@@ -37,6 +44,78 @@ def rat(x) -> Fraction:
         except ZeroDivisionError:
             raise PreconditionViolation(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} ({type(x).__name__}) as a rational; pass an int, Fraction or \"p/q\"")
+
+
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)  # float() and int() would read True as 1 and parse "0.5"
+
+
+def _number(x):
+    """x as a real scalar: an int or Fraction as a Fraction, any other number (numpy's included) as a float.
+    A boolean, text, NaN or an infinity raises PreconditionViolation; an exact value of any size is read."""
+    if isinstance(x, _NOT_NUMBERS):
+        raise PreconditionViolation(f"{x!r}: a boolean or text where a number belongs")
+    if isinstance(x, (int, Fraction)):
+        return x if isinstance(x, Fraction) else Fraction(x)
+    x = float(x)
+    if not math.isfinite(x):
+        raise PreconditionViolation(f"{x} where a finite number belongs")
+    return x
+
+
+def _integer(c) -> int:
+    """c as a Python int: a Python or numpy integer, or a number with an integer value such as 2.0.
+    Anything else, a boolean or text included, raises PreconditionViolation."""
+    try:
+        if not isinstance(c, _NOT_NUMBERS) and (isinstance(c, (int, np.integer)) or c == math.floor(c)):
+            return int(c)
+    except (TypeError, ValueError, OverflowError):  # not a real number; NaN; an infinity
+        pass
+    raise PreconditionViolation(f"{c!r} is not an integer")
+
+
+def _float_rows(values, d: int | None = None) -> np.ndarray:
+    """values as a float64 array: with d, rows of d finite coordinates; without, a number or numbers whose
+    range the caller checks.  A boolean or text (told by an array's dtype, else by the values' types, before
+    any conversion), a value past the float range and, with d, a NaN or an infinity raise
+    PreconditionViolation; with d, a row whose length is not d raises ValueError."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        kinds = {values.dtype.type}
+    elif d is None:
+        kinds = set(map(type, np.array(values, dtype=object).flat))
+    else:
+        try:
+            kinds = set(map(type, itertools.chain.from_iterable(values)))
+        except TypeError:  # a number where a row belongs
+            raise ValueError(f"expected rows of length {d}") from None
+    if any(issubclass(t, _NOT_NUMBERS) for t in kinds):
+        raise PreconditionViolation("a boolean or text where a number belongs")
+    try:
+        a = np.array(values, dtype=float)
+    except OverflowError:
+        raise PreconditionViolation("a value past the float range") from None
+    if d is not None:
+        a = a.reshape(0, d) if a.shape == (0,) else a
+        if a.ndim != 2 or a.shape[1] != d:
+            raise ValueError(f"expected rows of length {d}, got an array of shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise PreconditionViolation("coordinates must be finite")
+    return a
+
+
+def _rows(points: Iterable, dim: int) -> np.ndarray:
+    """(n, dim) int64 array of the points, or object array of Python ints past int64; a point whose length
+    is not dim raises PreconditionViolation.  Coordinates are read by _integer unless all are integers, so
+    nothing is converted unchecked: ``np.array(..., dtype=np.int64)`` would read True as 1 and 1.5 as 1."""
+    pts = list(points)
+    if any(len(p) != dim for p in pts):
+        raise PreconditionViolation("point dimension mismatch")
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, itertools.chain(*pts)))):
+        pts = [[_integer(c) for c in p] for p in pts]
+    try:
+        rows = np.array(pts, dtype=np.int64)
+    except OverflowError:
+        rows = np.array([[int(c) for c in p] for p in pts], dtype=object)
+    return rows.reshape(len(pts), dim)
 
 
 def _rat_to_json(x: Fraction):

@@ -17,12 +17,11 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .curves import (CELL_BUDGET, MAX_K, CurveFamily, CurveParams, TubeSpec, _centres, _float_array, _float_rows,
-                     _height_samples, _pair_norms)
+from .curves import CELL_BUDGET, MAX_K, CurveFamily, CurveParams, TubeSpec, _centres, _height_samples, _pair_norms
 from .errors import PreconditionViolation, ResolutionTooFine
-from .exact import RationalMatrix
+from .exact import RationalMatrix, _float_rows, _rows
 from .slices import vanishing_order, w_matrix
-from .sumsets import _distinct as _distinct_rows, _rows
+from .sumsets import _distinct as _distinct_rows
 
 _BLOCK_ROWS = 2**14  # (tube, band or height) rows per pass of the stamping and meet loops; bounds their memory
 
@@ -107,9 +106,7 @@ class TubeFamilySpec:
         Y, W = _float_rows(Y, d), _float_rows(W, d)
         if W.shape != Y.shape:
             raise ValueError("Y and W must hold one row per tube")
-        if not (np.isfinite(Y).all() and np.isfinite(W).all()):
-            raise ValueError("Y and W must be finite")
-        delta = np.array(np.broadcast_to(_float_array(delta), len(Y)))
+        delta = np.array(np.broadcast_to(_float_rows(delta), len(Y)))
         if not ((delta > 0) & (delta < 1)).all():  # NaN fails both comparisons
             raise ValueError("delta must lie in (0, 1)")
         lo, hi = t_range

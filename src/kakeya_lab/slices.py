@@ -18,6 +18,7 @@ from .errors import NoSolution, NotCompanionForm, PreconditionViolation, Singula
 from .exact import (
     Polynomial,
     RationalMatrix,
+    _number,
     _rat_to_json,
     _squarefree_part,
     char_poly,
@@ -367,10 +368,7 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
     admissible = [(j, swap) for N, D, j, swap in sums if N + 2 * D < 0 and (N + 2 * D) ** 2 > 8 * D * D]
     if not admissible:
         raise NoSolution("region_violated", "root-sum never falls below -2(1+sqrt(2)) on the grid")
-    N, D, j, best_swap = sums[0]
-    for cand in sums:  # the least root sum, ties to the least (eps, swap): the first in the order of sums
-        if cand[0] * D < N * cand[1]:
-            N, D, j, best_swap = cand
+    N, D, j, best_swap = min(sums, key=lambda c: Fraction(c[0], c[1]))  # D > 0; ties: the first, least (eps, swap)
     sm = Fraction(N, D)
 
     t0, t1 = heights(Fraction(2 * j, 195), best_swap)
@@ -404,8 +402,8 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
 # --------------------------------------------------------------------- calculators
 
 def _epsilon(eps):
-    """eps as an exact rational when it is an int or Fraction, else as given; must lie in [0, 1)."""
-    e = rat(eps) if isinstance(eps, (int, Fraction)) else eps
+    """eps read by _number (exact for an int or Fraction, else a float); must lie in [0, 1)."""
+    e = _number(eps)
     if not 0 <= e < 1:
         raise ValueError("eps must lie in [0, 1)")
     return e

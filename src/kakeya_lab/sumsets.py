@@ -21,7 +21,6 @@ each access and not kept.
 from __future__ import annotations
 
 import decimal
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -38,38 +37,9 @@ from .errors import (
     SingularMatrix,
     reading_json,
 )
-from .exact import RationalMatrix, rat
+from .exact import RationalMatrix, _integer, _rows, rat
 
 Point = tuple
-
-
-def _integer(c) -> int:
-    """c as a Python int: a Python or numpy integer, or a number with an integer value such as 2.0.
-    Anything else, a boolean or text included, raises :class:`PreconditionViolation`."""
-    try:
-        if not isinstance(c, (bool, np.bool_, str)) and (isinstance(c, (int, np.integer)) or c == math.floor(c)):
-            return int(c)
-    except (TypeError, ValueError, OverflowError):  # not a real number; NaN; an infinity
-        pass
-    raise PreconditionViolation(f"coordinate {c!r} is not an integer")
-
-
-def _rows(points: Iterable, dim: int) -> np.ndarray:
-    """(n, dim) int64 array of the points, or object array of Python ints past int64.
-
-    Coordinates are read by ``_integer`` unless all are integers, so nothing is converted before it is
-    checked: ``np.array(..., dtype=np.int64)`` would read True as 1 and truncate 1.5 to 1.
-    """
-    pts = list(points)
-    if any(len(p) != dim for p in pts):
-        raise ValueError("point dimension mismatch")
-    if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, itertools.chain(*pts)))):
-        pts = [[_integer(c) for c in p] for p in pts]
-    try:
-        rows = np.array(pts, dtype=np.int64)
-    except OverflowError:
-        rows = np.array([[int(c) for c in p] for p in pts], dtype=object)
-    return rows.reshape(len(pts), dim)
 
 
 def _peak(rows: np.ndarray) -> int:
@@ -368,7 +338,7 @@ def gen_line_counterexample(X: RationalMatrix, M: int) -> tuple[LatticeSet, Latt
     Gives #(A + X B) = 2M - 1 against #(A - B) = M^2.  v is the first standard
     basis vector that X does not fix as an eigendirection.
     """
-    if M < 1:
+    if (M := _integer(M)) < 1:
         raise PreconditionViolation("M must be positive")
     d = X.dim
     col = next((i for i in range(d) if any(X[r, i] != 0 for r in range(d) if r != i)), None)
@@ -395,9 +365,10 @@ def gen_secular_counterexample(
     Q_j = |q_j * prod_{i != j} p_i|.  Requires v, w linearly independent,
     non-zero coprime p_j/q_j, M > prod |p_i q_i|, and integer coordinates in v and w.
     """
-    if any(c != int(c) for c in (*v, *w)):
-        raise PreconditionViolation("v and w must have integer coordinates")
-    v, w = tuple(map(int, v)), tuple(map(int, w))
+    try:
+        v, w = tuple(map(_integer, v)), tuple(map(_integer, w))
+    except PreconditionViolation as e:
+        raise PreconditionViolation(f"v and w must have integer coordinates: {e}") from None
     d = len(v)
     if len(w) != d:
         raise PreconditionViolation("v and w must have equal dimension")
@@ -412,7 +383,7 @@ def gen_secular_counterexample(
         ps.append(f.numerator)
         qs.append(f.denominator)
     prod_pq = math.prod(abs(p * q) for p, q in zip(ps, qs))
-    if M <= prod_pq:
+    if (M := _integer(M)) <= prod_pq:
         raise PreconditionViolation(f"need M > prod |p_i q_i| = {prod_pq}")
     wa = math.prod(ps) * math.prod(qs)
     vb = math.prod(qs)
@@ -583,7 +554,7 @@ def random_instance(seed: int, dim: int = 2, box: int = 12,
 
     One coin per (a, b) in lexicographic order of the distinct points, at one density drawn from [0.05, 1).
     """
-    if dim < 1 or box < 0 or max_size < 1:
+    if (dim := _integer(dim)) < 1 or (box := _integer(box)) < 0 or (max_size := _integer(max_size)) < 1:
         raise PreconditionViolation(f"need dim >= 1, box >= 0 and max_size >= 1, got {dim, box, max_size}")
     rng = np.random.default_rng(seed)
     nA = int(rng.integers(1, max_size + 1))
@@ -610,22 +581,13 @@ def instance_to_json(A: LatticeSet, B: LatticeSet, G: Incidence) -> dict:
 
 
 def instance_from_json(obj: dict) -> tuple[LatticeSet, LatticeSet, Incidence]:
-    # ``type(x) is int`` refuses JSON's true and false, which Python takes for the ints 1 and 0
     with reading_json("instance"):
-        dim, G = obj["dim"], obj["G"]
-        if type(dim) is not int:
-            raise PreconditionViolation(f"dim = {dim!r} is not an integer")
-        As = [tuple(p) for p in obj["A"]]
-        Bs = [tuple(p) for p in obj["B"]]
-        for p in As + Bs:
-            if len(p) != dim or any(type(c) is not int for c in p):
-                raise PreconditionViolation(f"point {list(p)} is not {dim} integer coordinates")
-        for i, j in G:
-            if not (type(i) is int and type(j) is int and 0 <= i < len(As) and 0 <= j < len(Bs)):
-                raise PreconditionViolation(f"G pair [{i}, {j}] does not index A ({len(As)}) and B ({len(Bs)})")
-    A = LatticeSet.of(As, dim=dim)
-    B = LatticeSet.of(Bs, dim=dim)
-    return A, B, Incidence(pairs=[(As[i], Bs[j]) for i, j in G])
+        dim = _integer(obj["dim"])
+        A, B, G = _rows(obj["A"], dim), _rows(obj["B"], dim), _rows(obj["G"], 2)
+    for i, j in G.tolist():
+        if not (0 <= i < len(A) and 0 <= j < len(B)):
+            raise PreconditionViolation(f"G pair [{i}, {j}] does not index A ({len(A)}) and B ({len(B)})")
+    return LatticeSet(dim, A), LatticeSet(dim, B), Incidence(pairs=zip(A[G[:, 0]], B[G[:, 1]]))
 
 
 def load_instance(path: str) -> tuple[LatticeSet, LatticeSet, Incidence]:

@@ -336,6 +336,9 @@ REPROS = [
     # nor is text: a tube coordinate or delta "0.2" was read as the number it spells
     ["dimension", "--family", "FAM", "--tubes", "TUBES_Y_TEXT", "--ks", "3,4,5"],
     ["dimension", "--family", "FAM", "--tubes", "TUBES_DELTA_TEXT", "--ks", "3,4,5"],
+    # an exact tube coordinate past the float range
+    ["hairbrush", "--family", "FAM", "--tubes", "TUBES_Y_HUGE", "--threshold", "1"],
+    ["dimension", "--family", "FAM", "--tubes", "TUBES_Y_HUGE", "--ks", "2,3,4"],
 ]
 
 
@@ -357,6 +360,7 @@ def cli_files(tmp_path_factory):
             "TUBES_Y_TRUE": [{"y": [True, 0], "omega": [0, 0], "delta": 0.25}],
             "TUBES_Y_TEXT": [{"y": ["0.2", 0.1], "omega": [0, 0], "delta": 0.25}],
             "TUBES_DELTA_TEXT": [{"y": [0.2, 0.1], "omega": [0, 0], "delta": "0.25"}],
+            "TUBES_Y_HUGE": [{"y": [int(HUGE), 0], "omega": [0, 0], "delta": 0.25}],
             "MATRIX_PAST_FLOATS": {"dim": 2, "entries": [[int(HUGE), 1], [1, 0]]}}
     for name, doc in docs.items():
         (root / f"{name}.json").write_text(json.dumps(doc))

@@ -8,7 +8,9 @@ A boolean or text in either, or a non-integral value in integer rows, raises
 spells or a truncation.  The curve functions (points, tangents, intersections,
 the locus, diameters and a ``TubeSpec``'s delta) read a Python int or
 ``Fraction`` exactly and any other number as its float, and also refuse NaN
-and infinities.
+and infinities.  So does the ``eps`` of the slice calculators; the generators'
+sizes are read as integers, and a float row's value past the float range is
+refused.
 """
 
 import math
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kakeya_lab as kl
+from kakeya_lab.curves import tubes_to_json
 
 POOL = [True, False, np.bool_(True), np.bool_(False), 1.5, -0.25, 0.7, "0.5", "3", np.str_("1"), math.nan,
         2**70, 0, -3, 7, 2.0, -4.0, np.int32(5), np.int64(-2), np.float64(0.75), np.float64(3.0)]
@@ -62,8 +65,12 @@ def test_integer_rows_are_exact_or_refused(points):
     _expect_rows(points, lambda p: kl.CellSet(n=2, k=3, occupied=p), lambda c: c.occupied, OverflowError)
 
 
+PAST_FLOATS = 10**400
+float_coords = st.sampled_from(POOL + [PAST_FLOATS])
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(coords, coords, coords, coords), min_size=1, max_size=4))
+@given(st.lists(st.tuples(*[float_coords] * 4), min_size=1, max_size=4))
 def test_float_rows_are_exact_or_refused(rows):
     Y, W = [r[:2] for r in rows], [r[2:] for r in rows]
     by_arrays = lambda: kl.TubeFamilySpec(FAMILY, Y=Y, W=W, delta=0.25)  # noqa: E731
@@ -71,7 +78,7 @@ def test_float_rows_are_exact_or_refused(rows):
                                                               delta=0.25) for y, w in zip(Y, W)])
     values = [c for r in rows for c in r]
     for build in (by_arrays, by_tubes):
-        if any(map(_refused, values)):
+        if any(map(_refused, values)) or any(c is PAST_FLOATS for c in values):
             with pytest.raises(kl.PreconditionViolation):
                 build()
         elif any(math.isnan(c) for c in values):
@@ -102,9 +109,25 @@ def test_delta_is_exact_or_refused(delta):
     lambda: kl.CellSet(n=3, k=2, occupied=[(0.9, 1, 2), (True, 0, 0)]),
     lambda: kl.TubeFamilySpec(FAMILY, Y=[[True, False]], W=[[0, 0]], delta=0.25),
     lambda: kl.TubeFamilySpec(FAMILY, [kl.TubeSpec(params=kl.CurveParams(y=("0.5", 0), omega=(0, 0)), delta=0.25)]),
-], ids=["lattice float and bool", "incidence float", "cell float and bool", "direction bools", "direction text"])
+    lambda: kl.TubeFamilySpec(FAMILY, Y=[[PAST_FLOATS, 0]], W=[[0, 0]], delta=0.25),
+    lambda: kl.TubeFamilySpec(FAMILY, Y=[[0.25, 0]], W=[[0, 0]], delta=PAST_FLOATS),
+    lambda: kl.build_worstcase_kakeya(kl.companion([0, 0]), 3, [(PAST_FLOATS, 0)]),
+    lambda: kl.gen_secular_counterexample((True, 0), (0, 1), [1], 2),
+    lambda: kl.gen_secular_counterexample(("1.5", 0), (0, 1), [1], 2),
+    lambda: kl.iterate_epsilon("0.5"),
+    lambda: kl.dimension_lower_bound(3, "0.5", False),
+    lambda: kl.iterate_epsilon(True),
+    lambda: kl.dimension_lower_bound(3, True, False),
+    lambda: kl.random_instance(0, 2, 3.5, 4),
+    lambda: kl.gen_line_counterexample(kl.RationalMatrix([[1, 1], [0, 1]]), True),
+    lambda: tubes_to_json([kl.TubeSpec(params=kl.CurveParams(y=(True, 0), omega=(0, 0)), delta=0.25)]),
+], ids=["lattice float and bool", "incidence float", "cell float and bool", "direction bools", "direction text",
+        "direction past floats", "delta past floats", "worst-case direction past floats", "secular bool",
+        "secular text", "iterate text", "bound text", "iterate bool", "bound bool", "random float box", "line bool M",
+        "tube json bool"])
 def test_silent_coercions_are_refused(build):
-    # each of these used to truncate a float, read a boolean as 1 or 0, or parse text
+    # each of these used to truncate a float, read a boolean as 1 or 0 or parse text, or raise a bare
+    # OverflowError, ValueError or TypeError
     with pytest.raises(kl.PreconditionViolation):
         build()
 

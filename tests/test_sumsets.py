@@ -377,6 +377,11 @@ class TestInstanceIO:
         A, B, G = instance_from_json(doc)
         assert G.size == 1
 
+    def test_integral_float_coordinates_are_read(self):
+        # JSON 2.0 reads as 2, as LatticeSet.of reads it
+        A, B, G = instance_from_json({"dim": 2.0, "A": [[2.0, 0]], "B": [[0, 1]], "G": [[0, 0.0]]})
+        assert A.points == {(2, 0)} and G.pairs == {((2, 0), (0, 1))}
+
     @pytest.mark.parametrize("G", [[[0, 1]], [[-1, 0]], [[1, 0]], [[0, -1]]])
     def test_index_outside_range(self, G):
         with pytest.raises(kl.PreconditionViolation):
