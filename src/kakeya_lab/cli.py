@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import raster, slices, sumsets
-from .curves import CurveFamily, hairbrush_claim_check, locus_dichotomy_test, tubes_from_json
+from .curves import _DYADIC_INDICES, CurveFamily, hairbrush_claim_check, locus_dichotomy_test, tubes_from_json
 from .errors import KakeyaLabError, NoSolution, PreconditionViolation
-from .exact import MAX_DIM, RationalMatrix, companion, rat
+from .exact import MAX_DIM, RationalMatrix, _integer, companion, rat
 
 
 def fmt(x) -> str:
@@ -81,19 +81,15 @@ def _int_in(lo: int, hi: int | None = None):
     Each bound comes from what its command accepts; a count that only drives work stays within CELL_BUDGET."""
     def parse(arg: str) -> int:
         try:
-            v = int(arg)
+            return _integer(int(arg), lo, hi)
+        except PreconditionViolation as e:  # out of range
+            raise argparse.ArgumentTypeError(str(e)) from None
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {arg!r}") from None
-        if not lo <= v <= (v if hi is None else hi):
-            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {v}" if hi is None
-                                             else f"must lie in [{lo}, {hi}], got {v}")
-        return v
     return parse
 
 
-# A dyadic index i of claim-check scales a quantity 2^-i below 2 (directions lie in the unit ball, heights in
-# [-1, 1]) and above 2^-1074, the least positive float.
-_DYADIC = _int_in(-1, 1074)
+_DYADIC = _int_in(*_DYADIC_INDICES)
 
 
 def _float(arg: str) -> float:
@@ -307,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("exponents", cmd_exponents, "exponent thresholds of the small-set construction")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, default=0)
-    sp.add_argument("--tr-adj-zero", action="store_true")
-    sp.add_argument("--det-zero", action="store_true")
+    sp.add_argument("--tr-adj-zero", action="store_true", help="the variant where tr adj vanishes; at k = 0 only")
+    sp.add_argument("--det-zero", action="store_true", help="with --tr-adj-zero: det vanishes too; at k = 0 only")
 
     sp = command("hairbrush", cmd_hairbrush, "greedy hairbrush decomposition", tube_files)
     sp.add_argument("--threshold", type=_int_in(1), required=True)

@@ -31,11 +31,12 @@ from .errors import (
     SingularConfiguration,
     reading_json,
 )
-from .exact import RationalMatrix, _float_rows, _number
+from .exact import RationalMatrix, _float_rows, _integer, _number
 
 _SLAB = 2**15  # float64 elements of _centres' scratch: 256 KB, a slab that stays in cache
 MAX_K = 12  # the finest supported resolution is delta = 2^-MAX_K, for grids and height samples alike
 CELL_BUDGET = 2**30  # the most cells a grid, or pair distances a diameter, may take
+_DYADIC_INDICES = (-1, 1074)  # a claim-check index i scales by 2^-i: below 2 (|y| <= 1, |t| <= 1), above 2^-1074
 
 Vector = tuple
 
@@ -99,8 +100,7 @@ class CurveFamily:
     _cf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 3 <= self.n <= 9:
-            raise ValueError("ambient dimension must be between 3 and 9")
+        object.__setattr__(self, "n", _integer(self.n, 3, 9, "the ambient dimension n (between 3 and 9)"))
         if self.C.dim != self.n - 1:
             raise ValueError("C must have size n-1")
         object.__setattr__(self, "_cf", self.C.to_float())
@@ -387,9 +387,8 @@ def locus_dichotomy_test(
     move, and the float centres stay in range at any scale of y0.
     Raises :class:`PreconditionViolation` for y0 = 0.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
-    rng = np.random.default_rng(seed)
+    trials = _integer(trials, 100, name="trials (a locus test takes 100 trials or more)")
+    rng = np.random.default_rng(_integer(seed, 0, name="seed"))
     y0, t0 = [_fraction(v) for v in y0], _fraction(t0)
     if not any(y0):
         raise PreconditionViolation("y0 = 0: every locus centre and direction is 0")
@@ -473,8 +472,10 @@ def hairbrush_claim_check(
     and the dyadic direction and meeting-height preconditions indexed by
     (k, l, m).  Reports |omega_j - omega_i|, the distance of omega_i from the
     line span{(I + t_j C) y_j}, the fitted constants, and whether both are
-    within K times their dyadic bounds.
+    within K times their dyadic bounds.  k, l and m lie in _DYADIC_INDICES.
     """
+    k, l, m = (_integer(i, *_DYADIC_INDICES, name) for i, name in ((k, "k"), (l, "l"), (m, "m")))
+    K = _number(K)
     C = family.C
     if not (C * C).is_zero():
         raise ConfigurationViolation("claim check requires C^2 = 0")

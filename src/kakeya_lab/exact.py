@@ -12,10 +12,11 @@ primitive remainder sequence).  Floats appear only as outputs:
 sign exactly and rounds each root once, to one of the two floats around it.
 
 Each number a caller passes is read by one of five readers here: rat (exact),
-_number (a real scalar), _integer, _float_rows (float arrays) and _rows
-(integer rows).  Booleans, text (but rat's "p/q") and what else a reader cannot
-read raise PreconditionViolation, a ValueError; rat raises TypeError for a
-float or a boolean.
+_number (a real scalar), _integer (an integer; every size, such as k, n, N or a
+seed, is read and range-checked by one _integer call), _float_rows (float
+arrays) and _rows (integer rows).  Booleans, text (but rat's "p/q"), what else a
+reader cannot read and a size outside its range raise PreconditionViolation, a
+ValueError; rat raises TypeError for a float or a boolean.
 """
 
 from __future__ import annotations
@@ -62,15 +63,20 @@ def _number(x):
     return x
 
 
-def _integer(c) -> int:
-    """c as a Python int: a Python or numpy integer, or a number with an integer value such as 2.0.
-    Anything else, a boolean or text included, raises PreconditionViolation."""
+def _integer(c, lo: int | None = None, hi: int | None = None, name: str = "") -> int:
+    """c as a Python int in [lo, hi] (no bound where lo or hi is None; hi needs lo): a Python or numpy integer,
+    or a number with an integer value such as 2.0.  Anything else, a boolean or text included, and a value
+    outside [lo, hi] raise PreconditionViolation, whose message starts with name."""
+    head = f"{name} " if name else ""
     try:
-        if not isinstance(c, _NOT_NUMBERS) and (isinstance(c, (int, np.integer)) or c == math.floor(c)):
-            return int(c)
-    except (TypeError, ValueError, OverflowError):  # not a real number; NaN; an infinity
-        pass
-    raise PreconditionViolation(f"{c!r} is not an integer")
+        if isinstance(c, _NOT_NUMBERS) or (v := int(c)) != c:  # int() reads True as 1, 2.5 as 2 and "3" as 3
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):  # also: not a real number; NaN; an infinity
+        raise PreconditionViolation(f"{head}{c!r} is not an integer") from None
+    if not (lo is None or lo <= v) or not (hi is None or v <= hi):
+        bounds = f"be at least {lo}" if hi is None else f"lie in [{lo}, {hi}]"
+        raise PreconditionViolation(f"{head}must {bounds}, got {v}")
+    return v
 
 
 def _float_rows(values, d: int | None = None) -> np.ndarray:
@@ -236,10 +242,8 @@ class RationalMatrix:
         return all(e == 0 for i, r in enumerate(self.rows) for j, e in enumerate(r) if i != j)
 
     def power(self, p: int) -> "RationalMatrix":
-        if p < 0:
-            raise ValueError("negative power")
         out = RationalMatrix.identity(self.dim)
-        for _ in range(p):
+        for _ in range(_integer(p, 0, name="power p")):
             out = out * self
         return out
 

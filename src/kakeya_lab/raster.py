@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .curves import CELL_BUDGET, MAX_K, CurveFamily, CurveParams, TubeSpec, _centres, _height_samples, _pair_norms
-from .errors import PreconditionViolation, ResolutionTooFine
-from .exact import RationalMatrix, _float_rows, _rows
+from .errors import ResolutionTooFine
+from .exact import RationalMatrix, _float_rows, _integer, _rows
 from .slices import vanishing_order, w_matrix
 from .sumsets import _distinct as _distinct_rows
 
@@ -38,6 +38,7 @@ class CellSet:
     __slots__ = ("n", "k", "cells")
 
     def __init__(self, n: int, k: int, occupied: Iterable):
+        n, k = _integer(n, 1, name="n"), _integer(k, 0, name="k")
         self.n, self.k, self.cells = n, k, _distinct_rows(_rows(occupied, n).astype(np.int64, copy=False))
         self.cells.flags.writeable = False
 
@@ -294,7 +295,7 @@ def rasterize(spec: TubeFamilySpec, k: int) -> CellSet:
     cells) would be exceeded, or when packed cell keys would not fit in int64;
     use :func:`union_volume` for larger counting-only experiments.
     """
-    n = spec.family.n
+    n, k = spec.family.n, _integer(k, 0, name="k")
     m = len(spec.Y)
     nb = _band_indices(k, spec.t_range).size
     if m * nb * (2 ** (n - 1)) > CELL_BUDGET:
@@ -318,6 +319,7 @@ def union_volume(spec: TubeFamilySpec, k: int) -> tuple[int, float]:
     cells this way.  Blocks are deduplicated as in :func:`rasterize`; a block
     that stands also for its band reflection counts twice.
     """
+    k = _integer(k, 0, name="k")
     total = sum(keys.size * (1 if flip is None else 2) for _, keys, _, flip in _stamp(spec, k))
     return total, (2.0**-k) ** spec.family.n * total
 
@@ -338,7 +340,7 @@ def box_dimension(builder: Callable, ks: Sequence[int], n: int) -> DimensionFit:
     on (log2 delta, log2 volume); the rms residual of the fit is reported
     alongside.
     """
-    ks = list(ks)
+    n, ks = _integer(n, 1, name="n"), [_integer(k, 0, name="k") for k in ks]
     if len(ks) < 3 or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("need at least 3 strictly increasing resolutions")
     vols = []
@@ -369,7 +371,7 @@ def _ball_lattice(dim: int, k: int) -> np.ndarray:
 
 def ball_lattice_directions(dim: int, k: int) -> list:
     """The direction net (2^-k Z)^dim intersected with the closed unit ball."""
-    return [tuple(p) for p in _ball_lattice(dim, k)]
+    return [tuple(p) for p in _ball_lattice(_integer(dim, 1, name="dim"), _integer(k, 0, name="k"))]
 
 
 def build_worstcase_kakeya(
@@ -387,6 +389,7 @@ def build_worstcase_kakeya(
     matmul, which matches the per-tube products bit for bit because every row
     of W has at most one nonzero entry.
     """
+    k = _integer(k, 0, name="k")
     W = w_matrix(C)
     m = vanishing_order(C, W)
     delta = 2.0**-k
@@ -415,7 +418,8 @@ def covering_norm(spec: TubeFamilySpec, p_prime: float, k: int) -> float:
     total, which ``fsum`` adds exactly as it would the two equal totals.
     ``p_prime`` must be finite and at least 1: the L^inf norm, the
     largest overlap count, is not a limit this sum can reach in floats."""
-    if not 1 <= p_prime < math.inf:
+    k = _integer(k, 0, name="k")
+    if not 1 <= (p_prime := float(_float_rows(p_prime))) < math.inf:
         raise ValueError(f"p_prime must be finite and at least 1, got {p_prime}")
     total = math.fsum(float(np.sum(counts.astype(float) ** p_prime)) * (1 if flip is None else 2)
                       for _, _, counts, flip in _stamp(spec, k))
@@ -560,8 +564,7 @@ def hairbrush_decompose(spec: TubeFamilySpec, N: int) -> HairbrushDecomposition:
     m tubes this costs O(m^2 / 2 * (H / stride + H * undecided share) * (n - 1))
     and holds m^2 / 8 bytes of packed bits.
     """
-    if N < 1:
-        raise PreconditionViolation(f"brush size threshold N = {N} must be at least 1")
+    N = _integer(N, 1, name="brush size threshold N")
     m = len(spec.Y)
     if not m:
         raise ValueError("need at least one tube")

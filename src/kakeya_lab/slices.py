@@ -18,6 +18,7 @@ from .errors import NoSolution, NotCompanionForm, PreconditionViolation, Singula
 from .exact import (
     Polynomial,
     RationalMatrix,
+    _integer,
     _number,
     _rat_to_json,
     _squarefree_part,
@@ -425,8 +426,7 @@ def iteration_fixed_point() -> float:
 
 def dimension_lower_bound(n: int, eps, has_range: bool):
     """Lower bound (n-1)/(2-eps) for the box dimension, plus 1 given a height range."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    n = _integer(n, 3, name="n")
     return (n - 1) / (2 - _epsilon(eps)) + (1 if has_range else 0)
 
 
@@ -452,8 +452,8 @@ def genfail_exponents(n: int, k: int, tr_adj_zero: bool = False, det_zero: bool 
     The flags select the strengthened variants available when k = 0; they are
     ignored for k > 0, where only the generic threshold applies.
     """
-    if not 0 <= k <= n - 2:
-        raise ValueError("need 0 <= k <= n-2")
+    n = _integer(n, 2, name="n")
+    k = _integer(k, 0, n - 2, name="k")
     if k == 0 and tr_adj_zero and det_zero:
         p_max = Fraction(n - 1)
         s_max = Fraction(2 * n, n - 1) + Fraction(2, (n - 1) * (2 * n - 3))

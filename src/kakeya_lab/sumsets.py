@@ -113,7 +113,7 @@ class LatticeSet:
     __slots__ = ("dim", "scale", "rows")
 
     def __init__(self, dim: int, points: Iterable, scale: int = 1):
-        self._init(dim, _distinct(_rows(points, dim)), scale)
+        self._init(dim, _distinct(_rows(points, dim)), _integer(scale, 1, name="scale"))
 
     def _init(self, dim: int, rows: np.ndarray, scale: int):
         self.dim, self.rows, self.scale = dim, rows, scale
@@ -338,8 +338,7 @@ def gen_line_counterexample(X: RationalMatrix, M: int) -> tuple[LatticeSet, Latt
     Gives #(A + X B) = 2M - 1 against #(A - B) = M^2.  v is the first standard
     basis vector that X does not fix as an eigendirection.
     """
-    if (M := _integer(M)) < 1:
-        raise PreconditionViolation("M must be positive")
+    M = _integer(M, 1, name="M (a positive progression length)")
     d = X.dim
     col = next((i for i in range(d) if any(X[r, i] != 0 for r in range(d) if r != i)), None)
     if col is None:
@@ -365,10 +364,7 @@ def gen_secular_counterexample(
     Q_j = |q_j * prod_{i != j} p_i|.  Requires v, w linearly independent,
     non-zero coprime p_j/q_j, M > prod |p_i q_i|, and integer coordinates in v and w.
     """
-    try:
-        v, w = tuple(map(_integer, v)), tuple(map(_integer, w))
-    except PreconditionViolation as e:
-        raise PreconditionViolation(f"v and w must have integer coordinates: {e}") from None
+    v, w = (tuple(_integer(c, name="v and w must have integer coordinates:") for c in u) for u in (v, w))
     d = len(v)
     if len(w) != d:
         raise PreconditionViolation("v and w must have equal dimension")
@@ -383,8 +379,7 @@ def gen_secular_counterexample(
         ps.append(f.numerator)
         qs.append(f.denominator)
     prod_pq = math.prod(abs(p * q) for p, q in zip(ps, qs))
-    if (M := _integer(M)) <= prod_pq:
-        raise PreconditionViolation(f"need M > prod |p_i q_i| = {prod_pq}")
+    M = _integer(M, prod_pq + 1, name="M (M > prod |p_i q_i|)")
     wa = math.prod(ps) * math.prod(qs)
     vb = math.prod(qs)
     A = LatticeSet.of([tuple(n * wa * c for c in w) for n in range(1, M + 1)], dim=d)
@@ -531,9 +526,7 @@ def slices_from_construction(
     if t0 == t1:
         raise PreconditionViolation("t0 and t1 must differ")
     omega_of = omega_map.mat_vec if isinstance(omega_map, RationalMatrix) else omega_map
-    inv = 1 / delta
-    if inv.denominator != 1:
-        raise PreconditionViolation("delta must be the reciprocal of an integer (2^-k preferred)")
+    inv = _integer(1 / delta, 1, name="1/delta (delta must be the reciprocal of an integer, 2^-k preferred)")
     pairs = []
     for y in directions:
         yv = [rat(c) for c in y]
@@ -541,8 +534,8 @@ def slices_from_construction(
         a, b = (tuple(math.floor(c / delta + Fraction(1, 2)) for c in curve_point(family, ppar, t)[:-1])
                 for t in (t0, t1))
         pairs.append((a, b))
-    A = LatticeSet.of([a for a, _ in pairs], dim=family.n - 1, scale=int(inv))
-    B = LatticeSet.of([b for _, b in pairs], dim=family.n - 1, scale=int(inv))
+    A = LatticeSet.of([a for a, _ in pairs], dim=family.n - 1, scale=inv)
+    B = LatticeSet.of([b for _, b in pairs], dim=family.n - 1, scale=inv)
     return A, B, Incidence(pairs=frozenset(pairs))
 
 
@@ -554,9 +547,9 @@ def random_instance(seed: int, dim: int = 2, box: int = 12,
 
     One coin per (a, b) in lexicographic order of the distinct points, at one density drawn from [0.05, 1).
     """
-    if (dim := _integer(dim)) < 1 or (box := _integer(box)) < 0 or (max_size := _integer(max_size)) < 1:
-        raise PreconditionViolation(f"need dim >= 1, box >= 0 and max_size >= 1, got {dim, box, max_size}")
-    rng = np.random.default_rng(seed)
+    dim, box = _integer(dim, 1, name="dim"), _integer(box, 0, name="box")
+    max_size = _integer(max_size, 1, name="max_size")
+    rng = np.random.default_rng(_integer(seed, 0, name="seed"))
     nA = int(rng.integers(1, max_size + 1))
     nB = int(rng.integers(1, max_size + 1))
     A = LatticeSet._of_rows(dim, _distinct(rng.integers(-box, box + 1, size=(nA, dim)), box))

@@ -8,9 +8,10 @@ A boolean or text in either, or a non-integral value in integer rows, raises
 spells or a truncation.  The curve functions (points, tangents, intersections,
 the locus, diameters and a ``TubeSpec``'s delta) read a Python int or
 ``Fraction`` exactly and any other number as its float, and also refuse NaN
-and infinities.  So does the ``eps`` of the slice calculators; the generators'
-sizes are read as integers, and a float row's value past the float range is
-refused.
+and infinities.  So does the ``eps`` of the slice calculators; a float row's
+value past the float range is refused.  Every size (a resolution k, a dimension
+n, the hairbrush N, a scale, a count of trials, a seed, the generators' sizes)
+is read as the int it is and refused outside its range.
 """
 
 import math
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 import kakeya_lab as kl
 from kakeya_lab.curves import tubes_to_json
+from kakeya_lab.exact import _integer as read_integer
 
 POOL = [True, False, np.bool_(True), np.bool_(False), 1.5, -0.25, 0.7, "0.5", "3", np.str_("1"), math.nan,
         2**70, 0, -3, 7, 2.0, -4.0, np.int32(5), np.int64(-2), np.float64(0.75), np.float64(3.0)]
@@ -260,3 +262,65 @@ def test_float_points_are_python_floats(y, t):
     p = kl.CurveParams(y=y, omega=(0, 0))
     for got in (kl.curve_point(FAMILY3, p, t), kl.curve_tangent(FAMILY3, p, t)):
         assert all(type(c) is float for c in got)
+
+
+# ------------------------------------------------------------------ sizes
+
+WORST = kl.companion([0, 0])
+CLAIM = [TUBE(y, w, 2.0**-8) for y, w in (((0, 0), (0, 0)), ((0.1125, 0), (0.045, 0)),
+                                          ((0.0723, 0.0862), (0.042712, 0.03448)))]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kl.union_volume(kl.build_worstcase_kakeya(WORST, 1), True),
+    lambda: kl.build_worstcase_kakeya(WORST, 2.5),
+    lambda: kl.ball_lattice_directions(2, 2.5),
+    lambda: kl.hairbrush_decompose(kl.build_worstcase_kakeya(WORST, 2), 2.5),
+    lambda: kl.hairbrush_decompose(kl.build_worstcase_kakeya(WORST, 2), True),
+    lambda: kl.LatticeSet.of([(1, 2)], scale=1.5),
+    lambda: kl.LatticeSet.of([(1, 2)], scale=True),
+    lambda: kl.LatticeSet.of([(1, 2)], scale=0),
+    lambda: kl.CellSet(n=2, k=2.5, occupied=[(0, 0)]),
+    lambda: kl.dimension_lower_bound(3.5, 0.1, True),
+    lambda: kl.genfail_exponents(3.5, 0),
+    lambda: kl.locus_dichotomy_test(FAMILY3, (0, 1), F(1, 2), trials=100.5),
+    lambda: kl.locus_dichotomy_test(FAMILY3, (0, 1), F(1, 2), trials=100, seed=-1),
+    lambda: kl.random_instance(True),
+    lambda: kl.box_dimension(lambda k: 2.0**-k, [3, 4, 5], n=True),
+    lambda: kl.hairbrush_claim_check(FAMILY3, *CLAIM, 3, 3.5, 0),
+    lambda: kl.covering_norm(kl.build_worstcase_kakeya(WORST, 3), True, 3),
+    lambda: kl.covering_norm(kl.build_worstcase_kakeya(WORST, 3), "2", 3),
+    lambda: kl.hairbrush_claim_check(FAMILY3, *CLAIM, 3, 3, 0, K=True),
+    lambda: kl.hairbrush_claim_check(FAMILY3, *CLAIM, 3, 3, 0, K="2"),
+    lambda: kl.RationalMatrix([[1, 1], [0, 1]]).power(True),
+], ids=["union_volume bool k", "worst-case float k", "ball lattice float k", "hairbrush float N", "hairbrush bool N",
+        "lattice float scale", "lattice bool scale", "lattice zero scale", "cell set float k", "bound float n",
+        "exponents float n", "locus float trials", "locus negative seed", "random bool seed", "box bool n",
+        "claim float l", "covering bool p'", "covering text p'", "claim bool K", "claim text K", "matrix bool power"])
+def test_sizes_are_read_or_refused(call):
+    # each of these used to answer, reading True as 1 or keeping a non-integer size, or raise a bare error
+    with pytest.raises(kl.PreconditionViolation):
+        call()
+
+
+def test_integral_sizes_are_read_as_ints():
+    assert type(kl.CurveFamily(n=3.0, C=WORST).n) is int
+    spec = kl.build_worstcase_kakeya(WORST, 3)
+    assert kl.union_volume(spec, 3.0) == kl.union_volume(spec, np.int64(3)) == kl.union_volume(spec, 3)
+    assert kl.CellSet(n=2.0, k=np.int32(3), occupied=[(0, 0)]) == kl.CellSet(n=2, k=3, occupied=[(0, 0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-5, 5), st.one_of(st.none(), st.integers(0, 3)), st.data())
+def test_integer_reader_bounds(lo, width, data):
+    # lo - 1, lo, hi and hi + 1, as ints, integral floats and numpy ints, among the pool; no hi when width is None
+    hi = None if width is None else lo + width
+    edges = [v for v in (lo - 1, lo, hi, None if hi is None else hi + 1) if v is not None]
+    c = data.draw(st.sampled_from(POOL + edges + [float(v) for v in edges] + [np.int64(v) for v in edges]))
+    want = _integer(c)
+    if want is not kl.PreconditionViolation and lo <= want <= (want if hi is None else hi):
+        got = read_integer(c, lo, hi, "size")
+        assert got == want and type(got) is int
+    else:
+        with pytest.raises(kl.PreconditionViolation, match="^size (must|.* is not an integer)"):
+            read_integer(c, lo, hi, "size")
