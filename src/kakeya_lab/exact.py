@@ -5,7 +5,7 @@ polynomial arithmetic never rounds.  One fraction-free integer elimination
 gives the determinant and the adjugate together: :meth:`RationalMatrix.det`,
 :meth:`RationalMatrix.inverse` and :func:`det_poly`, which interpolates the
 determinant of a matrix polynomial from its values at integer points, all call
-it.  Squarefree parts and Sturm chains are primitive integer coefficient lists
+it; a matrix product multiplies the two integer forms.  Squarefree parts and Sturm chains are primitive integer coefficient lists
 from one pseudo-remainder routine, scaled by positive factors only (Collins'
 primitive remainder sequence).  Floats appear only as outputs:
 :meth:`RationalMatrix.to_float`, and :func:`real_roots`, which decides every
@@ -173,11 +173,12 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "RationalMatrix":
+        dim = _integer(dim, 1, MAX_DIM, name=f"dimension (supported maximum {MAX_DIM})")
         return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
 
     @classmethod
     def zero(cls, dim: int) -> "RationalMatrix":
-        return cls([[0] * dim for _ in range(dim)])
+        return 0 * cls.identity(dim)
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "RationalMatrix":
@@ -199,28 +200,21 @@ class RationalMatrix:
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_dim(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        return RationalMatrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_dim(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        return RationalMatrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "RationalMatrix":
         return RationalMatrix([[-e for e in r] for r in self.rows])
 
     def __mul__(self, other):
-        if isinstance(other, RationalMatrix):
+        if isinstance(other, RationalMatrix):  # on the integer forms: (L, A)(K, B) = AB / (LK)
             self._check_dim(other)
-            n = self.dim
-            cols = list(zip(*other.rows))
-            return RationalMatrix(
-                [[sum(self.rows[i][k] * cols[j][k] for k in range(n)) for j in range(n)]
-                 for i in range(n)]
-            )
+            (L, A), (K, B) = self.integer_form(), other.integer_form()
+            cols = list(zip(*B))
+            return RationalMatrix([[Fraction(sum(map(operator.mul, r, c)), L * K) for c in cols] for r in A])
         s = rat(other)
         return RationalMatrix([[s * e for e in r] for r in self.rows])
 
@@ -279,7 +273,7 @@ class RationalMatrix:
         with reading_json("matrix"):
             m = cls(obj["entries"])
             m.to_float()  # OverflowError for an entry past the float range
-            dim = obj.get("dim", m.dim)
+            dim = _integer(obj.get("dim", m.dim), name="declared dimension")
         if m.dim != dim:
             raise ValueError("declared dimension does not match entries")
         return m

@@ -2,7 +2,7 @@
 
 The algebra relates two horizontal slices of a curved tube family to
 intermediate slices (matrix ``X(lam)``), to the set of tube centres (matrix
-``T``) and to the auxiliary matrix ``M`` that both are built from.  The two
+``T``) and to the auxiliary matrix ``M``, each (aI + bC)(I + qC)^{-1}.  The two
 solvers look for height configurations that collapse these matrices onto the
 identities needed by three- and four-slice sum/difference arguments.
 """
@@ -75,9 +75,16 @@ class HeightsSolution:
         }
 
 
-def _inverse(A: RationalMatrix, message: str) -> RationalMatrix:
+def _affine(C: RationalMatrix, a, b) -> RationalMatrix:
+    """aI + bC."""
+    return RationalMatrix([[a * (i == j) + b * e for j, e in enumerate(r)] for i, r in enumerate(C.rows)])
+
+
+def _over(C: RationalMatrix, a, b, q, message: str) -> RationalMatrix:
+    """(aI + bC)(I + qC)^{-1}, with one inverse and one product; both factors are polynomials in C, so they
+    commute.  Raises :class:`SingularConfiguration` (message) when I + qC is singular."""
     try:
-        return A.inverse()
+        return _affine(C, a, b) * _affine(C, 1, q).inverse()
     except SingularMatrix as e:
         raise SingularConfiguration(message) from e
 
@@ -85,23 +92,24 @@ def _inverse(A: RationalMatrix, message: str) -> RationalMatrix:
 def aux_matrix(C: RationalMatrix, t0, t1) -> RationalMatrix:
     """M = (t1-t0) C (I + (t0+t1)C)^{-1}."""
     t0, t1 = rat(t0), rat(t1)
-    I = RationalMatrix.identity(C.dim)
-    inner = _inverse(I + (t0 + t1) * C, f"I + (t0+t1)C is singular at t0+t1={t0 + t1}")
-    return (t1 - t0) * (C * inner)
+    return _over(C, 0, t1 - t0, t0 + t1, f"I + (t0+t1)C is singular at t0+t1={t0 + t1}")
 
 
 def x_of_lambda(C: RationalMatrix, t0, t1, lam) -> RationalMatrix:
-    """X(lam) = lam/(1-lam) [I + lam M]^{-1} [I - (1-lam) M] for M = aux_matrix(C, t0, t1)."""
-    return _x_of_m(aux_matrix(C, t0, t1), lam)
+    """X(lam) = lam/(1-lam) [I + lam M]^{-1} [I - (1-lam) M] for M = aux_matrix(C, t0, t1), built from C.
 
-
-def _x_of_m(M: RationalMatrix, lam) -> RationalMatrix:
+    With A = I + (t0+t1)C, M = (t1-t0) C A^{-1}, r = lam/(1-lam) and s = t0 + lam(t1-t0), I + lam M =
+    (I + (t1+s)C) A^{-1} and I - (1-lam) M = (I + (t0+s)C) A^{-1}; all commute, so X(lam) = r (I + (t0+s)C)
+    (I + (t1+s)C)^{-1}.  Once A (checked first) is invertible, I + lam M is singular exactly when I + (t1+s)C is.
+    """
+    t0, t1 = rat(t0), rat(t1)
+    if _affine(C, 1, t0 + t1).det() == 0:
+        raise SingularConfiguration(f"I + (t0+t1)C is singular at t0+t1={t0 + t1}")
     lam = rat(lam)
     if lam == 1:
         raise SingularConfiguration("lam = 1")
-    I = RationalMatrix.identity(M.dim)
-    left = _inverse(I + lam * M, "I + lam*M is singular")
-    return (lam / (1 - lam)) * (left * (I - (1 - lam) * M))
+    r, s = lam / (1 - lam), t0 + lam * (t1 - t0)
+    return _over(C, r, r * (t0 + s), t1 + s, "I + lam*M is singular")
 
 
 def centre_matrix(C: RationalMatrix, t0, t1) -> RationalMatrix:
@@ -109,9 +117,7 @@ def centre_matrix(C: RationalMatrix, t0, t1) -> RationalMatrix:
     t0, t1 = rat(t0), rat(t1)
     if t0 == 0 or t1 == 0:
         raise SingularConfiguration("T requires t0, t1 != 0")
-    I = RationalMatrix.identity(C.dim)
-    right = _inverse(I + t1 * C, "I + t1*C is singular")
-    return (t0 / t1) * ((I + t0 * C) * right)
+    return _over(C, t0 / t1, t0 * t0 / t1, t1, "I + t1*C is singular")
 
 
 def slice_matrices(C: RationalMatrix, t0, t1, lam) -> SliceMatrices:
@@ -123,7 +129,7 @@ def slice_matrices(C: RationalMatrix, t0, t1, lam) -> SliceMatrices:
     if t0 == t1:
         raise SingularConfiguration("t0 and t1 must differ")
     M = aux_matrix(C, t0, t1)
-    X = _x_of_m(M, lam)
+    X = x_of_lambda(C, t0, t1, lam)
     T = None if (t0 == 0 or t1 == 0) else centre_matrix(C, t0, t1)
     return SliceMatrices(X=X, T=T, M=M, heights=(t0, t1, lam))
 
@@ -373,13 +379,12 @@ def solve_kakeya_four_slice(C: RationalMatrix) -> HeightsSolution:
     sm = Fraction(N, D)
 
     t0, t1 = heights(Fraction(2 * j, 195), best_swap)
-    M = aux_matrix(C, t0, t1)
     pm = Fraction((390 - 6 * j) ** 2 * P, D)  # the product of M's pair
     mu = None
     for r in real_roots(Polynomial(_quartic_coeffs(sm, pm)[::-1]), 0.0, 1.0):
         lam = _lambda_of_mu(r, float(sm))
         if 0.0 < lam < 1.0:
-            X_lam, X_mu = (_x_of_m(M, Fraction(z)) for z in (lam, r))
+            X_lam, X_mu = (x_of_lambda(C, t0, t1, Fraction(z)) for z in (lam, r))
             residual = _gap(X_lam - X_mu, RationalMatrix.identity(C.dim))
             if residual <= RESIDUAL_TOL:
                 mu = r

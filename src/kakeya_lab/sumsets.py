@@ -113,6 +113,7 @@ class LatticeSet:
     __slots__ = ("dim", "scale", "rows")
 
     def __init__(self, dim: int, points: Iterable, scale: int = 1):
+        dim = _integer(dim, 0, name="dim")
         self._init(dim, _distinct(_rows(points, dim)), _integer(scale, 1, name="scale"))
 
     def _init(self, dim: int, rows: np.ndarray, scale: int):
@@ -526,7 +527,8 @@ def slices_from_construction(
     if t0 == t1:
         raise PreconditionViolation("t0 and t1 must differ")
     omega_of = omega_map.mat_vec if isinstance(omega_map, RationalMatrix) else omega_map
-    inv = _integer(1 / delta, 1, name="1/delta (delta must be the reciprocal of an integer, 2^-k preferred)")
+    inv = _integer(1 / delta if delta else math.inf, 1,
+                   name="1/delta (delta must be the reciprocal of an integer, 2^-k preferred)")
     pairs = []
     for y in directions:
         yv = [rat(c) for c in y]

@@ -293,10 +293,19 @@ CLAIM = [TUBE(y, w, 2.0**-8) for y, w in (((0, 0), (0, 0)), ((0.1125, 0), (0.045
     lambda: kl.hairbrush_claim_check(FAMILY3, *CLAIM, 3, 3, 0, K=True),
     lambda: kl.hairbrush_claim_check(FAMILY3, *CLAIM, 3, 3, 0, K="2"),
     lambda: kl.RationalMatrix([[1, 1], [0, 1]]).power(True),
+    lambda: kl.RationalMatrix.identity(True),
+    lambda: kl.RationalMatrix.zero("2"),
+    lambda: kl.RationalMatrix.from_json({"dim": True, "entries": [[1]]}),
+    lambda: kl.RationalMatrix.from_json({"dim": "2", "entries": [[1, 0], [0, 1]]}),
+    lambda: kl.LatticeSet(True, [(1,)]),
+    lambda: kl.LatticeSet(-1, []),
+    lambda: kl.slices_from_construction(FAMILY, [(0, 0)], kl.RationalMatrix.zero(2), 0, 1, 0),
 ], ids=["union_volume bool k", "worst-case float k", "ball lattice float k", "hairbrush float N", "hairbrush bool N",
         "lattice float scale", "lattice bool scale", "lattice zero scale", "cell set float k", "bound float n",
         "exponents float n", "locus float trials", "locus negative seed", "random bool seed", "box bool n",
-        "claim float l", "covering bool p'", "covering text p'", "claim bool K", "claim text K", "matrix bool power"])
+        "claim float l", "covering bool p'", "covering text p'", "claim bool K", "claim text K", "matrix bool power",
+        "identity bool dim", "zero text dim", "matrix JSON bool dim", "matrix JSON text dim", "lattice bool dim",
+        "lattice negative dim", "slices zero delta"])
 def test_sizes_are_read_or_refused(call):
     # each of these used to answer, reading True as 1 or keeping a non-integer size, or raise a bare error
     with pytest.raises(kl.PreconditionViolation):
@@ -308,6 +317,11 @@ def test_integral_sizes_are_read_as_ints():
     spec = kl.build_worstcase_kakeya(WORST, 3)
     assert kl.union_volume(spec, 3.0) == kl.union_volume(spec, np.int64(3)) == kl.union_volume(spec, 3)
     assert kl.CellSet(n=2.0, k=np.int32(3), occupied=[(0, 0)]) == kl.CellSet(n=2, k=3, occupied=[(0, 0)])
+    I = kl.RationalMatrix([[1, 0], [0, 1]])
+    assert kl.RationalMatrix.identity(2.0) == kl.RationalMatrix.identity(np.int64(2)) == I
+    assert kl.RationalMatrix.zero(2.0) == I - I
+    lattice = kl.LatticeSet.of([(1, 2)], dim=2.0)
+    assert lattice == kl.LatticeSet.of([(1, 2)], dim=2) and type(lattice.dim) is int
 
 
 @settings(max_examples=300, deadline=None)

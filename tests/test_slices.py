@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kakeya_lab as kl
 from kakeya_lab.exact import _squarefree_part, char_poly
@@ -20,6 +22,16 @@ from conftest import float_T, float_X_of_lambda, within_one_ulp_of_a_root
 
 I2 = kl.RationalMatrix.identity(2)
 NIL = kl.companion([0, 0])
+SMALL = st.fractions(-2, 2, max_denominator=4)  # small enough that singular draws are common
+SQUARE = lambda n: st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def outcome(build):
+    """build()'s value, or the type and message of the error it raises."""
+    try:
+        return build()
+    except kl.KakeyaLabError as e:
+        return type(e), str(e)
 
 
 class TestSliceMatrices:
@@ -52,6 +64,42 @@ class TestSliceMatrices:
     def test_lambda_one_rejected(self):
         with pytest.raises(kl.SingularConfiguration):
             kl.slice_matrices(NIL, 0, F(1, 2), 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(SQUARE(n), SQUARE(n))), SMALL, SMALL, SMALL)
+    @example((((-1, 0), (0, -1)), ((1, 0), (0, 1))), F(1, 4), F(3, 4), F(1, 2))  # I + (t0+t1)C singular
+    @example((((-2, 0), (0, -2)), ((1, 0), (0, 1))), F(-1, 2), F(1, 2), F(1, 2))  # I + lam M and I + t1 C
+    @example((((0, 1), (0, 0)), ((1, 0), (0, 1))), F(0), F(1, 2), F(1))  # lam = 1, t0 = 0
+    def test_matrices_follow_their_definitions(self, pair, t0, t1, lam):
+        # M, X(lam) and T against their definitions composed from matrix operations, errors included
+        C, D = (kl.RationalMatrix(rows) for rows in pair)
+        I = kl.RationalMatrix.identity(C.dim)
+
+        def inverse(A, message):
+            if A.det() == 0:
+                raise kl.SingularConfiguration(message)
+            return A.inverse()
+
+        def M():
+            return (t1 - t0) * (C * inverse(I + (t0 + t1) * C, f"I + (t0+t1)C is singular at t0+t1={t0 + t1}"))
+
+        def X():
+            m = M()
+            if lam == 1:
+                raise kl.SingularConfiguration("lam = 1")
+            return (lam / (1 - lam)) * (inverse(I + lam * m, "I + lam*M is singular") * (I - (1 - lam) * m))
+
+        def T():
+            if t0 == 0 or t1 == 0:
+                raise kl.SingularConfiguration("T requires t0, t1 != 0")
+            return (t0 / t1) * ((I + t0 * C) * inverse(I + t1 * C, "I + t1*C is singular"))
+
+        for got, want in ((lambda: aux_matrix(C, t0, t1), M), (lambda: kl.x_of_lambda(C, t0, t1, lam), X),
+                          (lambda: kl.centre_matrix(C, t0, t1), T)):
+            assert outcome(got) == outcome(want)
+        n = C.dim
+        assert (C * D).rows == tuple(tuple(sum(C[i, k] * D[k, j] for k in range(n)) for j in range(n))
+                                     for i in range(n))
 
     def test_matches_float_formulas(self):
         C = kl.RationalMatrix([[F(1, 4), F(-1, 8)], [F(1, 8), F(1, 4)]])
@@ -431,13 +479,6 @@ class TestKakeyaSolver:
         assert sol.residual <= 1e-9
         assert sol.regime == "complex_pair_swapped"
         assert float(sol.heights[0]) > 0 > float(sol.heights[1])
-
-    def test_residual_reuses_m(self, monkeypatch):
-        # the eigenvalue pair and every candidate root's X(lam), X(mu) share one exact M
-        calls, build = [], aux_matrix
-        monkeypatch.setattr(kl.slices, "aux_matrix", lambda *a: calls.append(a) or build(*a))
-        sol = kl.solve_kakeya_four_slice(kl.RationalMatrix([[0, -10], [10, 0]]))
-        assert len(calls) == 1 and sol.residual <= 1e-9
 
     def test_repeated_conjugate_pair_higher_dimension(self):
         # two identical rotation blocks: still a single conjugate pair
