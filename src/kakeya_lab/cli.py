@@ -135,7 +135,7 @@ def _config(args: argparse.Namespace) -> dict:
 
 def _sweep_output(args, sizes: dict, n: int) -> int:
     rows = [[k, count, vol, -k, np.log2(vol)] for k, (count, vol) in sizes.items()]
-    fit = raster.box_dimension(lambda k: sizes[k][1], list(sizes), n=n)
+    fit = raster.box_dimension({k: vol for k, (_, vol) in sizes.items()}, n=n)
     cfg = _config(args)
     write_csv(args.out, cfg, ["k", "cell_count", "volume", "log2_delta", "log2_volume"], rows)
     write_json(None, cfg, {"slope": fit.slope, "fit_residual": fit.fit_residual})
@@ -143,9 +143,12 @@ def _sweep_output(args, sizes: dict, n: int) -> int:
 
 
 def cmd_worstcase(args) -> int:
-    C = _load_matrix(args.matrix) if args.matrix else companion([0] * (args.n - 1))
+    C = _load_matrix(args.matrix) if args.matrix else companion([0] * ((args.n or 3) - 1))
+    if args.n not in (None, C.dim + 1):
+        raise PreconditionViolation(f"--n {args.n} disagrees with --matrix, whose dimension {C.dim} sets n = {C.dim + 1}")
+    args.n = C.dim + 1  # the n this run takes, for the config it records
     sizes = {k: raster.union_volume(raster.build_worstcase_kakeya(C, k), k) for k in _parse_ks(args.ks)}
-    return _sweep_output(args, sizes, C.dim + 1)
+    return _sweep_output(args, sizes, args.n)
 
 
 def cmd_dimension(args) -> int:
@@ -276,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = command("worstcase", cmd_worstcase, "small-volume construction and its box dimension")
-    sp.add_argument("--n", type=_int_in(2, MAX_DIM + 1), default=3)  # companion([0] * (n - 1)) is a matrix
+    sp.add_argument("--n", type=_int_in(2, MAX_DIM + 1),  # companion([0] * (n - 1)) is a matrix
+                    help="ambient dimension: 3 by default, and the --matrix dimension + 1 with --matrix")
     sp.add_argument("--matrix", help="companion-block matrix JSON (path or inline)")
     sp.add_argument("--ks", type=_checked(_parse_ks), required=True, help="comma-separated resolutions, e.g. 5,6,7,8")
 

@@ -6,11 +6,15 @@ direction y and centre omega is t -> (omega - t*y - t^2*C*y, t) for t in
 
 Numbers are read by the readers in exact: a scalar by _number (an int or
 Fraction exactly, any other number as its float) and the tube arrays by
-_float_rows.  Points and tangents are exact for exact input and Python floats
-when any input is a float.  Intersection heights and the locus are
+_float_rows.  Each call reads its scalars in one pass: _numbers for the points
+and tangents, which are exact for exact input and Python floats when any input
+is a float, and _exact for intersection heights and the locus, which are
 computed exactly for any input, a float taken as the dyadic rational it is, and
-rounded to floats only for float input; the locus dichotomy decides its flags
-exactly, with no tolerance.  Tube centres are sampled in floats by _centres.
+rounded to floats only for float input.  The locus has one exact core, _locus,
+giving the curve (y, omega) through (u, s): locus_point is curve_point on that
+curve, and the locus dichotomy takes its samples from _locus and decides its
+flags exactly, with no tolerance.  Tube centres are sampled in floats by
+_centres; the claim check samples its three tubes with one call.
 """
 
 from __future__ import annotations
@@ -41,14 +45,11 @@ _DYADIC_INDICES = (-1, 1074)  # a claim-check index i scales by 2^-i: below 2 (|
 Vector = tuple
 
 
-def _is_exact(*values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
-
-
-def _fraction(x) -> Fraction:
-    """x read by _number, a float taken as the exact (dyadic) rational it is."""
-    x = _number(x)
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _exact(*groups: Sequence) -> tuple[list, bool]:
+    """Each group of numbers read by _number, as a list of the exact rationals they are (a float is
+    dyadic), and whether every number was an int or a Fraction."""
+    read = [[_number(v) for v in g] for g in groups]
+    return [[Fraction(v) for v in g] for g in read], all(isinstance(v, Fraction) for g in read for v in g)
 
 
 def _floats(v: Sequence) -> tuple:
@@ -208,9 +209,9 @@ def intersect_curves(family: CurveFamily, p1: CurveParams, p2: CurveParams) -> l
     a non-square discriminant is taken in floats, after the root has been
     verified and placed in [-1, 1] exactly.
     """
-    exact = _is_exact(*p1.y, *p1.omega, *p2.y, *p2.omega)
-    dy = [_fraction(a) - _fraction(b) for a, b in zip(p1.y, p2.y)]
-    dw = [_fraction(a) - _fraction(b) for a, b in zip(p1.omega, p2.omega)]
+    (y1, w1, y2, w2), exact = _exact(p1.y, p1.omega, p2.y, p2.omega)
+    dy = [a - b for a, b in zip(y1, y2, strict=True)]  # curves of two lengths raise ValueError
+    dw = [a - b for a, b in zip(w1, w2, strict=True)]
     if not any(dy) and not any(dw):
         raise IdenticalCurves("curve parameters coincide")
     cdy = family.C.mat_vec(dy)
@@ -296,13 +297,14 @@ def _one_plus(C: RationalMatrix, x: Fraction, v: Sequence) -> list:
     return [a + x * c for a, c in zip(v, C.mat_vec(v))]
 
 
-def _locus_core(C: RationalMatrix, y0: Sequence, t0, u, s) -> tuple[list, Fraction]:
-    """w = (I + (s+u)C)^-1 (I + (t0+u)C) y0 and (t0 - u)/(s - u), exactly: the locus curve
-    through (u, s) has direction (t0 - u)/(s - u) * w."""
+def _locus(C: RationalMatrix, y0: Sequence, t0, u, s) -> tuple[list, list]:
+    """The exact direction y = a w and centre omega = s a (I + sC) w of the locus curve through (u, s), for
+    w = (I + (s+u)C)^-1 (I + (t0+u)C) y0 and a = (t0 - u)/(s - u)."""
     if s == u:
         raise SingularConfiguration("s = u")
     w = (RationalMatrix.identity(C.dim) + (s + u) * C).inverse().mat_vec(_one_plus(C, t0 + u, y0))
-    return w, (t0 - u) / (s - u)
+    a = (t0 - u) / (s - u)
+    return [a * x for x in w], [s * a * x for x in _one_plus(C, s, w)]
 
 
 def locus_curve_params(family: CurveFamily, y0: Sequence, t0, u, s) -> tuple[tuple, tuple]:
@@ -311,21 +313,16 @@ def locus_curve_params(family: CurveFamily, y0: Sequence, t0, u, s) -> tuple[tup
 
     Computed exactly, a float input taken as the dyadic rational it is; any
     float input gives the exact results rounded to floats."""
-    exact = _is_exact(*y0, t0, u, s)
-    t0, u, s = _fraction(t0), _fraction(u), _fraction(s)
-    w, a = _locus_core(family.C, [_fraction(v) for v in y0], t0, u, s)
-    y = tuple(a * x for x in w)
-    omega = tuple(s * a * x for x in _one_plus(family.C, s, w))
-    return (y, omega) if exact else (_floats(y), _floats(omega))
+    (y0, (t0, u, s)), exact = _exact(y0, (t0, u, s))
+    y, omega = _locus(family.C, y0, t0, u, s)
+    return (tuple(y), tuple(omega)) if exact else (_floats(y), _floats(omega))
 
 
 def locus_point(family: CurveFamily, y0: Sequence, t0, u, s, t) -> tuple:
-    """Point of the locus of curves meeting both base curves, at height t;
-    exact as :func:`locus_curve_params` is."""
-    exact = _is_exact(*y0, t0, u, s, t)
-    t0, u, s, t = _fraction(t0), _fraction(u), _fraction(s), _fraction(t)
-    w, a = _locus_core(family.C, [_fraction(v) for v in y0], t0, u, s)
-    pt = tuple((s - t) * a * x for x in _one_plus(family.C, s + t, w)) + (t,)
+    """Point at height t of the locus curve through (u, s): :func:`curve_point` of that curve (so t outside
+    [-1, 1] raises :class:`HeightOutOfSupport`), exact as :func:`locus_curve_params` is."""
+    (y0, (t0, u, s, t)), exact = _exact(y0, (t0, u, s, t))
+    pt = curve_point(family, CurveParams(*_locus(family.C, y0, t0, u, s)), t)
     return pt if exact else _floats(pt)
 
 
@@ -389,7 +386,7 @@ def locus_dichotomy_test(
     """
     trials = _integer(trials, 100, name="trials (a locus test takes 100 trials or more)")
     rng = np.random.default_rng(_integer(seed, 0, name="seed"))
-    y0, t0 = [_fraction(v) for v in y0], _fraction(t0)
+    (y0, (t0,)), _ = _exact(y0, (t0,))
     if not any(y0):
         raise PreconditionViolation("y0 = 0: every locus centre and direction is 0")
     top = max(map(abs, y0))  # top = a/b lies in (2^(e-1), 2^(e+1)) for e = bitlen(a) - bitlen(b)
@@ -404,7 +401,7 @@ def locus_dichotomy_test(
         u, s = rng.uniform(-1.0, 1.0, size=2)
         if abs(s - u) < 0.05 or abs(s - t0f) < 0.05 or abs(u - t0f) < 0.05 or abs(s) < 0.025:
             continue
-        y, omega = locus_curve_params(family, y0, t0, Fraction(u), Fraction(s))
+        y, omega = _locus(family.C, y0, t0, Fraction(u), Fraction(s))
         if not any(omega) or not any(y):
             continue
         omegas.append(omega)
@@ -440,22 +437,6 @@ def _height_samples(per_unit: float, delta: float) -> int:
     return math.ceil(per_unit / delta) + 1
 
 
-def _nearest_approach(family, Y: np.ndarray, W: np.ndarray, a: int, b: int, delta: float, window=None):
-    """(height, distance) of the closest approach of the curves in rows a and b of Y, W, optionally
-    restricted to heights t with |t - window[0]| in [window[1], window[2]]."""
-    ts = np.linspace(-1.0, 1.0, _height_samples(16.0, delta))
-    if window is not None:
-        centre, lo, hi = window
-        gap = np.abs(ts - centre)
-        ts = ts[(gap >= lo) & (gap <= hi)]
-        if ts.size == 0:
-            return None
-    ca, cb = (_centres(family, Y[i:i + 1], W[i:i + 1], ts)[:, 0] for i in (a, b))
-    dist = np.linalg.norm(ca - cb, axis=0)
-    i = int(np.argmin(dist))
-    return float(ts[i]), float(dist[i])
-
-
 def hairbrush_claim_check(
     family: CurveFamily,
     central: TubeSpec,
@@ -473,6 +454,9 @@ def hairbrush_claim_check(
     (k, l, m).  Reports |omega_j - omega_i|, the distance of omega_i from the
     line span{(I + t_j C) y_j}, the fitted constants, and whether both are
     within K times their dyadic bounds.  k, l and m lie in _DYADIC_INDICES.
+    The three tubes are sampled once, at ceil(16 / delta) + 1 heights (a delta below
+    2^-MAX_K raises :class:`ResolutionTooFine` first): each meeting is the least sampled
+    distance of its pair, the i-j one among the heights inside the window.
     """
     k, l, m = (_integer(i, *_DYADIC_INDICES, name) for i, name in ((k, "k"), (l, "l"), (m, "m")))
     K = _number(K)
@@ -493,21 +477,23 @@ def hairbrush_claim_check(
         if not 2.0 ** (-idx - 1) < r <= 2.0 ** (-idx):
             raise ConfigurationViolation(f"|{name}| = {r:.4g} outside dyadic shell 2^-{idx}")
 
-    t_j, dj = _nearest_approach(family, Y, W, 1, 0, delta)
-    t_i, di = _nearest_approach(family, Y, W, 2, 0, delta)
-    if max(dj, di) > 2.0 * delta:
+    # the three curves at every height: the distances of j and i from the central curve, and of i from j
+    ts = np.linspace(-1.0, 1.0, _height_samples(16.0, delta))
+    c = _centres(family, Y, W, ts)
+    dj, di, dij = (np.linalg.norm(c[:, a] - c[:, b], axis=0) for a, b in ((1, 0), (2, 0), (2, 1)))
+    t_j, t_i = (float(ts[np.argmin(dist)]) for dist in (dj, di))
+    if max(dj.min(), di.min()) > 2.0 * delta:
         raise ConfigurationViolation("tube_j and tube_i must both meet the central tube")
-    # the i-j meeting is sought inside the prescribed dyadic distance window; heights in [-1, 1] are at
-    # most 2 apart, and delta 2^(l+m) > 2 once l + m > 2 - e for delta = f 2^e, f in [1/2, 1)
-    hit = None
-    if l + m <= 2 - math.frexp(delta)[1]:  # then delta 2^(l+m+1) < 8: no window end overflows
-        window = (t_j, math.ldexp(delta, l + m), math.ldexp(delta, l + m + 1))
-        hit = _nearest_approach(family, Y, W, 2, 1, delta, window=window)
-    if hit is None or hit[1] > 2.0 * delta:
+    # the i-j meeting is sought inside the prescribed dyadic distance window [lo, 2 lo]; heights in [-1, 1] are
+    # at most 2 apart, and lo = delta 2^(l+m) > 2 once l + m > 2 - e for delta = f 2^e, f in [1/2, 1)
+    lo = math.ldexp(delta, l + m) if l + m <= 2 - math.frexp(delta)[1] else math.inf  # 2 lo < 8: no overflow
+    gap = np.abs(ts - t_j)
+    dij[(gap < lo) | (gap > 2 * lo)] = np.inf
+    if dij.min() > 2.0 * delta:
         raise ConfigurationViolation(
             "tubes i and j do not meet at any height with |s - t_j| in "
             "[delta*2^(l+m), delta*2^(l+m+1)]")
-    s = hit[0]
+    s = float(ts[np.argmin(dij)])
 
     wj, wi = W[1], W[2]
     dist_centres = float(np.linalg.norm(wj - wi))

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -110,8 +110,8 @@ class TubeFamilySpec:
         delta = np.array(np.broadcast_to(_float_rows(delta), len(Y)))
         if not ((delta > 0) & (delta < 1)).all():  # NaN fails both comparisons
             raise ValueError("delta must lie in (0, 1)")
-        lo, hi = t_range
-        if not (-1.0 <= lo < hi <= 1.0):
+        t_range = tuple(np.ravel(_float_rows(t_range)).tolist())
+        if len(t_range) != 2 or not -1.0 <= t_range[0] < t_range[1] <= 1.0:
             raise ValueError("t_range must be a sub-interval of [-1, 1]")
         for a in (Y, W, delta):
             a.flags.writeable = False
@@ -332,23 +332,21 @@ class DimensionFit:
     n: int
 
 
-def box_dimension(builder: Callable, ks: Sequence[int], n: int) -> DimensionFit:
-    """Fit |N_delta| ~ delta^(n-d) over the given resolutions and return d.
+def box_dimension(volumes: Mapping, n: int) -> DimensionFit:
+    """Fit |N_delta| ~ delta^(n-d) over the resolutions k of ``volumes`` and return d.
 
-    ``builder(k)`` returns the volume in R^n at delta = 2^-k, such as
-    :meth:`CellSet.volume` or :func:`union_volume`'s.  Unweighted least squares
-    on (log2 delta, log2 volume); the rms residual of the fit is reported
-    alongside.
+    ``volumes`` maps each k, in strictly increasing order, to the volume in R^n
+    at delta = 2^-k, such as :meth:`CellSet.volume` or :func:`union_volume`'s,
+    read by _float_rows.  Unweighted least squares on (log2 delta, log2
+    volume); the rms residual of the fit is reported alongside.
     """
-    n, ks = _integer(n, 1, name="n"), [_integer(k, 0, name="k") for k in ks]
+    n, ks = _integer(n, 1, name="n"), [_integer(k, 0, name="k") for k in volumes]
     if len(ks) < 3 or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("need at least 3 strictly increasing resolutions")
-    vols = []
-    for k in ks:
-        v = float(builder(k))
+    vols = _float_rows(list(volumes.values())).tolist()
+    for k, v in zip(ks, vols):
         if not 0 < v < math.inf:
             raise ValueError(f"volume {v} at k={k} is not positive and finite; cannot fit a slope")
-        vols.append(v)
     x = np.array([-k for k in ks], dtype=float)          # log2 delta
     y = np.log2(np.array(vols))
     coeff = np.polyfit(x, y, 1)
@@ -363,7 +361,13 @@ def box_dimension(builder: Callable, ks: Sequence[int], n: int) -> DimensionFit:
 
 def _ball_lattice(dim: int, k: int) -> np.ndarray:
     """(points, dim) rows of the direction net (2^-k Z)^dim in the closed unit ball, decided
-    exactly on the integer points g: |g 2^-k| <= 1 when |g|^2 <= 4^k."""
+    exactly on the integer points g: |g 2^-k| <= 1 when |g|^2 <= 4^k.  Raises :class:`ResolutionTooFine`,
+    before the grid is built, for k > MAX_K and, above dimension 2, past 2^22 grid points."""
+    if k > MAX_K:
+        raise ResolutionTooFine(f"k = {k} exceeds the supported maximum {MAX_K}")
+    if dim > 2 and (2 ** (k + 1) + 1) ** dim > 2**22:
+        raise ResolutionTooFine(f"the lattice net's (2^{k + 1} + 1)^{dim} grid points exceed 2^22 in dimension "
+                                f"{dim}; pass explicit directions")
     axes = [np.arange(-(2**k), 2**k + 1, dtype=np.int64)] * dim
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     return grid[(grid * grid).sum(axis=1) <= 4**k] * 2.0**-k
@@ -394,13 +398,7 @@ def build_worstcase_kakeya(
     m = vanishing_order(C, W)
     delta = 2.0**-k
     n = C.dim + 1
-    if directions is None:
-        if C.dim > 2 and (2 ** (k + 1) + 1) ** C.dim > 2**22:
-            raise ResolutionTooFine(
-                "full lattice net too large in this dimension; pass explicit directions")
-        Y = _ball_lattice(C.dim, k)
-    else:
-        Y = _float_rows(directions, C.dim)
+    Y = _ball_lattice(C.dim, k) if directions is None else _float_rows(directions, C.dim)
     cap = 1.0 if math.isinf(m) else min(1.0, delta ** (1.0 / m))
     family = CurveFamily(n=n, C=C)
     return TubeFamilySpec(family, t_range=(-cap, cap), Y=Y, W=Y @ W.to_float().T, delta=delta)
@@ -453,8 +451,11 @@ def _meet_heights(spec: TubeFamilySpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _meets(spec: TubeFamilySpec) -> np.ndarray:
-    """Packed meet rows of hairbrush_decompose: bit j of row i is set when tube i meets tube j."""
+    """Packed meet rows of hairbrush_decompose: bit j of row i is set when tube i meets tube j.
+    :class:`ResolutionTooFine` when those m ceil(m/8) bytes exceed CELL_BUDGET, before any centre."""
     m = len(spec.Y)
+    if m * ((m + 7) // 8) > CELL_BUDGET:
+        raise ResolutionTooFine(f"{m} tubes: their packed meets ({m} x {(m + 7) // 8} bytes) exceed {CELL_BUDGET}")
     ts, idx = _meet_heights(spec)
     Y = spec.Y.T
     CY = spec.family._cf @ Y
@@ -562,7 +563,8 @@ def hairbrush_decompose(spec: TubeFamilySpec, N: int) -> HairbrushDecomposition:
     and a rounding margin, still clears the reach meets nowhere.  The fine pass
     tests all H heights of the few pairs left.  The meets are symmetric, so for
     m tubes this costs O(m^2 / 2 * (H / stride + H * undecided share) * (n - 1))
-    and holds m^2 / 8 bytes of packed bits.
+    and holds m ceil(m/8) bytes of packed bits; past CELL_BUDGET of them it
+    raises :class:`ResolutionTooFine` before any height is sampled.
     """
     N = _integer(N, 1, name="brush size threshold N")
     m = len(spec.Y)

@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -511,28 +511,26 @@ def count_trapezia(
 def slices_from_construction(
     family: CurveFamily,
     directions: Sequence,
-    omega_map: Callable | RationalMatrix,
+    W: RationalMatrix,
     t0,
     t1,
     delta: Fraction,
 ) -> tuple[LatticeSet, LatticeSet, Incidence]:
     """Slice a concrete curve family at heights t0 and t1 onto the delta-lattice.
 
-    ``omega_map`` assigns a centre to each direction (a callable, or a matrix W
-    meaning omega = W y).  Points are computed exactly and snapped with
+    Each direction y gets the centre omega = W y.  Points are computed exactly and snapped with
     round(coord/delta); the returned sets carry scale = 1/delta.  G pairs the
     two slice points of each curve.
     """
     t0, t1, delta = rat(t0), rat(t1), rat(delta)
     if t0 == t1:
         raise PreconditionViolation("t0 and t1 must differ")
-    omega_of = omega_map.mat_vec if isinstance(omega_map, RationalMatrix) else omega_map
     inv = _integer(1 / delta if delta else math.inf, 1,
                    name="1/delta (delta must be the reciprocal of an integer, 2^-k preferred)")
     pairs = []
     for y in directions:
         yv = [rat(c) for c in y]
-        ppar = CurveParams(y=tuple(yv), omega=tuple(rat(c) for c in omega_of(yv)))
+        ppar = CurveParams(y=tuple(yv), omega=W.mat_vec(yv))
         a, b = (tuple(math.floor(c / delta + Fraction(1, 2)) for c in curve_point(family, ppar, t)[:-1])
                 for t in (t0, t1))
         pairs.append((a, b))

@@ -43,7 +43,7 @@ def test_criterion_01_worstcase_dimension():
             for t in np.linspace(-1, 1, 7):
                 pts.append(kl.curve_point(spec.family, params, float(t)))
         residual = max(residual, kl.surface_residual(pts))
-    fit = kl.box_dimension(lambda k: vols[k], [5, 6, 7, 8], n=3)
+    fit = kl.box_dimension(vols, n=3)
     elapsed = time.monotonic() - start
     ok = 1.8 <= fit.slope <= 2.2 and residual <= delta_min and elapsed <= 60.0
     report(1, ok, f"slope={fit.slope:.4f} in [1.8,2.2], surface residual={residual:.2e} "
@@ -304,7 +304,7 @@ def test_criterion_12_rank_scaling():
         for k in ks:
             spec = kl.build_worstcase_kakeya(C, k, directions=reduced_ball_net(k, zeros, 4))
             _, vols[k] = kl.union_volume(spec, k)
-        slopes[r] = kl.box_dimension(lambda k: vols[k], ks, n=5).slope
+        slopes[r] = kl.box_dimension(vols, n=5).slope
     ok = slopes[1] <= 4.3 and slopes[2] <= 3.3
     report(12, ok, f"n=5 slopes: one block {slopes[1]:.3f} <= 4.3, "
                    f"two blocks {slopes[2]:.3f} <= 3.3")

@@ -284,7 +284,7 @@ def test_sweep_bodies_match_cell_sets(tmp_path, capsys, sweep):
             for k, cs in cells.items()]
     assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == \
         ["k,cell_count,volume,log2_delta,log2_volume", *rows]
-    fit = kl.box_dimension(lambda k: cells[k].volume(), ks, n=3)
+    fit = kl.box_dimension({k: cs.volume() for k, cs in cells.items()}, n=3)
     result = json.loads(out)["result"]
     assert (result["slope"], result["fit_residual"]) == (fit.slope, fit.fit_residual)
 
@@ -339,6 +339,8 @@ REPROS = [
     # an exact tube coordinate past the float range
     ["hairbrush", "--family", "FAM", "--tubes", "TUBES_Y_HUGE", "--threshold", "1"],
     ["dimension", "--family", "FAM", "--tubes", "TUBES_Y_HUGE", "--ks", "2,3,4"],
+    # a --n that disagrees with --matrix: the sweep ran n = 3 and recorded n = 5
+    ["worstcase", "--n", "5", "--matrix", SQUARE_ZERO, "--ks", "2,3,4"],
 ]
 
 
@@ -384,6 +386,15 @@ def test_worstcase_n_is_refused_before_the_companion_matrix(capsys, monkeypatch)
     for n in ("1000000", HUGE, "10", "1"):
         code, out, err = run(capsys, "worstcase", "--n", n, "--ks", "1,2,3")
         assert code == 2 and out == "" and err.startswith("error: argument --n: must lie in [2, 9]")
+
+
+def test_worstcase_records_the_n_it_ran(tmp_path, capsys):
+    # a 3x3 --matrix runs n = 4 (it recorded the default n = 3); an agreeing --n is taken, and no --matrix is n = 3
+    matrix = json.dumps(kl.companion([0, 0, 0]).to_json())
+    for argv, n in (([], 3), (["--matrix", matrix], 4), (["--n", "4", "--matrix", matrix], 4), (["--n", "4"], 4)):
+        code, out, _ = run(capsys, "worstcase", *argv, "--ks", "2,3,4", "--out", str(tmp_path / "wc.csv"))
+        config = json.loads((tmp_path / "wc.csv").read_text().split(" generated:")[0].removeprefix("# config: "))
+        assert code == 0 and config["n"] == json.loads(out)["config"]["n"] == n
 
 
 BUDGET = kl.raster.CELL_BUDGET

@@ -638,6 +638,9 @@ def test_height_sampling_stops_at_the_finest_resolution():
     (lambda: kl.intersection_diameter(CLAIM_FAMILY, *[_claim_tube((0.1, 0), (0, 0), 1e-300)] * 2),
      kl.ResolutionTooFine, "finest supported resolution"),
     (lambda: kl.locus_dichotomy_test(CLAIM_FAMILY, (0, 1), F(1, 2), trials=99), ValueError, "100 trials"),
+    # zip dropped the third coordinates and answered [0]
+    (lambda: kl.intersect_curves(CLAIM_FAMILY, kl.CurveParams(y=(0.5, 0), omega=(0, 0)),
+                                 kl.CurveParams(y=(0, 0, 5), omega=(0, 0, 7))), ValueError, "longer"),
     (lambda: kl.hairbrush_claim_check(CLAIM_FAMILY, CLAIM_CENTRAL, CLAIM_J,
                                       _claim_tube((0.0723, 0.0862), (0.042712, 0.03448), 2.0**-7), 3, 3, 0),
      kl.ConfigurationViolation, "share delta"),
@@ -659,7 +662,7 @@ def test_height_sampling_stops_at_the_finest_resolution():
     *((lambda m=m: kl.hairbrush_claim_check(CLAIM_FAMILY, CLAIM_CENTRAL, CLAIM_J, CLAIM_I, 3, 3, m),
        kl.ConfigurationViolation, "do not meet") for m in (6, 7, 1074)),
 ], ids=["params length", "delta 0", "delta 1", "n=2", "n=10", "C size", "diameter deltas", "diameter too fine",
-        "trials", "claim deltas", "claim too fine", "l < k-2", "misses central", "no i-j meeting", "window at 2",
+        "trials", "intersect lengths", "claim deltas", "claim too fine", "l < k-2", "misses central", "no i-j meeting", "window at 2",
         "window past 2", "window past floats"])
 def test_curves_typed_errors(call, error, match):
     with pytest.raises(error, match=match):

@@ -341,8 +341,8 @@ def test_distinct_matches_unique(values):
 
 class TestBoxDimension:
     @staticmethod
-    def synthetic(builder_cells):
-        return lambda k: kl.CellSet(n=3, k=k, occupied=builder_cells(k)).volume()
+    def synthetic(cells, ks):
+        return {k: kl.CellSet(n=3, k=k, occupied=cells(k)).volume() for k in ks}
 
     def test_full_cube(self):
         def cells(k):
@@ -350,11 +350,11 @@ class TestBoxDimension:
             return frozenset((i, j, h) for i in range(-r, r) for j in range(-r, r)
                              for h in range(-r, r)) if k <= 4 else frozenset()
 
-        fit = kl.box_dimension(self.synthetic(cells), [2, 3, 4], n=3)
+        fit = kl.box_dimension(self.synthetic(cells, [2, 3, 4]), n=3)
         assert abs(fit.slope - 3) < 1e-9
 
     def test_single_point(self):
-        fit = kl.box_dimension(self.synthetic(lambda k: frozenset({(0, 0, 0)})), [3, 4, 5], n=3)
+        fit = kl.box_dimension(self.synthetic(lambda k: frozenset({(0, 0, 0)}), [3, 4, 5]), n=3)
         assert abs(fit.slope - 0) < 1e-9
 
     def test_slab(self):
@@ -362,17 +362,17 @@ class TestBoxDimension:
             r = 2**k
             return frozenset((0, j, h) for j in range(-r, r) for h in range(-r, r))
 
-        fit = kl.box_dimension(self.synthetic(cells), [3, 4, 5], n=3)
+        fit = kl.box_dimension(self.synthetic(cells, [3, 4, 5]), n=3)
         assert abs(fit.slope - 2) < 1e-9
 
     def test_needs_three_resolutions(self):
         with pytest.raises(ValueError):
-            kl.box_dimension(self.synthetic(lambda k: frozenset({(0, 0, 0)})), [3, 4], n=3)
+            kl.box_dimension(self.synthetic(lambda k: frozenset({(0, 0, 0)}), [3, 4]), n=3)
 
-    def test_volume_builder_needs_n(self):
+    def test_volumes_need_n(self):
         with pytest.raises(TypeError):  # a volume does not say its ambient dimension
-            kl.box_dimension(lambda k: 2.0**-k, [3, 4, 5])
-        fit = kl.box_dimension(lambda k: 2.0**-k, [3, 4, 5], n=3)
+            kl.box_dimension({k: 2.0**-k for k in (3, 4, 5)})
+        fit = kl.box_dimension({k: 2.0**-k for k in (3, 4, 5)}, n=3)
         assert abs(fit.slope - 2) < 1e-9
 
 
@@ -414,7 +414,7 @@ class TestWorstCaseConstruction:
         for k in (4, 5, 6):
             spec = kl.build_worstcase_kakeya(WORST, k)
             vols[k] = kl.rasterize(spec, k).volume()
-        fit = kl.box_dimension(lambda k: vols[k], [4, 5, 6], n=3)
+        fit = kl.box_dimension(vols, n=3)
         assert 1.8 <= fit.slope <= 2.2
         # volume scales like delta itself (a surface neighbourhood), with a
         # stable constant across resolutions
@@ -777,13 +777,17 @@ ONE_TUBE = [kl.TubeSpec(params=kl.CurveParams(y=(0.2, 0.1), omega=(0.0, 0.0)), d
     # the L^inf norm is the largest overlap count, not the 1.0 that (sum count^p')^(1/p') gives in floats
     (lambda: kl.covering_norm(_worst4(), math.inf, 4), ValueError, "finite"),
     (lambda: kl.covering_norm(_worst4(), math.nan, 4), ValueError, "finite"),
-    (lambda: kl.box_dimension(lambda k: kl.CellSet(3, k, [] if k == 4 else [(0, 0, 0)]).volume(), [3, 4, 5], n=3),
+    (lambda: kl.box_dimension({k: kl.CellSet(3, k, [] if k == 4 else [(0, 0, 0)]).volume() for k in (3, 4, 5)}, n=3),
      ValueError, "k=4"),
-    (lambda: kl.box_dimension(lambda k: math.nan if k == 4 else 0.5, [3, 4, 5], n=3), ValueError, "k=4"),
-    (lambda: kl.box_dimension(lambda k: math.inf, [3, 4, 5], n=3), ValueError, "k=3"),
+    (lambda: kl.box_dimension({3: 0.5, 4: math.nan, 5: 0.5}, n=3), ValueError, "k=4"),
+    (lambda: kl.box_dimension(dict.fromkeys((3, 4, 5), math.inf), n=3), ValueError, "k=3"),
+    (lambda: kl.box_dimension({3: True, 4: 0.5, 5: 0.25}, n=3), kl.PreconditionViolation, "boolean"),
     (lambda: kl.build_worstcase_kakeya(kl.companion([0, 0, 0]), 7), kl.ResolutionTooFine, "explicit directions"),
     (lambda: kl.TubeFamilySpec(ZERO_FAMILY, ONE_TUBE, t_range=(-1.5, 1.0)), ValueError, "t_range"),
     (lambda: kl.TubeFamilySpec(ZERO_FAMILY, ONE_TUBE, t_range=(0.5, 0.5)), ValueError, "t_range"),
+    # (0, True) was kept, and stamped as (0, 1); text raised a bare TypeError from the range check
+    (lambda: kl.TubeFamilySpec(ZERO_FAMILY, ONE_TUBE, t_range=(0, True)), kl.PreconditionViolation, "boolean"),
+    (lambda: kl.TubeFamilySpec(ZERO_FAMILY, ONE_TUBE, t_range=("-1", "1")), kl.PreconditionViolation, "text"),
     (lambda: kl.TubeFamilySpec(ZERO_FAMILY, ONE_TUBE, Y=[[0.2, 0.1]], W=[[0.0, 0.0]], delta=0.25),
      ValueError, "either tubes or"),
     (lambda: kl.TubeFamilySpec(ZERO_FAMILY), ValueError, "either tubes or"),
@@ -791,11 +795,37 @@ ONE_TUBE = [kl.TubeSpec(params=kl.CurveParams(y=(0.2, 0.1), omega=(0.0, 0.0)), d
     # one ulp off 2^-12: a 1e-15 slack (about 18,000 ulps at k = 12) stamped it at 2^-12
     (lambda: kl.union_volume(kl.TubeFamilySpec(ZERO_FAMILY, Y=[[0.2, 0.1]], W=[[0.0, 0.0]],
                                                delta=2.0**-12 * (1 + 2.0**-52)), 12), ValueError, "2\\^-k"),
-], ids=["p'<1", "p'=inf", "p'=nan", "empty at k", "nan volume", "inf volume", "net too large",
-        "t_range outside", "t_range empty", "tubes and arrays", "neither", "no candidates", "delta 1 ulp off"])
+], ids=["p'<1", "p'=inf", "p'=nan", "empty at k", "nan volume", "inf volume", "bool volume", "net too large",
+        "t_range outside", "t_range empty", "t_range bool", "t_range text", "tubes and arrays", "neither", "no candidates", "delta 1 ulp off"])
 def test_raster_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_t_range_is_held_as_two_floats():
+    spec = kl.TubeFamilySpec(ZERO_FAMILY, ONE_TUBE, t_range=(0, 1))
+    assert spec.t_range == (0.0, 1.0) and all(type(t) is float for t in spec.t_range)
+
+
+def _refuse_to_allocate(*args, **kwargs):
+    raise AssertionError("allocated")
+
+
+@pytest.mark.parametrize("dim, k", [(2, 13), (3, 7)])
+def test_ball_lattice_refused_before_its_grid(monkeypatch, dim, k):
+    # (2^14 + 1)^2 rows of int64 at k = 13 past MAX_K are about 4 GB; (2^8 + 1)^3 in dimension 3 exceed 2^22
+    monkeypatch.setattr(np, "meshgrid", _refuse_to_allocate)
+    with pytest.raises(kl.ResolutionTooFine):
+        kl.ball_lattice_directions(dim, k)
+
+
+def test_hairbrush_meets_refused_before_their_centres(monkeypatch):
+    # the n=3 worst-case net has 51,433 tubes at k = 7 (330 MB of packed meets) and 205,861 at k = 8 (5.3 GB)
+    monkeypatch.setattr(raster, "_centres", _refuse_to_allocate)
+    with pytest.raises(AssertionError, match="allocated"):
+        kl.hairbrush_decompose(kl.build_worstcase_kakeya(WORST, 7), 4)
+    with pytest.raises(kl.ResolutionTooFine, match="packed meets"):
+        kl.hairbrush_decompose(kl.build_worstcase_kakeya(WORST, 8), 4)
 
 
 @pytest.mark.parametrize("dim, k", [(2, 2), (3, 3), (2, 5)])

@@ -234,6 +234,7 @@ LINE = kl.CurveParams(y=(1, 0), omega=(0, 0))
     lambda: kl.curve_point(FAMILY3, kl.CurveParams(y=(math.inf, 0), omega=(0, 0)), 0.5),
     lambda: kl.curve_tangent(FAMILY3, kl.CurveParams(y=(math.inf, 0), omega=(0, 0)), 0.5),
     lambda: kl.curve_point(FAMILY3, LINE, "0.5"),
+    lambda: kl.curve_point(FAMILY3, kl.CurveParams(y=(10**400, 0), omega=(0, 0)), 0.5),
     lambda: kl.curve_point(FAMILY3, kl.CurveParams(y=(True, 0), omega=(0, 0)), F(1, 2)),
     lambda: kl.curve_tangent(FAMILY3, kl.CurveParams(y=(True, 0), omega=(0, 0)), F(1, 2)),
     lambda: kl.intersect_curves(FAMILY3, kl.CurveParams(y=("0.5", 0), omega=(0, 0)), LINE),
@@ -246,6 +247,7 @@ LINE = kl.CurveParams(y=(1, 0), omega=(0, 0))
     lambda: TUBE((0.25, 0), delta="0.25"),
     lambda: kl.hairbrush_claim_check(FAMILY3, TUBE((0, 0), ("0", 0)), TUBE((0.25, 0)), TUBE((0.25, 0.1)), 2, 3, 0),
 ], ids=["diameter inf direction", "diameter nan centre", "point inf", "tangent inf", "point text height",
+        "point past floats",
         "point bool", "tangent bool", "intersect text", "intersect bool", "intersect inf", "intersect nan",
         "locus params bool", "locus point text", "locus point inf t0", "tube text delta", "claim text centre"])
 def test_curve_repros_are_refused(call):
@@ -286,7 +288,7 @@ CLAIM = [TUBE(y, w, 2.0**-8) for y, w in (((0, 0), (0, 0)), ((0.1125, 0), (0.045
     lambda: kl.locus_dichotomy_test(FAMILY3, (0, 1), F(1, 2), trials=100.5),
     lambda: kl.locus_dichotomy_test(FAMILY3, (0, 1), F(1, 2), trials=100, seed=-1),
     lambda: kl.random_instance(True),
-    lambda: kl.box_dimension(lambda k: 2.0**-k, [3, 4, 5], n=True),
+    lambda: kl.box_dimension({k: 2.0**-k for k in (3, 4, 5)}, n=True),
     lambda: kl.hairbrush_claim_check(FAMILY3, *CLAIM, 3, 3.5, 0),
     lambda: kl.covering_norm(kl.build_worstcase_kakeya(WORST, 3), True, 3),
     lambda: kl.covering_norm(kl.build_worstcase_kakeya(WORST, 3), "2", 3),

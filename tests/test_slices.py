@@ -201,6 +201,13 @@ class TestNikodymSolver:
         assert sol.regime == "real_pair" and sol.residual <= 1e-9
         assert 0 < sol.heights[0] < 1e-3 and sol.t0_range is None
 
+    def test_range_refused_when_a_probe_fails(self):
+        # t2 = 0.99926 lies within RANGE_PROBE of 1: at t0 + 1e-3 the heights nearest t1 have t2 = 1.00016,
+        # outside (-1, 1), so that probe is not certified and no range is reported
+        sol = kl.solve_nikodym_three_slice(kl.RationalMatrix([[F(-9, 8), F(-993, 1000)], [F(993, 1000), F(-9, 8)]]))
+        assert sol.regime == "complex_symmetric" and sol.residual <= 1e-9
+        assert sol.heights[0] > 1e-3 and 1 - 1e-3 < sol.heights[2] < 1 and sol.t0_range is None
+
     def test_diagonal_three_by_three(self):
         # repeated eigenvalue is fine as long as only two distinct values occur
         C = kl.RationalMatrix.diagonal([F(1, 4), F(1, 4), F(-2, 5)])

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import math
@@ -335,8 +336,7 @@ class TestSlicesFromConstruction:
     def test_two_lines_through_origin(self):
         fam = kl.CurveFamily(n=3, C=kl.RationalMatrix.zero(2))
         dirs = [(F(1, 4), 0), (0, F(1, 4))]
-        omega = lambda y: (0, 0)
-        A, B, G = kl.slices_from_construction(fam, dirs, omega, F(-1, 2), F(1, 2), F(1, 32))
+        A, B, G = kl.slices_from_construction(fam, dirs, kl.RationalMatrix.zero(2), F(-1, 2), F(1, 2), F(1, 32))
         assert G.size == 2
         # slices at opposite heights are mirror images through the origin
         assert A.points == {tuple(-c for c in p) for p in B.points}
@@ -406,6 +406,7 @@ class TestInstanceIO:
             G.validate(A, B)
         with pytest.raises(kl.PreconditionViolation):
             instance_to_json(A, B, G)
+        assert kl.Incidence(pairs=[((1, 1), (2, 2)), ((0, 0), (2, 2))]).validate(A, B) is None
 
     @pytest.mark.parametrize("A, B", [([[0, 0, 0]], [[1, 1]]), ([[0, 0]], [[1]])])
     def test_point_length_not_dim(self, A, B):
@@ -534,6 +535,9 @@ def wide_instances(draw):
 
 
 class TestKeysAgainstPlainSets:
+    # a-rows in int64 and b-rows past it: the relation holds both as object rows
+    @example((2, [((1, 0), (2**99, 1)), ((0, -1), (2**99 + 1, -(2**99))), ((1, 0), (-1, 0))],
+              kl.RationalMatrix([[2, 1], [1, 1]])))
     @given(wide_instances())
     @settings(max_examples=120, deadline=None)
     def test_rows_and_reports(self, inst):
@@ -788,6 +792,28 @@ def test_ratio_verdict_matches_the_exact_powers(case):
     assert _ratio_holds(n_diff, mx, p, q) == want
     if n_diff >= 2 and q >= mx.bit_length():  # the powers differ; _ratio_holds calls _log_less only past q = 63
         assert _log_less(n_diff, q, mx, 2 * q - p) == want
+
+
+# (r, q, r/q > log2 3) for the convergents r/q of log2 3 with q between 10^16 and 10^18: they alternate
+# sides, and each lies within 1/q^2 of it, so 3^q and 2^r agree to about 35 digits of their logarithms
+LOG2_3_CONVERGENTS = [(206745572560704147, 130441933147714940, True),
+                      (423372672964960618, 267118416222671843, False),
+                      (630118245525664765, 397560349370386783, True)]
+
+
+@pytest.mark.parametrize("r, q, above", LOG2_3_CONVERGENTS)
+def test_log_less_doubles_its_precision(monkeypatch, r, q, above):
+    # 3^q < 2^r exactly when r/q lies above log2 3; at 30 digits the logarithms do not separate
+    ctx = decimal.Context(prec=100)
+    assert (ctx.divide(r, q) > ctx.divide(ctx.ln(3), ctx.ln(2))) == above
+    precisions, context = [], decimal.Context
+    monkeypatch.setattr(decimal, "Context", lambda prec, **kw: precisions.append(prec) or context(prec=prec, **kw))
+    assert _log_less(3, q, 2, r) == above
+    assert precisions[0] == 30 and max(precisions) > 30
+    # #(A - B) = 3 and #A = #B = 2 test 3 <= 2^(2 - eps), that is 3^q <= 2^r, for eps = (2q - r)/q
+    A = B = kl.LatticeSet.of([(0,), (1,)])
+    G = kl.Incidence(pairs=[((0,), (0,)), ((0,), (1,)), ((1,), (0,))])
+    assert kl.check_ratio(A, B, G, [], F(2 * q - r, q)).holds == above
 
 
 LINE_3 = kl.gen_line_counterexample(SHEAR, 3)  # (A, B, G)
